@@ -651,6 +651,8 @@ class DelegationGraphBuilder:
         self._chain_cache: Dict[DomainName, List[ZoneCut]] = {}
         self._expanded_hosts: Set[DomainName] = set()
         self._expanded_names: Set[DomainName] = set()
+        #: hostname -> excluded?, decided once per host.
+        self._excluded_hosts: Dict[DomainName, bool] = {}
         self.queries_saved_by_cache = 0
 
     # -- public ---------------------------------------------------------------------
@@ -812,7 +814,7 @@ class DelegationGraphBuilder:
 
     def chain(self, name: NameLike) -> List[ZoneCut]:
         """The (cached) zone-cut chain for a name or hostname."""
-        key = DomainName(name)
+        key = name if isinstance(name, DomainName) else DomainName(name)
         cached = self._chain_cache.get(key)
         if cached is not None:
             self.queries_saved_by_cache += 1
@@ -831,8 +833,12 @@ class DelegationGraphBuilder:
     # -- internals --------------------------------------------------------------------
 
     def _is_excluded(self, hostname: DomainName) -> bool:
-        return any(hostname.is_subdomain_of(suffix)
-                   for suffix in self.excluded_suffixes)
+        excluded = self._excluded_hosts.get(hostname)
+        if excluded is None:
+            excluded = any(hostname.is_subdomain_of(suffix)
+                           for suffix in self.excluded_suffixes)
+            self._excluded_hosts[hostname] = excluded
+        return excluded
 
     def _add_edge_ids(self, dependent: int, dependency: int) -> None:
         """Add a dependency edge, invalidating stale closures if needed."""

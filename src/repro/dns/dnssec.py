@@ -172,7 +172,7 @@ class ChainValidator:
         for nameserver in nameservers:
             try:
                 response = self.resolver.network.send_query(
-                    str(nameserver), make_query(qname, rtype))
+                    nameserver, make_query(qname, rtype))
             except ServerFailureError:
                 continue
             values = [str(record.rdata) for record in response.answers

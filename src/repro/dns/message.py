@@ -35,7 +35,9 @@ class Question:
             rtype = RRType.from_text(rtype)
         if isinstance(rclass, str):
             rclass = RRClass.from_text(rclass)
-        return cls(DomainName(name), rtype, rclass)
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
+        return cls(name, rtype, rclass)
 
     def __str__(self) -> str:
         return f"{self.name} {self.rclass} {self.rtype}"
@@ -90,7 +92,8 @@ class Message:
 
     def glue_addresses(self, nameserver: NameLike) -> List[str]:
         """Glue A/AAAA addresses for ``nameserver`` in the additional section."""
-        nameserver = DomainName(nameserver)
+        if not isinstance(nameserver, DomainName):
+            nameserver = DomainName(nameserver)
         return [str(r.rdata) for r in self.additional
                 if r.name == nameserver and r.rtype in (RRType.A, RRType.AAAA)]
 

@@ -62,6 +62,8 @@ _NAME_RDATA_TYPES = frozenset({RRType.NS, RRType.CNAME, RRType.PTR})
 def normalize_rdata(rtype: RRType, rdata: object) -> RData:
     """Coerce ``rdata`` into the canonical representation for ``rtype``."""
     if rtype in _NAME_RDATA_TYPES:
+        if isinstance(rdata, DomainName):
+            return rdata
         return DomainName(rdata)  # type: ignore[arg-type]
     if rtype is RRType.MX:
         if isinstance(rdata, MXData):
@@ -107,7 +109,9 @@ class ResourceRecord:
             rclass = RRClass.from_text(rclass)
         if ttl < 0:
             raise ZoneError(f"negative TTL: {ttl}")
-        return cls(name=DomainName(name), rtype=rtype,
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
+        return cls(name=name, rtype=rtype,
                    rdata=normalize_rdata(rtype, rdata), ttl=ttl, rclass=rclass)
 
     @property
@@ -147,7 +151,7 @@ class RRSet:
     def __init__(self, name: NameLike, rtype: Union[RRType, str],
                  rclass: Union[RRClass, str] = RRClass.IN,
                  records: Optional[Iterable[ResourceRecord]] = None):
-        self.name = DomainName(name)
+        self.name = name if isinstance(name, DomainName) else DomainName(name)
         self.rtype = RRType.from_text(rtype) if isinstance(rtype, str) else rtype
         self.rclass = (RRClass.from_text(rclass)
                        if isinstance(rclass, str) else rclass)

@@ -170,15 +170,17 @@ class IterativeResolver:
         # every chain through "com" would otherwise re-issue the same NS
         # query.  Keyed on the target list as well so a walk arriving with
         # different candidate servers cannot be served a stale answer.
-        self._apex_ns_cache: Dict[Tuple[DomainName, Tuple[str, ...]],
+        self._apex_ns_cache: Dict[Tuple[DomainName, Tuple[NameLike, ...]],
                                   List[DomainName]] = {}
         # Zone-cut chain prefixes: for every referral cut discovered by a
         # live walk, the chain from the top down to that cut plus the exact
         # candidate servers the walk would query next.  Later walks for
         # names under the same zone replay the prefix instead of re-walking
         # root -> TLD -> ... (only with deterministic "first" selection).
+        # Keyed on the cut's labels, so a walk probes its name's suffixes
+        # without building a DomainName per ancestor.
         self._chain_prefix_cache: Dict[
-            DomainName,
+            Tuple[str, ...],
             Tuple[List[ZoneCut],
                   List[Tuple[DomainName, Optional[str]]]]] = {}
 
@@ -227,11 +229,17 @@ class IterativeResolver:
         apexes = [DomainName(apex) for apex in apexes]
         if not apexes:
             return
+        # A prefix is on an edited apex's line when its zone is the apex,
+        # an ancestor of it, or below it: set probes on label suffixes.
+        edited = {apex.labels for apex in apexes}
+        at_or_above = {labels[start:] for labels in edited
+                       for start in range(len(labels) + 1)}
         self._chain_prefix_cache = {
-            zone: entry for zone, entry in self._chain_prefix_cache.items()
-            if not any(zone.is_subdomain_of(apex) or
-                       apex.is_subdomain_of(zone)
-                       for apex in apexes)}
+            labels: entry
+            for labels, entry in self._chain_prefix_cache.items()
+            if labels not in at_or_above and
+            not any(labels[start:] in edited
+                    for start in range(1, len(labels) + 1))}
         dropped = set(apexes)
         self._apex_ns_cache = {
             key: value for key, value in self._apex_ns_cache.items()
@@ -262,9 +270,8 @@ class IterativeResolver:
         matching the paper's decision to leave root servers out of TCBs) and
         ends at the deepest zone cut above or at ``name``.
         """
-        qname = DomainName(name)
+        qname = name if isinstance(name, DomainName) else DomainName(name)
         budget = _Budget(self.max_queries)
-        trace = ResolutionTrace(qname=qname, rtype=RRType.A)
         cuts: List[ZoneCut] = []
 
         # The walk down to a shared ancestor zone (root -> com -> sld...) is
@@ -278,24 +285,20 @@ class IterativeResolver:
         current_servers: Optional[List[Tuple[DomainName, Optional[str]]]] = None
         visited_zones: Set[DomainName] = {ROOT_NAME}
         if use_prefix_cache:
-            prefix_zone: Optional[DomainName] = None
-            for ancestor in qname.ancestors(include_self=True):
-                if ancestor in self._chain_prefix_cache and (
-                        prefix_zone is None or
-                        ancestor.depth > prefix_zone.depth):
-                    prefix_zone = ancestor
-            if prefix_zone is not None:
-                cached_cuts, cached_servers = \
-                    self._chain_prefix_cache[prefix_zone]
-                cuts = list(cached_cuts)
-                current_servers = list(cached_servers)
-                visited_zones |= {cut.zone for cut in cuts}
+            labels = qname.labels
+            for start in range(len(labels) + 1):  # deepest suffix first
+                prefix = self._chain_prefix_cache.get(labels[start:])
+                if prefix is not None:
+                    cuts = list(prefix[0])
+                    current_servers = list(prefix[1])
+                    visited_zones |= {cut.zone for cut in cuts}
+                    break
         if current_servers is None:
             current_servers = self._root_server_candidates()
 
         for _ in range(self.max_depth):
             result = self._query_candidates(
-                current_servers, qname, RRType.A, trace, budget)
+                current_servers, qname, RRType.A, None, budget)
             if result is None:
                 break
             response, _server = result
@@ -308,13 +311,14 @@ class IterativeResolver:
                               parent_nameservers=response.referral_nameservers())
                 if include_apex_ns:
                     cut.apex_nameservers = self._lookup_apex_ns(
-                        child, response, trace, budget)
+                        child, response, budget)
                 cuts.append(cut)
                 current_servers = self._candidates_from_referral(
-                    response, trace, budget, resolve_addresses=False)
-                if use_prefix_cache and child not in self._chain_prefix_cache:
-                    self._chain_prefix_cache[child] = (list(cuts),
-                                                       list(current_servers))
+                    response, None, budget, resolve_addresses=False)
+                if use_prefix_cache and \
+                        child.labels not in self._chain_prefix_cache:
+                    self._chain_prefix_cache[child.labels] = (
+                        list(cuts), list(current_servers))
                 continue
             # Authoritative answer, NXDOMAIN, or NODATA: chain is complete.
             break
@@ -325,19 +329,18 @@ class IterativeResolver:
         # ancestor of the queried name below the last seen cut with an NS
         # query so such hidden cuts (e.g. cs.cornell.edu served by the
         # cornell.edu servers) still contribute their nameserver sets.
-        if include_apex_ns and cuts:
-            last_zone = cuts[-1].zone
-            targets = [str(ns) for ns in cuts[-1].nameservers]
-            hidden = [ancestor for ancestor
-                      in qname.ancestors(include_self=True)
-                      if ancestor.is_subdomain_of(last_zone, proper=True)]
-            for ancestor in sorted(hidden, key=lambda name: name.depth):
+        if include_apex_ns and cuts and \
+                qname.is_subdomain_of(cuts[-1].zone, proper=True):
+            labels = qname.labels
+            targets = cuts[-1].nameservers
+            for depth in range(cuts[-1].zone.depth + 1, len(labels) + 1):
+                ancestor = DomainName._from_labels(labels[-depth:])
                 apex_ns = self._lookup_apex_ns_from_servers(
-                    ancestor, targets, trace, budget)
+                    ancestor, targets, budget)
                 if apex_ns:
                     cuts.append(ZoneCut(zone=ancestor, parent_nameservers=[],
                                         apex_nameservers=apex_ns))
-                    targets = [str(ns) for ns in apex_ns]
+                    targets = apex_ns
         return cuts
 
     # -- internals: full resolution -----------------------------------------------
@@ -435,7 +438,8 @@ class IterativeResolver:
         return candidates
 
     def _candidates_from_referral(self, response: Message,
-                                  trace: ResolutionTrace, budget: "_Budget",
+                                  trace: Optional[ResolutionTrace],
+                                  budget: "_Budget",
                                   depth: int = 0,
                                   in_progress: Optional[Set] = None,
                                   resolve_addresses: bool = True
@@ -447,7 +451,8 @@ class IterativeResolver:
         trace, because they are part of the dependency structure).  With
         ``resolve_addresses=False`` missing glue is left as ``None`` and the
         transport falls back to hostname routing — used by the zone-cut walk,
-        which only needs the delegation structure, not the address chase.
+        which only needs the delegation structure, not the address chase
+        and so passes no ``trace``.
         """
         in_progress = in_progress or set()
         candidates: List[Tuple[DomainName, Optional[str]]] = []
@@ -489,26 +494,33 @@ class IterativeResolver:
 
     def _query_candidates(self, candidates: List[Tuple[DomainName, Optional[str]]],
                           qname: DomainName, rtype: RRType,
-                          trace: ResolutionTrace, budget: "_Budget"
+                          trace: Optional[ResolutionTrace], budget: "_Budget"
                           ) -> Optional[Tuple[Message, DomainName]]:
-        """Query candidate servers in order until one gives a usable response."""
+        """Query candidate servers in order until one gives a usable response.
+
+        Each exchange is logged as a :class:`ResolutionStep` in ``trace``;
+        the zone-cut walk, which keeps no trace, passes ``None``.  A
+        candidate without an address is reached by its parsed hostname.
+        """
         for hostname, address in candidates:
-            target = address if address is not None else str(hostname)
             budget.spend(qname)
             query = make_query(qname, rtype)
             try:
-                response = self.network.send_query(target, query)
+                response = self.network.send_query(
+                    hostname if address is None else address, query)
             except ServerFailureError:
+                if trace is not None:
+                    trace.steps.append(ResolutionStep(
+                        server=hostname, server_address=address, qname=qname,
+                        rtype=rtype, rcode=RCode.SERVFAIL, kind="failure"))
+                continue
+            if trace is not None:
                 trace.steps.append(ResolutionStep(
                     server=hostname, server_address=address, qname=qname,
-                    rtype=rtype, rcode=RCode.SERVFAIL, kind="failure"))
-                continue
-            kind = self._classify(response)
-            trace.steps.append(ResolutionStep(
-                server=hostname, server_address=address, qname=qname,
-                rtype=rtype, rcode=response.rcode, kind=kind,
-                zone=self._referral_child_zone(response)))
-            if kind == "refused":
+                    rtype=rtype, rcode=response.rcode,
+                    kind=self._classify(response),
+                    zone=self._referral_child_zone(response)))
+            if response.rcode is RCode.REFUSED:
                 continue
             return response, hostname
         return None
@@ -536,30 +548,30 @@ class IterativeResolver:
     # -- internals: apex NS lookups --------------------------------------------------
 
     def _lookup_apex_ns(self, zone: DomainName, referral: Message,
-                        trace: ResolutionTrace, budget: "_Budget"
-                        ) -> List[DomainName]:
+                        budget: "_Budget") -> List[DomainName]:
         """Query the zone's own servers for its apex NS set."""
-        targets: List[str] = []
+        targets: List[NameLike] = []
         for nameserver in referral.referral_nameservers():
             glue = referral.glue_addresses(nameserver)
-            targets.append(glue[0] if glue else str(nameserver))
-        return self._lookup_apex_ns_from_servers(zone, targets, trace, budget)
+            targets.append(glue[0] if glue else nameserver)
+        return self._lookup_apex_ns_from_servers(zone, targets, budget)
 
     def _lookup_apex_ns_from_servers(self, zone: DomainName,
-                                     targets: List[str],
-                                     trace: ResolutionTrace, budget: "_Budget"
-                                     ) -> List[DomainName]:
+                                     targets: List[NameLike],
+                                     budget: "_Budget") -> List[DomainName]:
+        # Targets mix address text and parsed hostnames; a DomainName
+        # hashes and compares like its text, so the memo key is the same
+        # either way.
         key = (zone, tuple(targets))
         cached = self._apex_ns_cache.get(key)
         if cached is not None:
             return list(cached)
-        nameservers = self._lookup_apex_ns_uncached(zone, targets, trace,
-                                                    budget)
+        nameservers = self._lookup_apex_ns_uncached(zone, targets, budget)
         self._apex_ns_cache[key] = list(nameservers)
         return nameservers
 
-    def _lookup_apex_ns_uncached(self, zone: DomainName, targets: List[str],
-                                 trace: ResolutionTrace, budget: "_Budget"
+    def _lookup_apex_ns_uncached(self, zone: DomainName,
+                                 targets: List[NameLike], budget: "_Budget"
                                  ) -> List[DomainName]:
         for target in targets:
             budget.spend(zone)

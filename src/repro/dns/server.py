@@ -89,7 +89,8 @@ class AuthoritativeServer:
         self.region = region
         self.status = ServerStatus.UP
         self.stats = ServerStats()
-        self._zones: Dict[DomainName, Zone] = {}
+        #: Apex labels -> zone; suffix walks probe label tuples.
+        self._zones: Dict[Tuple[str, ...], Zone] = {}
         #: Names an attacker has planted after compromising this server.
         self.hijacked_records: Dict[Tuple[DomainName, RRType], str] = {}
 
@@ -97,11 +98,11 @@ class AuthoritativeServer:
 
     def add_zone(self, zone: Zone) -> None:
         """Attach a zone this server is authoritative for."""
-        self._zones[zone.apex] = zone
+        self._zones[zone.apex.labels] = zone
 
     def remove_zone(self, apex: NameLike) -> None:
         """Detach the zone rooted at ``apex`` (no-op if absent)."""
-        self._zones.pop(DomainName(apex), None)
+        self._zones.pop(DomainName(apex).labels, None)
 
     def zones(self) -> List[Zone]:
         """All zones served, deepest apex first."""
@@ -123,7 +124,7 @@ class AuthoritativeServer:
         zones = self._zones
         labels = name.labels
         for start in range(len(labels) + 1):
-            zone = zones.get(DomainName._from_labels(labels[start:]))
+            zone = zones.get(labels[start:])
             if zone is not None:
                 return zone
         return None

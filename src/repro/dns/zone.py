@@ -48,7 +48,8 @@ class Delegation:
     def add_nameserver(self, nameserver: NameLike,
                        glue_addresses: Optional[Iterable[str]] = None) -> None:
         """Add a nameserver (and optional glue) to the delegation."""
-        nameserver = DomainName(nameserver)
+        if not isinstance(nameserver, DomainName):
+            nameserver = DomainName(nameserver)
         if nameserver not in self.nameservers:
             self.nameservers.append(nameserver)
         if glue_addresses:
@@ -112,7 +113,10 @@ class Zone:
     def __init__(self, apex: NameLike, soa: Optional[SOAData] = None):
         self.apex = DomainName(apex)
         self._rrsets: Dict[Tuple[DomainName, RRType, RRClass], RRSet] = {}
-        self._delegations: Dict[DomainName, Delegation] = {}
+        #: Owner name -> number of RRSets at it (the :meth:`has_name` index).
+        self._owners: Dict[DomainName, int] = {}
+        #: Child apex labels -> delegation; suffix walks probe label tuples.
+        self._delegations: Dict[Tuple[str, ...], Delegation] = {}
         if soa is None:
             soa = SOAData(mname=self.apex.child("ns1") if not self.apex.is_root
                           else DomainName("a.root-servers.net"),
@@ -136,7 +140,21 @@ class Zone:
         if rrset is None:
             rrset = RRSet(record.name, record.rtype, record.rclass)
             self._rrsets[key] = rrset
+            self._owners[record.name] = self._owners.get(record.name, 0) + 1
         rrset.add(record)
+
+    def _remove_rrset(self, key: Tuple[DomainName, RRType, RRClass]
+                      ) -> Optional[RRSet]:
+        """Pop one RRSet, keeping the owner index in step."""
+        rrset = self._rrsets.pop(key, None)
+        if rrset is not None:
+            owner = key[0]
+            remaining = self._owners[owner] - 1
+            if remaining:
+                self._owners[owner] = remaining
+            else:
+                del self._owners[owner]
+        return rrset
 
     def add(self, name: NameLike, rtype: Union[RRType, str], rdata: object,
             ttl: int = DEFAULT_TTL) -> ResourceRecord:
@@ -152,12 +170,15 @@ class Zone:
             rtype = RRType.from_text(rtype)
         if isinstance(rclass, str):
             rclass = RRClass.from_text(rclass)
-        return self._rrsets.get((DomainName(name), rtype, rclass))
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
+        return self._rrsets.get((name, rtype, rclass))
 
     def has_name(self, name: NameLike) -> bool:
         """True if the zone holds any record (of any type) at ``name``."""
-        name = DomainName(name)
-        return any(key[0] == name for key in self._rrsets)
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
+        return name in self._owners
 
     def iter_rrsets(self) -> Iterator[RRSet]:
         """Iterate over every RRSet in the zone."""
@@ -188,7 +209,7 @@ class Zone:
         zone-file loading), this drops the previous NS set first — the
         primitive zone-handover mutations are built on.
         """
-        self._rrsets.pop((self.apex, RRType.NS, RRClass.IN), None)
+        self._remove_rrset((self.apex, RRType.NS, RRClass.IN))
         self.set_apex_nameservers(nameservers, ttl=ttl)
 
     def apex_nameservers(self) -> List[DomainName]:
@@ -227,10 +248,10 @@ class Zone:
         if not child.is_subdomain_of(self.apex, proper=True):
             raise ZoneError(
                 f"cannot delegate {child}: not a proper subdomain of {self.apex}")
-        delegation = self._delegations.get(child)
+        delegation = self._delegations.get(child.labels)
         if delegation is None:
             delegation = Delegation(child=child)
-            self._delegations[child] = delegation
+            self._delegations[child.labels] = delegation
         glue = glue or {}
         for nameserver in nameservers:
             nameserver = DomainName(nameserver)
@@ -240,7 +261,7 @@ class Zone:
 
     def get_delegation(self, child: NameLike) -> Optional[Delegation]:
         """The delegation for exactly ``child``, or ``None``."""
-        return self._delegations.get(DomainName(child))
+        return self._delegations.get(DomainName(child).labels)
 
     def extract_subtree(self, apex: NameLike) -> Tuple[List[RRSet],
                                                        List[Delegation]]:
@@ -260,11 +281,12 @@ class Zone:
         moved_keys = [key for key in self._rrsets
                       if key[0].is_subdomain_of(apex) and
                       key[1] is not RRType.SOA]
-        rrsets = [self._rrsets.pop(key) for key in moved_keys]
-        moved_children = [child for child in self._delegations
-                          if child.is_subdomain_of(apex, proper=True)]
-        delegations = [self._delegations.pop(child)
-                       for child in moved_children]
+        rrsets = [self._remove_rrset(key) for key in moved_keys]
+        moved_children = [labels for labels, delegation
+                          in self._delegations.items()
+                          if delegation.child.is_subdomain_of(apex, proper=True)]
+        delegations = [self._delegations.pop(labels)
+                       for labels in moved_children]
         return rrsets, delegations
 
     def find_covering_delegation(self, name: NameLike) -> Optional[Delegation]:
@@ -280,7 +302,7 @@ class Zone:
         # Deepest-first suffix walk: O(depth) dictionary probes instead of
         # scanning every delegation (a TLD zone holds one per SLD).
         for start in range(len(labels) + 1):
-            delegation = delegations.get(DomainName._from_labels(labels[start:]))
+            delegation = delegations.get(labels[start:])
             if delegation is not None:
                 return delegation
         return None
@@ -295,7 +317,8 @@ class Zone:
 
     def is_authoritative_for(self, name: NameLike) -> bool:
         """True if ``name`` lies in this zone and is not delegated away."""
-        name = DomainName(name)
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
         if not name.is_subdomain_of(self.apex):
             return False
         return self.find_covering_delegation(name) is None

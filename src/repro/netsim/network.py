@@ -19,7 +19,7 @@ import dataclasses
 import threading
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.dns.errors import ServerFailureError
+from repro.dns.errors import NameError_, ServerFailureError
 from repro.dns.message import Message
 from repro.dns.name import DomainName, NameLike
 from repro.dns.server import AuthoritativeServer
@@ -83,14 +83,21 @@ class SimulatedNetwork:
             self.register_server(server)
 
     def find_server(self, target: NameLike) -> Optional[AuthoritativeServer]:
-        """Look up a server by hostname or by IP address."""
+        """Look up a server by hostname or by IP address.
+
+        A parsed :class:`DomainName` is a hostname and is routed by name
+        as it is.  Text is tried as an address first, then parsed as a
+        hostname; text that is neither routes nowhere.
+        """
+        if isinstance(target, DomainName):
+            return self._servers_by_name.get(target)
         target_text = str(target)
         server = self._servers_by_address.get(target_text)
         if server is not None:
             return server
         try:
             return self._servers_by_name.get(DomainName(target_text))
-        except Exception:
+        except NameError_:
             return None
 
     def server_count(self) -> int:
@@ -130,7 +137,8 @@ class SimulatedNetwork:
                    charge_latency: bool = True) -> Message:
         """Deliver ``query`` to the server at ``target`` and return its answer.
 
-        ``target`` may be an IP address or a hostname.  Raises
+        ``target`` may be an IP address or a hostname, as text or parsed
+        (see :meth:`find_server`).  Raises
         :class:`ServerFailureError` when the host is unknown or down, which a
         resolver perceives exactly like a query timeout.
         """

@@ -62,7 +62,8 @@ class Fingerprinter:
 
     def fingerprint(self, hostname: NameLike) -> FingerprintResult:
         """Fingerprint one server (cached per hostname)."""
-        hostname = DomainName(hostname)
+        if not isinstance(hostname, DomainName):
+            hostname = DomainName(hostname)
         cached = self._results.get(hostname)
         if cached is not None:
             return cached
@@ -71,7 +72,7 @@ class Fingerprinter:
         reachable = True
         query = make_query(VERSION_BIND, RRType.TXT, RRClass.CH)
         try:
-            response = self.network.send_query(str(hostname), query)
+            response = self.network.send_query(hostname, query)
         except ServerFailureError:
             reachable = False
         else:

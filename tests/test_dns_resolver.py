@@ -211,6 +211,28 @@ def test_zone_cut_chain_prefix_cache_is_transparent(mini_internet):
     assert shared._chain_prefix_cache
 
 
+def test_invalidate_zones_drops_prefixes_on_the_apex_line(mini_internet):
+    resolver = mini_internet.make_resolver()
+    for qname in ("www.example.com", "www.hostco.com", "www.uni.edu",
+                  "www.partner.edu", "ns1.edunic.net"):
+        resolver.zone_cut_chain(qname)
+
+    def cached():
+        return {str(cuts[-1].zone)
+                for cuts, _servers in resolver._chain_prefix_cache.values()}
+
+    assert cached() == {"com", "example.com", "hostco.com", "edu", "uni.edu",
+                        "partner.edu", "net", "edunic.net"}
+    # example.com itself and its ancestor com go; the sibling hostco.com
+    # and the other TLDs' prefixes stay.
+    resolver.invalidate_zones(["example.com"])
+    assert cached() == {"hostco.com", "edu", "uni.edu", "partner.edu", "net",
+                        "edunic.net"}
+    # Invalidating a TLD drops everything below it too.
+    resolver.invalidate_zones(["edu"])
+    assert cached() == {"hostco.com", "net", "edunic.net"}
+
+
 def test_resolver_clone_is_independent(mini_internet):
     resolver = mini_internet.make_resolver()
     resolver.resolve("www.example.com")

@@ -137,6 +137,80 @@ def test_duplicate_nameserver_not_added_twice():
     assert delegation.glue[DomainName("ns1.sub.example.com")] == ["10.1.0.1"]
 
 
+def _referral(delegation):
+    """(NS targets, {glue owner: addresses}) a referral would carry."""
+    glue = {}
+    for record in delegation.glue_records():
+        glue.setdefault(record.name, []).append(str(record.rdata))
+    return [record.rdata for record in delegation.ns_records()], glue
+
+
+def test_referral_records_follow_zone_delegate():
+    zone = make_zone()
+    delegation = zone.delegate("sub.example.com", ["ns1.sub.example.com"],
+                               glue={"ns1.sub.example.com": ["10.1.0.1"]})
+    assert _referral(delegation) == (
+        [DomainName("ns1.sub.example.com")],
+        {DomainName("ns1.sub.example.com"): ["10.1.0.1"]})
+    # A second delegate() call for the same child extends the NS set and
+    # the glue; the next referral must carry both.
+    zone.delegate("sub.example.com", ["ns2.sub.example.com"],
+                  glue={"ns2.sub.example.com": ["10.1.0.2"]})
+    assert _referral(delegation) == (
+        [DomainName("ns1.sub.example.com"), DomainName("ns2.sub.example.com")],
+        {DomainName("ns1.sub.example.com"): ["10.1.0.1"],
+         DomainName("ns2.sub.example.com"): ["10.1.0.2"]})
+    # Glue added for a server already in the NS set shows up too.
+    delegation.add_nameserver("ns1.sub.example.com", ["10.1.0.11"])
+    assert _referral(delegation)[1][DomainName("ns1.sub.example.com")] == \
+        ["10.1.0.1", "10.1.0.11"]
+
+
+def test_referral_records_follow_set_nameservers():
+    zone = make_zone()
+    delegation = zone.delegate("sub.example.com", ["ns1.sub.example.com"],
+                               glue={"ns1.sub.example.com": ["10.1.0.1"]})
+    delegation.set_nameservers(
+        ["ns9.offsite.net", "ns2.sub.example.com"],
+        glue={DomainName("ns2.sub.example.com"): ["10.1.0.2"]})
+    assert _referral(delegation) == (
+        [DomainName("ns9.offsite.net"), DomainName("ns2.sub.example.com")],
+        {DomainName("ns2.sub.example.com"): ["10.1.0.2"]})
+    delegation.set_nameservers([])
+    assert _referral(delegation) == ([], {})
+
+
+def test_has_name_after_extract_subtree():
+    zone = make_zone()
+    zone.add("www.dept.example.com", RRType.A, "10.0.0.90")
+    zone.add("www.dept.example.com", RRType.TXT, "hello")
+    zone.add("mail.dept.example.com", RRType.A, "10.0.0.91")
+    assert zone.has_name("www.dept.example.com")
+    rrsets, _delegations = zone.extract_subtree("dept.example.com")
+    assert len(rrsets) == 3
+    assert not zone.has_name("www.dept.example.com")
+    assert not zone.has_name("mail.dept.example.com")
+    assert zone.has_name("www.example.com")
+    # Re-adding one of the moved records brings the owner back.
+    zone.add("www.dept.example.com", RRType.A, "10.0.0.90")
+    assert zone.has_name("www.dept.example.com")
+
+
+def test_has_name_after_replace_apex_nameservers():
+    zone = Zone("example.com")
+    zone.set_apex_nameservers(["ns1.example.com"])
+    zone.replace_apex_nameservers(["ns2.example.com"])
+    zone.replace_apex_nameservers(["ns3.example.com"])
+    assert zone.apex_nameservers() == [DomainName("ns3.example.com")]
+    assert zone.has_name("example.com")
+    # SOA and NS both live at the apex: dropping the NS RRSet alone must
+    # not forget the owner.
+    zone.replace_apex_nameservers([])
+    assert zone.get_rrset("example.com", RRType.NS) is None
+    assert zone.has_name("example.com")
+    assert not zone.has_name("ns3.example.com")
+
+
 # -- validation -----------------------------------------------------------------------
 
 def test_validate_clean_zone():

@@ -87,6 +87,30 @@ def test_send_query_unknown_host_raises():
     assert network.stats.queries_failed == 1
 
 
+def test_find_server_routes_parsed_names_by_hostname():
+    network, primary, secondary = build_network()
+    assert network.find_server(DomainName("ns1.example.com")) is primary
+    assert network.find_server(DomainName("NS2.Example.Com.")) is secondary
+    assert network.find_server(DomainName("missing.example.com")) is None
+    response = network.send_query(DomainName("ns2.example.com"),
+                                  make_query("www.example.com"))
+    assert response.rcode is RCode.NOERROR
+    assert secondary.stats.queries == 1
+    assert network.stats.queries_delivered == 1
+
+
+@pytest.mark.parametrize("target", ["bad..name", "not a host!", "-x-.com",
+                                    "a" * 300])
+def test_send_query_unparseable_target_fails_like_a_timeout(target):
+    network, primary, secondary = build_network()
+    assert network.find_server(target) is None
+    with pytest.raises(ServerFailureError):
+        network.send_query(target, make_query("www.example.com"))
+    assert network.stats.queries_failed == 1
+    assert network.stats.queries_delivered == 0
+    assert primary.stats.queries == secondary.stats.queries == 0
+
+
 def test_send_query_to_down_server_raises():
     network, primary, _secondary = build_network()
     primary.fail()

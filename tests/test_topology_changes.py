@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dns.message import make_query
 from repro.dns.name import DomainName
 from repro.dns.rdtypes import RRType
 from repro.topology.changes import ChangeJournal, apply_mutation_spec
@@ -45,6 +46,39 @@ def test_set_zone_nameservers_rewires_every_layer(world, journal):
             assert apex not in world.servers[hostname].zone_apexes()
     assert event.kind == "zone-ns"
     assert set(event.touched_hosts) >= set(new_ns)
+
+
+def test_redelegation_reaches_the_next_referral(world, journal):
+    """The parent's referrals must carry a re-delegated zone's new NS set
+    and glue, even after the old referral sections were served."""
+    apex = _provider(world, 6).domain
+    parent = world.zones[DomainName(apex.tld)]
+    registry = world.servers[parent.apex_nameservers()[0]]
+
+    def referral():
+        response = registry.handle_query(make_query(apex.child("www")))
+        assert response.is_referral
+        glue = {}
+        for record in response.additional:
+            glue.setdefault(record.name, []).append(str(record.rdata))
+        return response.referral_nameservers(), glue
+
+    old_ns, _ = referral()
+    new_ns = list(_provider(world, 4).nameservers[:2])
+    extra = _provider(world, 4).nameservers[2]
+    assert old_ns != new_ns
+    for order in (new_ns, new_ns[::-1]):
+        journal.set_zone_nameservers(apex, order)
+        nameservers, glue = referral()
+        assert nameservers == order
+        assert list(glue) == order
+        assert glue == {host: world.servers[host].addresses
+                        for host in order}
+
+    journal.add_zone_nameserver(apex, extra)
+    nameservers, glue = referral()
+    assert nameservers == new_ns[::-1] + [extra]
+    assert glue[extra] == world.servers[extra].addresses
 
 
 def test_zone_creation_moves_subtree_and_resolves(world, journal):
