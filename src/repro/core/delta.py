@@ -11,8 +11,9 @@ set intersection over data the previous snapshot already holds:
     a name depends on zone ``Z``  ⟹  its TCB contains every non-excluded
     nameserver ``Z`` had at survey time.
 
-:class:`DirtyIndex` builds the inverted index (host → names whose TCB holds
-it) once per previous result set and answers "which names must be
+:class:`DirtyIndex` holds the inverted index (host → names whose TCB holds
+it) of one result set — built once, then carried from epoch to epoch by
+the delta engine — and answers "which names must be
 re-surveyed for this :class:`~repro.topology.changes.ChangeSet`?".  The
 mapping is deliberately conservative — a name sharing a *server* with a
 mutated zone without depending on the zone is re-surveyed for nothing —
@@ -35,7 +36,7 @@ Two rules extend the closure argument to the cases it cannot see:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Set
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.dns.name import DomainName
 from repro.core.survey import SurveyResults
@@ -45,8 +46,10 @@ class DirtyIndex:
     """Maps a change footprint back to the names needing re-survey."""
 
     def __init__(self, previous: SurveyResults):
-        self._names: List[DomainName] = []
-        self._unresolved: List[DomainName] = []
+        self._tcbs: Dict[DomainName, AbstractSet[DomainName]] = {}
+        self._unresolved: Set[DomainName] = set()
+        # Lists, not sets: an index lives as long as its result set, and
+        # at ~350k host memberships lists take a sixth of the memory.
         self._by_host: Dict[DomainName, List[DomainName]] = {}
         by_host = self._by_host
         # The tcb_index_rows protocol instead of record iteration: a
@@ -54,9 +57,9 @@ class DirtyIndex:
         # columns without hydrating any NameRecord, so building the index
         # over a loaded snapshot costs column scans, not a full parse.
         for name, resolved, tcb_servers in previous.tcb_index_rows():
-            self._names.append(name)
+            self._tcbs[name] = tcb_servers
             if not resolved:
-                self._unresolved.append(name)
+                self._unresolved.add(name)
             for host in tcb_servers:
                 bucket = by_host.get(host)
                 if bucket is None:
@@ -64,17 +67,107 @@ class DirtyIndex:
                 else:
                     bucket.append(name)
 
+    @classmethod
+    def of(cls, results: SurveyResults) -> "DirtyIndex":
+        """The index of ``results``: the one carried since it was produced
+        by :meth:`~repro.core.engine.SurveyEngine.run_delta`, else a fresh
+        build (a cold run, a loaded snapshot, a lazy store view)."""
+        carried = getattr(results, "_dirty_index", None)
+        if carried is not None and len(carried) == len(results.records):
+            return carried
+        return cls(results)
+
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._tcbs)
+
+    def names(self) -> AbstractSet[DomainName]:
+        """Every indexed name."""
+        return self._tcbs.keys()
 
     def names_depending_on(self, host: DomainName) -> List[DomainName]:
         """Names whose previous TCB contained ``host``."""
         return list(self._by_host.get(host, ()))
 
+    def hosts(self) -> AbstractSet[DomainName]:
+        """Every host in at least one indexed TCB."""
+        return self._by_host.keys()
+
+    def resolved_count(self) -> int:
+        """How many indexed names resolved."""
+        return len(self._tcbs) - len(self._unresolved)
+
+    def fold_out(self, counts: Dict[DomainName, int],
+                 names: Iterable[DomainName]) -> int:
+        """Take ``names``' resolved rows out of per-host TCB ``counts``.
+
+        ``counts`` must be this index's result set's
+        ``server_names_controlled`` (a copy: it is edited in place); hosts
+        whose count drops to zero are deleted, as a fresh fold would never
+        list them.  Returns how many of the rows had resolved.
+        """
+        unresolved = self._unresolved
+        removed = 0
+        for name in names:
+            if name in unresolved:
+                continue
+            removed += 1
+            for host in self._tcbs[name]:
+                left = counts[host] - 1
+                if left:
+                    counts[host] = left
+                else:
+                    del counts[host]
+        return removed
+
+    def advanced(self, leaving: Iterable[DomainName],
+                 rows: Iterable[Tuple[DomainName, bool,
+                                      AbstractSet[DomainName]]]
+                 ) -> "DirtyIndex":
+        """The index of the result set one delta epoch later.
+
+        ``leaving`` are the indexed names whose rows go (re-surveyed or no
+        longer surveyed); ``rows`` are the ``(name, resolved,
+        tcb_servers)`` rows that come in.  A host bucket is copied only
+        when its membership changes — a re-surveyed name that keeps the
+        host in its TCB stays where it is — so this index stays valid for
+        its own results and the cost follows the TCBs that moved.
+        """
+        index = object.__new__(DirtyIndex)
+        tcbs = index._tcbs = dict(self._tcbs)
+        unresolved = index._unresolved = set(self._unresolved)
+        by_host = index._by_host = dict(self._by_host)
+        gone: Dict[DomainName, Set[DomainName]] = {}
+        for name in leaving:
+            unresolved.discard(name)
+            for host in tcbs.pop(name):
+                gone.setdefault(host, set()).add(name)
+        came: Dict[DomainName, List[DomainName]] = {}
+        for name, resolved, tcb_servers in rows:
+            tcbs[name] = tcb_servers
+            if not resolved:
+                unresolved.add(name)
+            for host in tcb_servers:
+                came.setdefault(host, []).append(name)
+        for host in gone.keys() | came.keys():
+            went, arrived = gone.get(host, set()), came.get(host, [])
+            stayed = went.intersection(arrived)
+            removed = went - stayed
+            added = [name for name in arrived if name not in stayed]
+            if not removed and not added:
+                continue
+            bucket = [name for name in by_host.get(host, ())
+                      if name not in removed]
+            bucket.extend(added)
+            if bucket:
+                by_host[host] = bucket
+            else:
+                del by_host[host]
+        return index
+
     def dirty_names(self, changes) -> Set[DomainName]:
         """The names whose records the given ChangeSet can invalidate."""
         if changes.dirty_all:
-            return set(self._names)
+            return set(self._tcbs)
         dirty: Set[DomainName] = set()
         by_host = self._by_host
         # Host-scoped events (software, region, server lifecycle) dirty
@@ -113,7 +206,7 @@ class DirtyIndex:
         # the apex set rather than testing every (name, apex) pair.
         apexes = set(changes.created_zones) | set(changes.chain_zones)
         if apexes:
-            for name in self._names:
+            for name in self._tcbs:
                 if any(ancestor in apexes
                        for ancestor in name.ancestors(include_self=True,
                                                       include_root=False)):

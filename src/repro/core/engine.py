@@ -269,12 +269,34 @@ class SurveyAggregator:
         if self._progress is not None:
             self._progress(done, self._total)
 
+    def patch(self, records: List[Tuple[int, NameRecord]],
+              counts: Dict[DomainName, int], resolved: int) -> None:
+        """Adopt clean records whose TCBs ``counts`` already folds.
+
+        The delta path's bulk form of :meth:`add_record`: ``counts`` and
+        ``resolved`` are the previous epoch's fold less the rows leaving
+        it, so the clean records are placed without being re-counted.
+        """
+        with self._lock:
+            self._records.update(records)
+            self._counts = counts
+            self.resolved_count = resolved
+            self.completed += len(records)
+            done = self.completed
+        if self._progress is not None and records:
+            self._progress(done, self._total)
+
     # -- accessors for pass finalizers ---------------------------------------------
 
     def server_counts(self) -> Dict[DomainName, int]:
         """Per-server "appears in this many resolved TCBs" counts (a copy)."""
         with self._lock:
             return dict(self._counts)
+
+    def record(self, index: int) -> NameRecord:
+        """The record folded at directory index ``index``."""
+        with self._lock:
+            return self._records[index]
 
     def vulnerability_flags(self) -> Dict[DomainName, bool]:
         """Per-host vulnerability flags merged from every shard (a copy)."""
@@ -314,8 +336,9 @@ class SurveyAggregator:
         """Every host appearing in at least one aggregated record's TCB.
 
         This is exactly the set of hosts a cold survey fingerprints (stage
-        3 probes TCB members and nothing else), which makes it the pruning
-        domain for server maps carried across an incremental re-survey.
+        3 probes TCB members and nothing else).  ``run_delta`` reads the
+        same set off its carried :class:`~repro.core.delta.DirtyIndex`
+        instead of walking every record.
         """
         with self._lock:
             union: Set[DomainName] = set()
@@ -582,7 +605,8 @@ class SurveyEngine:
                 if adopt is not None:
                     adopt(deployment)
 
-        dirty = set(DirtyIndex(previous).dirty_names(changes))
+        index = DirtyIndex.of(previous)
+        dirty = set(index.dirty_names(changes))
         dirty_indexed: List[Tuple[int, DirectoryEntry]] = []
         clean_records: List[Tuple[int, NameRecord]] = []
         # Per-entry record_for instead of a records scan: on a lazy
@@ -598,6 +622,9 @@ class SurveyEngine:
             else:
                 clean_records.append((position, previous_record))
 
+        # Rows leaving the index: every previous name not patched clean.
+        leaving = index.names() - {record.name for _, record in clean_records}
+
         self._invalidate_for_changes(changes, dirty)
 
         popular = {entry.name for entry in
@@ -611,8 +638,14 @@ class SurveyEngine:
              for host in previous.fingerprints},
             {host: host in previous.compromisable_servers
              for host in previous.fingerprints})
-        for position, record in clean_records:
-            aggregator.add_record(position, record)
+        if index is getattr(previous, "_dirty_index", None):
+            counts = dict(previous.server_names_controlled)
+            resolved = index.resolved_count() - \
+                index.fold_out(counts, leaving)
+            aggregator.patch(clean_records, counts, resolved)
+        else:
+            for position, record in clean_records:
+                aggregator.add_record(position, record)
 
         if dirty_indexed:
             # Work orders must carry the epoch's *complete* dirty set: a
@@ -624,12 +657,21 @@ class SurveyEngine:
             finally:
                 self._dispatch_dirty = set()
 
+        # The next epoch's index: this one less the leaving rows, plus the
+        # re-surveyed ones.
+        resurveyed = [aggregator.record(position)
+                      for position, _ in dirty_indexed]
+        index = index.advanced(
+            leaving, ((record.name, record.resolved, record.tcb_servers)
+                      for record in resurveyed))
+
         # A cold run fingerprints exactly the TCB members of its records;
         # prune carried entries for hosts nothing depends on any more.
-        aggregator.restrict_hosts(aggregator.tcb_host_union())
+        aggregator.restrict_hosts(index.hosts())
 
         results = aggregator.results(
             popular, self._final_metadata(len(entries), aggregator))
+        results._dirty_index = index
         stats = DeltaStats(
             total_names=len(entries), dirty_names=len(dirty_indexed),
             patched_names=len(clean_records), events=len(journal)

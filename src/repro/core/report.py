@@ -114,27 +114,31 @@ def _percentile(ordered: Sequence[float], percentile: float) -> float:
     return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
 
 
-def delta_stats(before: Sequence[float],
-                after: Sequence[float]) -> Dict[str, float]:
+def delta_stats(before: Sequence[float], after: Sequence[float],
+                unchanged: int = 0) -> Dict[str, float]:
     """Churn summary between two aligned samples (e.g. snapshot diffing).
 
     ``before[i]`` and ``after[i]`` must describe the same entity (the same
-    surveyed name in two snapshots).  Returns the count compared, how many
-    moved, and signed/absolute delta statistics.
+    surveyed name in two snapshots).  ``unchanged`` counts further pairs
+    known to be equal and left out of the lists: they add to the count but
+    not to any delta, and because the sums are ``math.fsum`` (exactly
+    rounded) the result is bit-identical to listing them.  Returns the
+    count compared, how many moved, and signed/absolute delta statistics.
     """
     if len(before) != len(after):
         raise ValueError("before and after must be the same length")
     deltas = [float(b) - float(a) for a, b in zip(before, after)]
-    if not deltas:
+    count = len(deltas) + unchanged
+    if not count:
         return {"count": 0.0, "changed": 0.0, "mean_delta": 0.0,
                 "mean_abs_delta": 0.0, "max_abs_delta": 0.0}
     changed = sum(1 for delta in deltas if delta != 0.0)
     return {
-        "count": float(len(deltas)),
+        "count": float(count),
         "changed": float(changed),
-        "mean_delta": math.fsum(deltas) / len(deltas),
-        "mean_abs_delta": math.fsum(abs(d) for d in deltas) / len(deltas),
-        "max_abs_delta": max(abs(d) for d in deltas),
+        "mean_delta": math.fsum(deltas) / count,
+        "mean_abs_delta": math.fsum(abs(d) for d in deltas) / count,
+        "max_abs_delta": max((abs(d) for d in deltas), default=0.0),
     }
 
 

@@ -36,9 +36,9 @@ import dataclasses
 import json
 import pathlib
 import zlib
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.dns.name import DomainName
+from repro.dns.name import DomainName, name_key
 from repro.core.export import (
     SNAPSHOT_FORMAT_VERSION,
     _is_zlib_header,
@@ -209,19 +209,24 @@ class SnapshotDiff:
         return ordered[:count]
 
 
-def _diff_fields(results: SurveyResults) -> Tuple[Tuple[str, ...],
+def _diff_fields(results: SurveyResults) -> Tuple[Dict[str, int],
                                                   Tuple[str, ...]]:
-    """Numeric and categorical fields to compare, extras included."""
-    numeric = list(DIFF_NUMERIC_FIELDS)
+    """Numeric and categorical fields to compare, extras included.
+
+    Each numeric field maps to how many records carry a value for it:
+    built-in fields are on every record, a pass column on the records
+    whose extras hold it.
+    """
+    numeric = {field: len(results.records) for field in DIFF_NUMERIC_FIELDS}
     categorical = list(DIFF_CATEGORICAL_FIELDS)
     for column in results.extras_columns():
         values = results.extra_values(column, resolved_only=False)
         if values and all(isinstance(v, (int, float)) and
                           not isinstance(v, bool) for v in values):
-            numeric.append(column)
+            numeric[column] = len(values)
         else:
             categorical.append(column)
-    return tuple(numeric), tuple(categorical)
+    return numeric, tuple(categorical)
 
 
 def _field_value(record, field: str):
@@ -255,7 +260,9 @@ def _diff_view(results: SurveyResults):
     return _RecordDiffView(results)
 
 
-def diff_results(a: SurveyResults, b: SurveyResults) -> SnapshotDiff:
+def diff_results(a: SurveyResults, b: SurveyResults,
+                 dirty: Optional[Iterable[DomainName]] = None
+                 ) -> SnapshotDiff:
     """Compare two survey results name by name.
 
     Numeric fields (TCB size, vulnerable dependencies, min-cut size, and
@@ -268,6 +275,13 @@ def diff_results(a: SurveyResults, b: SurveyResults) -> SnapshotDiff:
     Two lazy binary snapshots diff columnar: only the *names* materialise
     (they key and order the comparison); records never hydrate, which is
     what makes diffing two mmap'd snapshots O(cells read), not O(parse).
+
+    ``dirty``, when given, bounds the comparison to those names: every
+    other name the two sides share must hold the *same* record in both —
+    as after :meth:`~repro.core.engine.SurveyEngine.run_delta`, which
+    copies every clean record from ``a``.  Such a pair cannot differ, so
+    it only adds to each numeric field's count (a zero delta), and the
+    diff equals the full one while costing O(dirty).
     """
     from repro.core.report import delta_stats
 
@@ -275,8 +289,22 @@ def diff_results(a: SurveyResults, b: SurveyResults) -> SnapshotDiff:
     view_b = _diff_view(b)
     index_a = view_a.names
     index_b = view_b.names
-    shared = sorted(set(index_a) & set(index_b))
+    common = index_a.keys() & index_b.keys()
+    compared = common if dirty is None else common.intersection(dirty)
+    shared = sorted(compared, key=name_key)
+    only_in_a = sorted(index_a.keys() - common, key=name_key)
+    only_in_b = sorted(index_b.keys() - common, key=name_key)
     numeric_fields, categorical_fields = _diff_fields(a)
+    # Pairs left uncompared, per numeric field: the records of ``a``
+    # carrying a value, less those that are not clean.
+    unchanged = {field: 0 for field in numeric_fields}
+    if len(compared) != len(common):
+        outside = [index_a[name] for name in only_in_a]
+        outside.extend(index_a[name] for name in compared)
+        for field, present in numeric_fields.items():
+            unchanged[field] = present - sum(
+                1 for handle in outside
+                if view_a.value(handle, field) is not None)
 
     numeric: Dict[str, Dict[str, float]] = {}
     pairs: Dict[str, Tuple[List[float], List[float]]] = \
@@ -310,11 +338,10 @@ def diff_results(a: SurveyResults, b: SurveyResults) -> SnapshotDiff:
             changes.append(NameChange(name=name, fields=changed_fields))
 
     for field, (before_values, after_values) in pairs.items():
-        if before_values:
-            numeric[field] = delta_stats(before_values, after_values)
+        if before_values or unchanged[field]:
+            numeric[field] = delta_stats(before_values, after_values,
+                                         unchanged=unchanged[field])
 
-    only_in_a = sorted(set(index_a) - set(index_b))
-    only_in_b = sorted(set(index_b) - set(index_a))
     # Adds/removals are changes too: surface them through the same
     # NameChange/transition machinery the per-field churn uses.
     for name in only_in_a:
@@ -332,5 +359,5 @@ def diff_results(a: SurveyResults, b: SurveyResults) -> SnapshotDiff:
 
     return SnapshotDiff(
         only_in_a=only_in_a, only_in_b=only_in_b,
-        common=len(shared), numeric=numeric, transitions=transitions,
+        common=len(common), numeric=numeric, transitions=transitions,
         changes=changes)

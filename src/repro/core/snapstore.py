@@ -429,8 +429,8 @@ class _SetWriter:
         # Intern in canonical (string-sorted) order: iterating the set
         # directly would assign first-seen pool ids in hash order, making
         # the file's bytes vary with PYTHONHASHSEED across processes.
-        key = tuple(sorted(self._pool.intern_name(host)
-                           for host in sorted(hosts, key=str)))
+        key = tuple(sorted(self._pool.intern(text)
+                           for text in sorted(map(str, hosts))))
         found = self._ids.get(key)
         if found is None:
             base_id = self._base.get(key)
@@ -633,7 +633,7 @@ def _intern_sorted(pool: _PoolWriter, hosts) -> List[int]:
     write byte-different files for identical results — breaking the
     byte-identity contract resume and the crash-matrix tests rely on.
     """
-    return sorted(pool.intern_name(host) for host in sorted(hosts, key=str))
+    return sorted(pool.intern(text) for text in sorted(map(str, hosts)))
 
 
 def _write_aggregate_sections(writer: _SectionWriter, results: SurveyResults,
@@ -1068,7 +1068,9 @@ class LazySurveyResults(SurveyResults):
             source = self._source
             self._row_index = {source.name_text(row): row
                                for row in range(len(source))}
-        row = self._row_index.get(str(DomainName(name)))
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
+        row = self._row_index.get(str(name))
         return None if row is None else self._lazy_records[row]
 
     def tcb_index_rows(self):

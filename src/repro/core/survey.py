@@ -104,6 +104,13 @@ class SurveyResults:
     metadata: Dict[str, object] = dataclasses.field(default_factory=dict)
     _record_index: Optional[Dict[DomainName, NameRecord]] = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
+    #: The :class:`~repro.core.delta.DirtyIndex` of these results, carried
+    #: by :meth:`~repro.core.engine.SurveyEngine.run_delta` from the
+    #: previous epoch's; while set, ``server_names_controlled`` is that
+    #: run's exact fold too, so the next delta adjusts both instead of
+    #: rebuilding them.  Every other result set rebuilds from scratch.
+    _dirty_index: Optional[object] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     # -- cohorts ------------------------------------------------------------------
 
@@ -135,7 +142,9 @@ class SurveyResults:
         if index is None or len(index) != len(self.records):
             index = {record.name: record for record in self.records}
             self._record_index = index
-        return index.get(DomainName(name))
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
+        return index.get(name)
 
     def tcb_index_rows(self):
         """Yield ``(name, resolved, tcb_servers)`` per record.

@@ -31,9 +31,10 @@ import hashlib
 import json
 import pathlib
 import time
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, AbstractSet, Callable, Dict, List,
+                    Optional, Sequence, Tuple, Union)
 
+from repro.dns.name import DomainName
 from repro.core.atomic import atomic_write_text
 from repro.core.delta import DeltaStats, DirtyIndex
 from repro.core.engine import EngineConfig, SurveyEngine
@@ -349,8 +350,14 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
                   previous: Optional[SurveyResults],
                   events: Sequence, stats,
                   elapsed_s: float,
-                  dnssec_fraction: float) -> TimelineSnapshot:
-    """Fold one epoch's results (and drift vs ``previous``) into a row."""
+                  dnssec_fraction: float,
+                  dirty: Optional[AbstractSet[DomainName]] = None
+                  ) -> TimelineSnapshot:
+    """Fold one epoch's results (and drift vs ``previous``) into a row.
+
+    ``dirty`` is the epoch's re-surveyed name set: every other record was
+    copied from ``previous``, so the drift diff compares only these.
+    """
     sizes = [float(size) for size in results.tcb_sizes()]
     event_kinds: Dict[str, int] = {}
     for event in events:
@@ -367,7 +374,7 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
     tcb_drift = 0.0
     movers: List[Dict[str, str]] = []
     if previous is not None:
-        diff = diff_results(previous, results)
+        diff = diff_results(previous, results, dirty=dirty)
         changed = diff.changed
         added = len(diff.only_in_b)
         removed = len(diff.only_in_a)
@@ -656,7 +663,7 @@ def _replay_committed_epochs(internet, model, engine, engine_config,
             dirty_fraction=(dirty_count / len(entries)) if entries else 0.0,
             elapsed_s=elapsed)
         snapshot = _reduce_epoch(epoch, results, previous, events, stats,
-                                 elapsed, model.dnssec_fraction)
+                                 elapsed, model.dnssec_fraction, dirty)
         if cold_check:
             _cold_audit(snapshot, results, internet, engine_config,
                         pass_specs, backend, model, max_names)
@@ -707,7 +714,7 @@ def _run_epoch_loop(internet, model, epochs, engine, engine_config,
         elapsed = time.perf_counter() - epoch_started
         snapshot = _reduce_epoch(epoch, outcome.results, results, events,
                                  outcome.stats, elapsed,
-                                 model.dnssec_fraction)
+                                 model.dnssec_fraction, outcome.dirty)
         if cold_check:
             _cold_audit(snapshot, outcome.results, internet, engine_config,
                         pass_specs, backend, model, max_names)

@@ -173,8 +173,9 @@ class DomainName:
         if not isinstance(other, DomainName):
             return NotImplemented
         # Canonical DNS ordering sorts by reversed label sequence so that
-        # names group by their parent domains.
-        return tuple(reversed(self._labels)) < tuple(reversed(other._labels))
+        # names group by their parent domains.  Hot sorts pass
+        # ``key=name_key`` instead: one key per name, not two per compare.
+        return self._labels[::-1] < other._labels[::-1]
 
     def __str__(self) -> str:
         text = self._text
@@ -330,6 +331,11 @@ def name_key(name: NameLike) -> Tuple[str, ...]:
     """Return a canonical sort key (reversed labels) for a name.
 
     Sorting by this key groups names by parent domain, which is the order the
-    survey reports use when listing names per TLD.
+    survey reports use when listing names per TLD, and is exactly the
+    ``<`` order of :class:`DomainName` — so ``sorted(names, key=name_key)``
+    equals ``sorted(names)`` at one key per name instead of two reversed
+    label tuples per comparison.
     """
-    return tuple(reversed(DomainName(name).labels))
+    if not isinstance(name, DomainName):
+        name = DomainName(name)
+    return name._labels[::-1]

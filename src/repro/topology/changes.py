@@ -34,7 +34,8 @@ DNSSEC deployment.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.dns.name import DomainName, NameLike
 from repro.dns.rdtypes import RRType
@@ -221,6 +222,73 @@ def zone_nameserver_union(internet, apex: NameLike) -> List[DomainName]:
     return merged
 
 
+class ServedIndex:
+    """host -> zones whose effective NS union lists it, kept current.
+
+    Built once from every zone's :func:`zone_nameserver_union`; attached
+    to a world (:meth:`attach`), it is then kept current by every
+    :class:`ChangeJournal` over that world, which re-derives the union of
+    each zone it edits or creates — so a churn epoch costs its own edits,
+    not a scan of every zone.  Worlds must then change only through
+    journals, which is the mutation contract anyway.
+    """
+
+    def __init__(self, internet):
+        # No reference back to the world: the world holds the index, and
+        # a cycle would keep a dropped world alive until a full collection.
+        self._unions: Dict[DomainName, Tuple[DomainName, ...]] = {}
+        self._served: Dict[DomainName, Set[DomainName]] = {}
+        #: Each apex's place in ``internet.zones`` (new zones append).
+        self._position: Dict[DomainName, int] = {}
+        for apex in internet.zones:
+            self.refresh(apex, zone_nameserver_union(internet, apex))
+
+    @classmethod
+    def attach(cls, internet) -> "ServedIndex":
+        """The index journals keep current for ``internet``, built once."""
+        index = getattr(internet, "served_index", None)
+        if index is None:
+            index = internet.served_index = cls(internet)
+        return index
+
+    @classmethod
+    def of(cls, internet) -> "ServedIndex":
+        """The attached index, or a throwaway one for an unindexed world."""
+        index = getattr(internet, "served_index", None)
+        return index if index is not None else cls(internet)
+
+    def refresh(self, apex: DomainName,
+                union: Sequence[DomainName]) -> None:
+        """Record one zone's NS union (after an edit or a new cut)."""
+        position = self._position
+        if apex not in position:
+            position[apex] = len(position)
+        old = self._unions.get(apex, ())
+        new = tuple(union)
+        self._unions[apex] = new
+        served = self._served
+        for hostname in old:
+            if hostname not in new:
+                zones = served[hostname]
+                zones.discard(apex)
+                if not zones:
+                    del served[hostname]
+        for hostname in new:
+            served.setdefault(hostname, set()).add(apex)
+
+    def union(self, apex: DomainName) -> Tuple[DomainName, ...]:
+        """The zone's NS union in discovery order."""
+        return self._unions.get(apex, ())
+
+    def zones_of(self, hostname: DomainName) -> AbstractSet[DomainName]:
+        """The zones whose union lists ``hostname`` (unordered)."""
+        return self._served.get(hostname, frozenset())
+
+    def serving(self, hostname: DomainName) -> List[DomainName]:
+        """The zones whose union lists ``hostname``, in world zone order."""
+        return sorted(self.zones_of(hostname), key=self._position.__getitem__)
+
+
 class ChangeJournal:
     """Applies and records mutations to a :class:`SyntheticInternet`.
 
@@ -282,6 +350,9 @@ class ChangeJournal:
         zone.replace_apex_nameservers(ns_list)
         self._rewire_delegation(apex, ns_list)
         self._reattach_servers(zone, before, ns_list)
+        served = getattr(internet, "served_index", None)
+        if served is not None:
+            served.refresh(apex, self._zone_ns_union(apex))
 
         event = ChangeEvent(
             kind="zone-created" if created else "zone-ns", zone=apex,
@@ -372,8 +443,7 @@ class ChangeJournal:
         internet = self.internet
         if internet.servers.get(hostname) is None:
             raise ValueError(f"unknown server {hostname}")
-        serving = [apex for apex in internet.zones
-                   if hostname in self._zone_ns_union(apex)]
+        serving = ServedIndex.of(internet).serving(hostname)
         # Validate before mutating anything: a rejected decommission must
         # not leave the world half re-delegated.
         orphaned = [apex for apex in serving

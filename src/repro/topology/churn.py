@@ -48,14 +48,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dns.name import DomainName
-from repro.topology.changes import (
-    ChangeEvent,
-    ChangeJournal,
-    zone_nameserver_union,
-)
+from repro.dns.name import DomainName, name_key
+from repro.topology.changes import ChangeEvent, ChangeJournal, ServedIndex
 from repro.topology.operators import OperatorKind, Organization
 
 #: Hostname / zone suffixes the churn model never touches: mutating the
@@ -198,6 +194,8 @@ class ChurnModel:
         self._replacement_counter = 0
         self._infrastructure = tuple(DomainName(s)
                                      for s in INFRASTRUCTURE_SUFFIXES)
+        #: Infrastructure verdicts, a fact about each name (memoized).
+        self._infrastructure_memo: Dict[DomainName, bool] = {}
 
     # -- epoch driver ------------------------------------------------------------------
 
@@ -211,18 +209,18 @@ class ChurnModel:
         """
         self.epoch_index += 1
         before = len(journal.events)
-        # NS unions, served-zones index, and candidate pools are computed
-        # once per epoch: events applied later in the same epoch can go
-        # slightly stale against them, which only shifts *selection*
+        # Candidate pools are drawn once per epoch from the served-zones
+        # index: events applied later in the same epoch can go slightly
+        # stale against them, which only shifts *selection*
         # (deterministically); mutation correctness always checks the
-        # live world (see _kill_and_replace_server).
-        unions = {apex: zone_nameserver_union(self.internet, apex)
-                  for apex in self.internet.zones}
-        served = self._served_index(unions)
-        transferable = self._transferable_zones(served, unions)
+        # live world (see _kill_and_replace_server).  The index is built
+        # on the first epoch and kept current by the journals since.
+        served = ServedIndex.attach(self.internet)
+        backbone = self._backbone_hosts(served)
+        transferable = self._transferable_zones(served, backbone)
         operators = self._transfer_operators()
-        mortal = self._mortal_servers(served)
-        mutable = self._mutable_servers(served)
+        mortal = self._mortal_servers(served, backbone)
+        mutable = self._mutable_servers(served, backbone)
         for _ in range(self._draw_count(self.rates.transfer)):
             self._transfer_zone(journal, transferable, operators)
         for _ in range(self._draw_count(self.rates.death)):
@@ -247,23 +245,27 @@ class ChurnModel:
     # -- candidate pools ---------------------------------------------------------------
 
     def _is_infrastructure(self, name: DomainName) -> bool:
-        return any(name.is_subdomain_of(suffix)
-                   for suffix in self._infrastructure)
+        verdict = self._infrastructure_memo.get(name)
+        if verdict is None:
+            verdict = self._infrastructure_memo[name] = any(
+                name.is_subdomain_of(suffix)
+                for suffix in self._infrastructure)
+        return verdict
 
-    def _is_backbone(self, hostname: DomainName,
-                     served: Dict[DomainName, List[DomainName]]) -> bool:
-        """True when ``hostname`` carries root/TLD/registry infrastructure.
+    def _backbone_hosts(self, served: ServedIndex) -> Set[DomainName]:
+        """Hosts carrying root/TLD/registry infrastructure this epoch.
 
-        Catches boxes the suffix list alone cannot: e.g. the nstld.com
-        servers backing the gtld-servers.net zone sit under an innocuous
-        apex but every com/net chain runs through them.
+        Every server in the NS union of the root, a TLD, or an
+        infrastructure zone.  Catches boxes the suffix list alone cannot:
+        e.g. the nstld.com servers backing the gtld-servers.net zone sit
+        under an innocuous apex but every com/net chain runs through them.
         """
-        return any(apex.depth <= 1 or self._is_infrastructure(apex)
-                   for apex in served.get(hostname, ()))
+        return {hostname for apex in self.internet.zones
+                if apex.depth <= 1 or self._is_infrastructure(apex)
+                for hostname in served.union(apex)}
 
-    def _transferable_zones(self, served: Dict[DomainName, List[DomainName]],
-                            unions: Dict[DomainName, List[DomainName]]
-                            ) -> List[DomainName]:
+    def _transferable_zones(self, served: ServedIndex,
+                            backbone: Set[DomainName]) -> List[DomainName]:
         """Second-level-or-deeper zones eligible for a registrar transfer.
 
         Infrastructure zones, zones on backbone servers (their NS union
@@ -277,8 +279,7 @@ class ChurnModel:
         for apex in self.internet.zones:
             if apex.depth < 2 or self._is_infrastructure(apex):
                 continue
-            if any(self._is_backbone(hostname, served)
-                   for hostname in unions.get(apex, ())):
+            if any(hostname in backbone for hostname in served.union(apex)):
                 continue
             if organizations is not None:
                 owner = organizations.by_domain(apex)
@@ -286,24 +287,10 @@ class ChurnModel:
                         owner.kind in PINNED_HOME_ZONE_KINDS:
                     continue
             eligible.append(apex)
-        return sorted(eligible)
+        return sorted(eligible, key=name_key)
 
-    def _served_index(self, unions: Dict[DomainName, List[DomainName]]
-                      ) -> Dict[DomainName, List[DomainName]]:
-        """host -> zones whose effective NS union (parent + apex) lists it.
-
-        Inverted from the per-epoch union map — the same union the
-        journal's ``remove_server`` validates, so eligibility reasoning
-        and journal validation can never disagree about who serves what.
-        """
-        index: Dict[DomainName, List[DomainName]] = {}
-        for apex, hostnames in unions.items():
-            for hostname in hostnames:
-                index.setdefault(hostname, []).append(apex)
-        return index
-
-    def _mortal_servers(self, served: Dict[DomainName, List[DomainName]]
-                        ) -> List[DomainName]:
+    def _mortal_servers(self, served: ServedIndex,
+                        backbone: Set[DomainName]) -> List[DomainName]:
         """Servers that can die: long-tail boxes serving a few deep zones.
 
         Killing a TLD / root server would re-delegate a registry zone and
@@ -314,16 +301,15 @@ class ChurnModel:
         """
         mortal: List[DomainName] = []
         for hostname in self.internet.servers:
-            if self._is_infrastructure(hostname) or \
-                    self._is_backbone(hostname, served):
+            if hostname in backbone or self._is_infrastructure(hostname):
                 continue
-            zones = served.get(hostname, ())
+            zones = served.zones_of(hostname)
             if zones and len(zones) <= self.death_fanout_limit:
                 mortal.append(hostname)
-        return sorted(mortal)
+        return sorted(mortal, key=name_key)
 
-    def _mutable_servers(self, served: Dict[DomainName, List[DomainName]]
-                         ) -> List[DomainName]:
+    def _mutable_servers(self, served: ServedIndex,
+                         backbone: Set[DomainName]) -> List[DomainName]:
         """Servers whose software / region may churn.
 
         Registry-grade infrastructure — root / gTLD boxes and any server
@@ -337,18 +323,12 @@ class ChurnModel:
         """
         mutable: List[DomainName] = []
         for hostname in self.internet.servers:
-            if not served.get(hostname):
+            if not served.zones_of(hostname):
                 continue
-            if self._is_infrastructure(hostname) or \
-                    self._is_backbone(hostname, served):
+            if hostname in backbone or self._is_infrastructure(hostname):
                 continue
             mutable.append(hostname)
-        return sorted(mutable)
-
-    def _zones_served_by(self, hostname: DomainName) -> List[DomainName]:
-        """Live served-zones of one host (never stale, used by mutations)."""
-        return [apex for apex in self.internet.zones
-                if hostname in zone_nameserver_union(self.internet, apex)]
+        return sorted(mutable, key=name_key)
 
     def _transfer_operators(self) -> List[Organization]:
         """Operators that take transfers, stable order."""
@@ -373,7 +353,7 @@ class ChurnModel:
         apex = self.rng.choice(zones)
         target = self.rng.choice(operators)
         organizations = self.internet.organizations
-        ns_union = zone_nameserver_union(self.internet, apex)
+        ns_union = self.internet.served_index.union(apex)
         current = organizations.operator_of(ns_union[0]) if ns_union else None
         if current is not None and current.name == target.name:
             # Transferring to the incumbent is a no-op story; skip the
@@ -392,13 +372,13 @@ class ChurnModel:
         if not mortal:
             return None
         victim = self.rng.choice(mortal)
-        # Live scan, not the per-epoch served index: an earlier event this
-        # epoch may have re-pointed a zone at the victim (a zone the index
-        # missed whose only nameserver is the victim would make
-        # remove_server rightly refuse to orphan it), or already killed
-        # the victim (skip the slot instead of minting a pointless
+        # The live served index, not the epoch-start pools: an earlier
+        # event this epoch may have re-pointed a zone at the victim (a
+        # zone the pools missed whose only nameserver is the victim would
+        # make remove_server rightly refuse to orphan it), or already
+        # killed the victim (skip the slot instead of minting a pointless
         # replacement).
-        serving = self._zones_served_by(victim)
+        serving = self.internet.served_index.serving(victim)
         if not serving:
             return None
         server = self.internet.servers[victim]
@@ -414,7 +394,7 @@ class ChurnModel:
                            region=server.region,
                            organization=operator.name
                            if operator is not None else None)
-        for apex in sorted(serving):
+        for apex in sorted(serving, key=name_key):
             journal.add_zone_nameserver(apex, replacement)
         return journal.remove_server(victim)
 

@@ -139,6 +139,10 @@ class SyntheticInternet:
     organizations: OrganizationRegistry
     root_hints: Dict[DomainName, List[str]]
     directory: WebDirectory
+    #: The :class:`~repro.topology.changes.ServedIndex` journals keep
+    #: current once a churn model has attached one.
+    served_index: Optional[object] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def make_resolver(self, use_glue: bool = True, selection: str = "first",
                       max_queries: int = 4000,

@@ -154,7 +154,9 @@ class OrganizationRegistry:
 
     def by_domain(self, domain: NameLike) -> Optional[Organization]:
         """Look up an organisation by its own domain."""
-        return self._by_domain.get(DomainName(domain))
+        if not isinstance(domain, DomainName):
+            domain = DomainName(domain)
+        return self._by_domain.get(domain)
 
     def operator_of(self, nameserver: NameLike) -> Optional[Organization]:
         """The organisation operating ``nameserver``, if known."""

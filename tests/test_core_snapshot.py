@@ -148,3 +148,36 @@ def test_diff_includes_numeric_extras_columns(small_survey):
         pytest.approx(-0.02)
     transitions = diff.transitions["dnssec_status"]
     assert transitions[("insecure", "secure")] == len(before.records)
+
+
+def test_dirty_bounded_diff_equals_the_full_diff(small_survey):
+    """Clean names share their records, so only dirty names are compared;
+    numeric counts still cover every shared pair, extras-less ones too."""
+    before = results_from_dict(results_to_dict(small_survey))
+    for record in before.records[::2]:
+        record.extras["availability"] = 0.5 + record.tcb_size / 100.0
+    after = results_from_dict(results_to_dict(small_survey))
+    after.records = list(before.records)
+    dirty = set()
+    for position in (1, 2, 5):
+        victim = after.records[position]
+        after.records[position] = dataclasses.replace(
+            victim, tcb_size=victim.tcb_size + position,
+            extras={"availability": 0.25})
+        dirty.add(victim.name)
+    dropped = after.records.pop()
+    extra = dataclasses.replace(before.records[0],
+                                name=DomainName("brand.new.example"))
+    after.records.append(extra)
+    dirty.add(extra.name)
+
+    full = diff_results(before, after)
+    bounded = diff_results(before, after, dirty=dirty)
+    assert full.only_in_a == bounded.only_in_a == [dropped.name]
+    assert full.only_in_b == bounded.only_in_b == [extra.name]
+    assert bounded.common == full.common
+    assert bounded.numeric == full.numeric
+    assert bounded.transitions == full.transitions
+    assert [(c.name, c.fields) for c in bounded.changes] == \
+        [(c.name, c.fields) for c in full.changes]
+    assert full.numeric["availability"]["count"] < full.common

@@ -182,3 +182,25 @@ def test_survey_without_bottleneck_analysis(small_internet):
     for record in results.records:
         assert record.mincut_size == 0
         assert record.classification in ("safe", "partial")
+
+
+def test_record_for_looks_up_text_and_parsed_names(small_survey,
+                                                    monkeypatch):
+    record = small_survey.records[3]
+    text = str(record.name)
+    assert small_survey.record_for(text) is record
+    assert small_survey.record_for(text.upper() + ".") is record
+    assert small_survey.record_for("no.such.name.example") is None
+    # A parsed name is looked up as it is, never copy-constructed.
+    copies = []
+    original = DomainName.__init__
+
+    def counting_init(self, name=""):
+        copies.append(name)
+        original(self, name)
+
+    monkeypatch.setattr(DomainName, "__init__", counting_init)
+    assert small_survey.record_for(record.name) is record
+    assert small_survey.record_for(
+        DomainName._from_labels(record.name.labels)) is record
+    assert copies == []

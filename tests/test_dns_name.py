@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.dns.name`."""
 
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -116,6 +118,34 @@ def test_ordering_groups_by_parent_domain():
     assert ordered[0] == DomainName("a.example.com")
     assert ordered[1] == DomainName("b.example.com")
     assert ordered[2] == DomainName("a.other.com")
+
+
+def _old_less_than(a, b):
+    """The ordering ``DomainName.__lt__`` had before it compared slices."""
+    return tuple(reversed(a.labels)) < tuple(reversed(b.labels))
+
+
+def test_keyed_sort_and_slice_compare_keep_the_old_order():
+    """Root, mixed depths, shared suffixes and label-prefix siblings."""
+    labels = ["a", "b", "ab", "b-1", "ns1", "www", "mail", "x9"]
+    names = [ROOT_NAME]
+    for tld in ("com", "org", "co"):
+        names.append(DomainName(tld))
+        for second in labels:
+            sld = DomainName(f"{second}.{tld}")
+            names.append(sld)
+            for third in labels[::3]:
+                names.append(sld.child(third))
+                names.append(sld.child(third).child("a"))
+    names.reverse()
+    old_order = sorted(names, key=functools.cmp_to_key(
+        lambda a, b: -1 if _old_less_than(a, b)
+        else (1 if _old_less_than(b, a) else 0)))
+    assert sorted(names) == old_order
+    assert sorted(names, key=name_key) == old_order
+    assert old_order[0] == ROOT_NAME
+    assert [a < b for a, b in zip(names, names[1:])] == \
+        [_old_less_than(a, b) for a, b in zip(names, names[1:])]
 
 
 def test_iteration_and_len():
