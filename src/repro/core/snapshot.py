@@ -220,10 +220,9 @@ def _diff_fields(results: SurveyResults) -> Tuple[Dict[str, int],
     numeric = {field: len(results.records) for field in DIFF_NUMERIC_FIELDS}
     categorical = list(DIFF_CATEGORICAL_FIELDS)
     for column in results.extras_columns():
-        values = results.extra_values(column, resolved_only=False)
-        if values and all(isinstance(v, (int, float)) and
-                          not isinstance(v, bool) for v in values):
-            numeric[column] = len(values)
+        count = results.numeric_extra_count(column)
+        if count:
+            numeric[column] = count
         else:
             categorical.append(column)
     return numeric, tuple(categorical)
@@ -275,6 +274,9 @@ def diff_results(a: SurveyResults, b: SurveyResults,
     Two lazy binary snapshots diff columnar: only the *names* materialise
     (they key and order the comparison); records never hydrate, which is
     what makes diffing two mmap'd snapshots O(cells read), not O(parse).
+    Two epoch-store views over one keyframe go further: without a given
+    ``dirty``, the union of their overlay rows bounds the comparison (the
+    rows neither overlays read the same keyframe cells on both sides).
 
     ``dirty``, when given, bounds the comparison to those names: every
     other name the two sides share must hold the *same* record in both —
@@ -287,6 +289,9 @@ def diff_results(a: SurveyResults, b: SurveyResults,
 
     view_a = _diff_view(a)
     view_b = _diff_view(b)
+    if dirty is None:
+        bound = getattr(view_a, "overlay_bound", None)
+        dirty = None if bound is None else bound(view_b)
     index_a = view_a.names
     index_b = view_b.names
     common = index_a.keys() & index_b.keys()

@@ -59,6 +59,7 @@ import pathlib
 import re
 import struct
 import sys
+import weakref
 import zlib
 from array import array
 from typing import (
@@ -116,9 +117,10 @@ _INT_COLUMNS = ("tcb_size", "in_bailiwick", "vulnerable_in_tcb",
 _FLAG_POPULAR = 1
 _FLAG_RESOLVED = 2
 
-#: Extras column kinds (the ``json`` fallback preserves anything a JSON
-#: snapshot could carry, mixed numeric types included).
-_EXTRA_KINDS = ("bool", "int", "float", "str", "json")
+#: Extras column kinds and the bytes per row of their value columns (the
+#: ``json`` fallback preserves anything a JSON snapshot could carry, mixed
+#: numeric types included; ``str`` and ``json`` cells hold pool ids).
+_EXTRA_WIDTHS = {"bool": 1, "int": 8, "float": 8, "str": 8, "json": 8}
 
 
 class SnapshotFormatError(ValueError):
@@ -312,6 +314,11 @@ class _SectionReader:
     def has(self, name: str) -> bool:
         return name in self._sections
 
+    def length(self, name: str) -> Optional[int]:
+        """The section's byte length, or ``None`` when it is absent."""
+        span = self._sections.get(name)
+        return None if span is None else span[1]
+
     def raw(self, name: str) -> memoryview:
         """The section's bytes as a zero-copy memoryview."""
         offset, length = self._sections[name]
@@ -408,15 +415,16 @@ class _PoolWriter:
 class _SetWriter:
     """Content-addresses sets of pool ids into a CSR (offsets + members).
 
-    ``base_index`` maps membership keys (tuples of *this* pool's ids) to
-    set ids in a base file's set store; matching sets encode as negative
-    references the same way the pool does.  A churned record's TCB usually
-    keeps its membership (verdicts change, topology doesn't), so delta
-    files shed their heaviest section almost entirely.
+    ``base_index`` maps membership keys (*this* pool's sorted ids, packed
+    as ``array("q", ...).tobytes()``) to set ids in a base file's set
+    store; matching sets encode as negative references the same way the
+    pool does.  A churned record's TCB usually keeps its membership
+    (verdicts change, topology doesn't), so delta files shed their
+    heaviest section almost entirely.
     """
 
     def __init__(self, pool: _PoolWriter,
-                 base_index: Optional[Dict[Tuple[int, ...], int]] = None
+                 base_index: Optional[Dict[bytes, int]] = None
                  ) -> None:
         self._pool = pool
         self._ids: Dict[Tuple[int, ...], int] = {}
@@ -433,7 +441,8 @@ class _SetWriter:
                            for text in sorted(map(str, hosts))))
         found = self._ids.get(key)
         if found is None:
-            base_id = self._base.get(key)
+            base_id = self._base.get(array("q", key).tobytes()) \
+                if self._base else None
             if base_id is not None:
                 found = -base_id - 1
             else:
@@ -728,12 +737,116 @@ def save_results_snapshot(results: SurveyResults,
 # -- reader-side record access ----------------------------------------------------------
 
 
+#: Per-row record columns and their bytes per row.
+_ROW_SECTIONS = (("rec.name", 8), ("rec.tld", 8), ("rec.category", 8),
+                 ("rec.classification", 8), ("rec.flags", 1),
+                 *((f"rec.{column}", 8) for column in _INT_COLUMNS),
+                 ("rec.safety", 8), ("rec.tcbset", 8), ("rec.cutset", 8))
+
+#: Sections each record-bearing file kind is read through besides the
+#: record columns and pools: ``8`` = an int64 array, ``0`` = raw bytes,
+#: ``None`` = one int64 per record row.
+_FINGERPRINT_SECTIONS = (("host", 8), ("banner", 8), ("reach", 0),
+                         ("vuln.off", 8), ("vuln.mem", 8))
+_KIND_SECTIONS = {
+    KIND_RESULTS: (("agg.counts.host", 8), ("agg.counts.n", 8),
+                   ("agg.vuln", 8), ("agg.comp", 8), ("agg.pop", 8),
+                   *((f"fp.{name}", width)
+                     for name, width in _FINGERPRINT_SECTIONS),
+                   ("meta", 0)),
+    KIND_DELTA: (("rows", None), ("aggd.counts.set.host", 8),
+                 ("aggd.counts.set.n", 8), ("aggd.counts.del", 8),
+                 *((f"aggd.{section}.{op}", 8)
+                   for section in ("vuln", "comp", "pop")
+                   for op in ("add", "del")),
+                 *((f"fpd.{name}", width)
+                   for name, width in _FINGERPRINT_SECTIONS),
+                 ("fpd.del", 8), ("meta", 0)),
+    KIND_SHARD: (("rows", None),
+                 *((f"fp.{name}", width)
+                   for name, width in _FINGERPRINT_SECTIONS),
+                 ("vm.host", 8), ("vm.flag", 0), ("cm.host", 8),
+                 ("cm.flag", 0), ("pop", 8), ("meta", 0)),
+}
+
+
+def _check_record_sections(reader: _SectionReader) -> List[Dict[str, str]]:
+    """The extras directory of a record-bearing container, once checked.
+
+    Checks in O(columns) that every section a reader of this kind touches
+    exists with a length that fits the row count, and that the extras
+    directory names only known kinds — so a malformed container fails at
+    open with :class:`SnapshotFormatError`, not with a ``KeyError`` or
+    ``IndexError`` on the first record it hydrates.
+    """
+    def fail(message: str) -> None:
+        raise SnapshotFormatError(f"{reader.path}: {message}")
+
+    def length(name: str) -> int:
+        found = reader.length(name)
+        if found is None:
+            fail(f"missing section {name!r}")
+        return found
+
+    def per_row(name: str, width: int) -> None:
+        if length(name) != rows * width:
+            fail(f"section {name!r} holds {length(name)} bytes, expected "
+                 f"{rows * width} for {rows} rows")
+
+    def expect(name: str, width: Optional[int]) -> None:
+        found = length(name)
+        if width is None:
+            per_row(name, 8)
+        elif width == 8 and found % 8:
+            fail(f"section {name!r} holds {found} bytes, not whole int64 "
+                 f"values")
+
+    rows = length("rec.name") // 8
+    for name, width in _ROW_SECTIONS:
+        per_row(name, width)
+    for name in ("strs.off", "sets.off"):
+        if length(name) < 8 or length(name) % 8:
+            fail(f"section {name!r} holds {length(name)} bytes, not an "
+                 f"offsets column (one or more whole int64 values)")
+    expect("strs.blob", 0)
+    expect("sets.mem", 8)
+    for name, width in _KIND_SECTIONS.get(reader.kind, ()):
+        expect(name, width)
+    length("ex.dir")
+    try:
+        directory = reader.json("ex.dir")
+    except ValueError as error:
+        fail(f"corrupt extras directory: {error}")
+    if not isinstance(directory, list):
+        fail("corrupt extras directory: not a list")
+    for position, entry in enumerate(directory):
+        if not isinstance(entry, dict) or \
+                not isinstance(entry.get("column"), str):
+            fail(f"corrupt extras directory entry {position}: {entry!r}")
+        kind = entry.get("kind")
+        if kind not in _EXTRA_WIDTHS:
+            fail(f"extras column {entry['column']!r} has unknown kind "
+                 f"{kind!r} (expected one of {tuple(_EXTRA_WIDTHS)})")
+        per_row(f"ex.{position}.pres", 1)
+        per_row(f"ex.{position}.val", _EXTRA_WIDTHS[kind])
+    return directory
+
+
 class _RecordReader:
-    """Column access + on-demand record hydration for one container."""
+    """Column access + on-demand record hydration for one container.
+
+    Opening checks the container's sections (:func:`_check_record_sections`)
+    and casts every column view once, so a cell read is an index, not a
+    slice and cast.  A keyframe's reader is shared by every view an
+    :class:`EpochStore` opens over it: its pool and set-store caches and
+    its name indexes (:meth:`row_index`, :meth:`name_rows`) are built once
+    and serve them all.
+    """
 
     def __init__(self, reader: _SectionReader,
                  base: Optional["_RecordReader"] = None):
         self.reader = reader
+        self.extras_dir = _check_record_sections(reader)
         self.pool = _Pool(reader, "strs",
                           base.pool if base is not None else None)
         self.sets = _SetStore(reader, "sets", self.pool,
@@ -748,9 +861,20 @@ class _RecordReader:
         self._safety = reader.d("rec.safety")
         self._tcb_sets = reader.q("rec.tcbset")
         self._cut_sets = reader.q("rec.cutset")
-        self.extras_dir: List[Dict[str, str]] = reader.json("ex.dir")
         self._extras_index = {entry["column"]: position for position, entry
                               in enumerate(self.extras_dir)}
+        self._extra_kinds = [entry["kind"] for entry in self.extras_dir]
+        self._extra_presence = [
+            reader.bytes_view(f"ex.{position}.pres")
+            for position in range(len(self.extras_dir))]
+        self._extra_values = [
+            reader.bytes_view(f"ex.{position}.val") if kind == "bool" else
+            reader.d(f"ex.{position}.val") if kind == "float" else
+            reader.q(f"ex.{position}.val")
+            for position, kind in enumerate(self._extra_kinds)]
+        self._present_counts: Dict[int, int] = {}
+        self._row_index: Optional[Dict[str, int]] = None
+        self._name_rows: Optional[Dict[DomainName, int]] = None
 
     def __len__(self) -> int:
         return len(self._names)
@@ -758,8 +882,21 @@ class _RecordReader:
     def name(self, row: int) -> DomainName:
         return self.pool.name(self._names[row])
 
-    def name_text(self, row: int) -> str:
-        return self.pool.text(self._names[row])
+    def row_index(self) -> Dict[str, int]:
+        """Record name text → row, built once (shared; do not mutate)."""
+        if self._row_index is None:
+            text, names = self.pool.text, self._names
+            self._row_index = {text(names[row]): row
+                               for row in range(len(names))}
+        return self._row_index
+
+    def name_rows(self) -> Dict[DomainName, int]:
+        """Record name → row, built once (shared; do not mutate)."""
+        if self._name_rows is None:
+            name = self.pool.name
+            self._name_rows = {name(name_id): row
+                               for row, name_id in enumerate(self._names)}
+        return self._name_rows
 
     def resolved(self, row: int) -> bool:
         return bool(self._flags[row] & _FLAG_RESOLVED)
@@ -767,31 +904,45 @@ class _RecordReader:
     def tcb_frozen(self, row: int) -> frozenset:
         return self.sets.frozen(self._tcb_sets[row])
 
+    def extra_kind(self, column: str) -> Optional[str]:
+        """The stored kind of an extras column (``None`` when absent)."""
+        position = self._extras_index.get(column)
+        return None if position is None else self._extra_kinds[position]
+
+    def present_count(self, column: str) -> int:
+        """How many rows carry the extras column (one ``bytes.count``)."""
+        position = self._extras_index.get(column)
+        if position is None:
+            return 0
+        found = self._present_counts.get(position)
+        if found is None:
+            found = self._extra_presence[position].tobytes().count(1)
+            self._present_counts[position] = found
+        return found
+
     def extra_present(self, column: str, row: int) -> bool:
         """Whether the record at ``row`` carries the extras column."""
         position = self._extras_index.get(column)
-        if position is None:
-            return False
-        return bool(self.reader.bytes_view(f"ex.{position}.pres")[row])
+        return position is not None and \
+            bool(self._extra_presence[position][row])
 
     def extra_value(self, column: str, row: int):
         """One extras cell (``None`` when the record lacks the column)."""
         position = self._extras_index.get(column)
         if position is None:
             return None
-        return self._extra_cell(position, self.extras_dir[position]["kind"],
-                                row)
+        return self._extra_cell(position, row)
 
-    def _extra_cell(self, position: int, kind: str, row: int):
-        if not self.reader.bytes_view(f"ex.{position}.pres")[row]:
+    def _extra_cell(self, position: int, row: int):
+        if not self._extra_presence[position][row]:
             return None
+        kind = self._extra_kinds[position]
+        value = self._extra_values[position][row]
         if kind == "bool":
-            return bool(self.reader.bytes_view(f"ex.{position}.val")[row])
-        if kind == "int":
-            return self.reader.q(f"ex.{position}.val")[row]
-        if kind == "float":
-            return self.reader.d(f"ex.{position}.val")[row]
-        text = self.pool.text(self.reader.q(f"ex.{position}.val")[row])
+            return bool(value)
+        if kind == "int" or kind == "float":
+            return value
+        text = self.pool.text(value)
         return text if kind == "str" else json.loads(text)
 
     def field_value(self, field: str, row: int):
@@ -800,10 +951,12 @@ class _RecordReader:
         Extras win over the built-in attribute of the same name, matching
         the hydrated path's ``record.extras``-first lookup.
         """
-        if self.extra_present(field, row):
-            return self.extra_value(field, row)
-        if field in self._ints:
-            return self._ints[field][row]
+        position = self._extras_index.get(field)
+        if position is not None and self._extra_presence[position][row]:
+            return self._extra_cell(position, row)
+        ints = self._ints.get(field)
+        if ints is not None:
+            return ints[row]
         if field == "classification":
             return self.pool.text(self._classifications[row])
         if field == "safety_percentage":
@@ -811,13 +964,9 @@ class _RecordReader:
         return None
 
     def extras_for(self, row: int) -> Dict[str, object]:
-        extras: Dict[str, object] = {}
-        for position, entry in enumerate(self.extras_dir):
-            value = self._extra_cell(position, entry["kind"], row)
-            if value is not None or \
-                    self.reader.bytes_view(f"ex.{position}.pres")[row]:
-                extras[entry["column"]] = value
-        return extras
+        return {entry["column"]: self._extra_cell(position, row)
+                for position, entry in enumerate(self.extras_dir)
+                if self._extra_presence[position][row]}
 
     def hydrate(self, row: int) -> NameRecord:
         """Materialise one :class:`NameRecord` from the columns."""
@@ -896,9 +1045,6 @@ class _RowSource:
         # the name cache stays shared.
         return self.base.name(row)
 
-    def name_text(self, row: int) -> str:
-        return self.base.name_text(row)
-
     def field_value(self, field: str, row: int):
         reader, local = self.locate(row)
         return reader.field_value(field, local)
@@ -925,6 +1071,26 @@ class _RowSource:
         for reader, _ in self.overlays.values():
             columns.update(entry["column"] for entry in reader.extras_dir)
         return sorted(columns)
+
+    def extra_profile(self, column: str) -> Tuple[Set[str], int]:
+        """(stored kinds, rows carrying the column) over this view.
+
+        Read from column metadata: the base's presence count, corrected
+        row by row over the overlays, and the kind of each file that
+        still contributes a value — no cell is decoded.
+        """
+        base = self.base
+        from_base = base.present_count(column)
+        overlaid = 0
+        kinds: Set[str] = set()
+        for row, (reader, local) in self.overlays.items():
+            from_base -= base.extra_present(column, row)
+            if reader.extra_present(column, local):
+                overlaid += 1
+                kinds.add(reader.extra_kind(column))
+        if from_base:
+            kinds.add(base.extra_kind(column))
+        return kinds, from_base + overlaid
 
     def aggregates(self) -> Dict[str, object]:
         return self._aggregates()
@@ -982,17 +1148,31 @@ class _ColumnDiffView:
 
     :func:`repro.core.snapshot.diff_results` drives this instead of the
     record index when both sides are lazy: ``names`` maps every surveyed
-    name to its row handle, and :meth:`value` answers per-field cell reads
-    straight from the columns — no :class:`NameRecord` is ever built.
+    name to its row handle (the base reader's shared index, read-only),
+    and :meth:`value` answers per-field cell reads straight from the
+    columns — no :class:`NameRecord` is ever built.
     """
 
     def __init__(self, source: _RowSource):
         self._source = source
-        self.names: Dict[DomainName, int] = {
-            source.name(row): row for row in range(len(source))}
+        self.names: Dict[DomainName, int] = source.base.name_rows()
 
     def value(self, row: int, field: str):
         return self._source.field_value(field, row)
+
+    def overlay_bound(self, other) -> Optional[Set[DomainName]]:
+        """The names that can differ from ``other``, or ``None``.
+
+        Two views over one keyframe reader read the same cell for every
+        row neither overlays, so only the union of their overlay rows can
+        differ.  Views over different keyframes (or stores) are unbounded.
+        """
+        if not isinstance(other, _ColumnDiffView) or \
+                other._source.base is not self._source.base:
+            return None
+        name = self._source.name
+        return {name(row) for row in
+                self._source.overlays.keys() | other._source.overlays.keys()}
 
 
 class LazySurveyResults(SurveyResults):
@@ -1014,7 +1194,6 @@ class LazySurveyResults(SurveyResults):
         self._lazy_records = _LazyRecords(source)
         self._aggregates: Optional[Dict[str, object]] = None
         self._metadata: Optional[Dict[str, object]] = None
-        self._row_index: Optional[Dict[str, int]] = None
 
     # -- lazy field surface ---------------------------------------------------------
 
@@ -1063,14 +1242,18 @@ class LazySurveyResults(SurveyResults):
     # -- overridden accessors (hydration-free) ---------------------------------------
 
     def record_for(self, name: NameLike) -> Optional[NameRecord]:
-        """One record by name, hydrating only that row."""
-        if self._row_index is None:
-            source = self._source
-            self._row_index = {source.name_text(row): row
-                               for row in range(len(source))}
-        if not isinstance(name, DomainName):
-            name = DomainName(name)
-        row = self._row_index.get(str(name))
+        """One record by name, hydrating only that row.
+
+        Probes the base reader's shared text index with ``name`` as given
+        first; only a miss parses it, so canonical text never builds a
+        :class:`DomainName` and anything else behaves exactly as parsed.
+        """
+        index = self._source.base.row_index()
+        row = index.get(name) if isinstance(name, str) else None
+        if row is None:
+            if not isinstance(name, DomainName):
+                name = DomainName(name)
+            row = index.get(str(name))
         return None if row is None else self._lazy_records[row]
 
     def tcb_index_rows(self):
@@ -1095,6 +1278,13 @@ class LazySurveyResults(SurveyResults):
                 for row in range(len(source))
                 if (not resolved_only or source.resolved(row))
                 and source.extra_present(column, row)]
+
+    def numeric_extra_count(self, column: str) -> Optional[int]:
+        """From column kinds and presence counts; values only for json."""
+        kinds, count = self._source.extra_profile(column)
+        if "json" in kinds:
+            return super().numeric_extra_count(column)
+        return count if count and kinds <= {"int", "float"} else None
 
     def column_diff_view(self) -> _ColumnDiffView:
         """The diff protocol object ``diff_results`` fast-paths through."""
@@ -1201,13 +1391,8 @@ def unpack_shard_result(source: Union[PathLike, bytes, bytearray, memoryview],
     """Decode a shard container (bytes or file) into hydrated parts."""
     reader = _SectionReader(source, KIND_SHARD, label=label)
     rec = _RecordReader(reader)
-    rows = list(reader.q("rows"))
-    if len(rows) != len(rec):
-        raise SnapshotFormatError(
-            f"{reader.path}: shard row index covers {len(rows)} rows for "
-            f"{len(rec)} records")
     return ShardPayload(
-        rows=rows,
+        rows=list(reader.q("rows")),
         records=[rec.hydrate(row) for row in range(len(rec))],
         fingerprints=_read_fingerprints(reader, "fp", rec.pool),
         vulnerability_map=_read_flag_map(reader, "vm", rec.pool),
@@ -1219,22 +1404,29 @@ def unpack_shard_result(source: Union[PathLike, bytes, bytearray, memoryview],
 # -- the delta-sharing timeline store ----------------------------------------------------
 
 
-def _base_ref_indexes(base: _RecordReader
-                      ) -> Tuple[Dict[str, int], Dict[Tuple[int, ...], int]]:
+#: The reference indexes a delta writer shares a base file's pool and
+#: set store through: text -> base pool id, packed membership -> set id.
+_RefIndexes = Tuple[Dict[str, int], Dict[bytes, int]]
+
+
+def _base_ref_indexes(base: _RecordReader) -> _RefIndexes:
     """Reference indexes a delta writer needs to share a base file's pool.
 
     The set index is keyed in *delta* id space: a base set's members are
     base pool ids, and a host already pooled by the base interns into a
     delta as ``-(base_id + 1)`` — so re-keying the base memberships the
-    same way makes unchanged sets hit the index exactly.
+    same way makes unchanged sets hit the index exactly.  Keys are packed
+    int64 bytes (:class:`_SetWriter` probes the same packing): a tuple of
+    ints per set costs several times the memory.
     """
     pool = base.pool
     text_index = {pool.text(index): index for index in range(len(pool))}
     offsets, members = base.sets._offsets, base.sets._members
     set_index = {
-        tuple(sorted(-member - 1
-                     for member in members[offsets[set_id]:
-                                           offsets[set_id + 1]])): set_id
+        array("q", sorted(-member - 1
+                          for member in members[offsets[set_id]:
+                                                offsets[set_id + 1]])
+              ).tobytes(): set_id
         for set_id in range(len(offsets) - 1)}
     return text_index, set_index
 
@@ -1242,21 +1434,21 @@ def _base_ref_indexes(base: _RecordReader
 def _write_delta_snapshot(path: PathLike, results: SurveyResults,
                           previous: SurveyResults,
                           changed_rows: List[int],
-                          base: Optional[_RecordReader] = None
-                          ) -> pathlib.Path:
+                          references: _RefIndexes) -> pathlib.Path:
     """Write one epoch as a column delta against ``previous``.
 
     The file carries the changed rows' full record columns, the base-row
     index mapping, and aggregate-map patches (set/delete entries) —
     everything :meth:`EpochStore.load_epoch` needs to overlay it on the
-    base epoch.  Strings and sets the ``base`` file (epoch 0) already
-    stores are written as negative references into its pool instead of
-    being duplicated; only genuinely new material enters the local pool.
+    base epoch.  Strings and sets the base file (the keyframe) already
+    stores — found through its ``references`` indexes — are written as
+    negative references into its pool instead of being duplicated; only
+    genuinely new material enters the local pool.
     """
     writer = _SectionWriter(path, KIND_DELTA)
     try:
         return _stream_delta_snapshot(writer, results, previous,
-                                      changed_rows, base)
+                                      changed_rows, references)
     except BaseException:
         writer.abort()
         raise
@@ -1265,14 +1457,10 @@ def _write_delta_snapshot(path: PathLike, results: SurveyResults,
 def _stream_delta_snapshot(writer: _SectionWriter, results: SurveyResults,
                            previous: SurveyResults,
                            changed_rows: List[int],
-                           base: Optional[_RecordReader]) -> pathlib.Path:
-    if base is not None:
-        text_index, set_index = _base_ref_indexes(base)
-        pool = _PoolWriter(text_index)
-        sets = _SetWriter(pool, set_index)
-    else:
-        pool = _PoolWriter()
-        sets = _SetWriter(pool)
+                           references: _RefIndexes) -> pathlib.Path:
+    text_index, set_index = references
+    pool = _PoolWriter(text_index)
+    sets = _SetWriter(pool, set_index)
     records = results.records
     _write_record_sections(writer, [records[row] for row in changed_rows],
                            pool, sets)
@@ -1345,6 +1533,15 @@ def _apply_aggregate_patch(aggregates: Dict[str, object],
 #: An epoch file name (temp debris is dot-prefixed and never matches).
 _EPOCH_FILE = re.compile(r"^epoch_(\d{4,})\.rsnap$")
 
+#: What tells a file apart from its replacement: device, inode, size and
+#: modification time.
+_FileIdentity = Tuple[int, int, int, int]
+
+
+def _file_identity(path: pathlib.Path) -> _FileIdentity:
+    stat = path.stat()
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
 
 @dataclasses.dataclass(frozen=True)
 class StoreProblem:
@@ -1405,6 +1602,13 @@ class EpochStore:
     than K.  Readers never need the writer's cadence: which epochs are
     keyframes is sniffed from the file kinds, so any mixing of cadences
     across appends reads correctly.
+
+    Each keyframe is opened once per store: every view over it shares one
+    :class:`_RecordReader` (its caches and name indexes), found by path
+    and file identity, so a keyframe replaced on disk is reopened.  The
+    store holds that reader only by weak reference — the views keep it
+    alive, and it dies with the last of them.  The reference indexes
+    deltas are written against are cached under the same identity.
     """
 
     def __init__(self, root: PathLike,
@@ -1414,6 +1618,10 @@ class EpochStore:
             raise ValueError(
                 f"keyframe_every must be >= 1, got {keyframe_every}")
         self.keyframe_every = keyframe_every
+        self._keyframes: Dict[pathlib.Path,
+                              Tuple[_FileIdentity, weakref.ref]] = {}
+        self._references: Optional[Tuple[pathlib.Path, _FileIdentity,
+                                         _RefIndexes]] = None
 
     def _keyframe_for(self, epoch: int) -> int:
         """The newest keyframe epoch at or below ``epoch`` (sniffed)."""
@@ -1425,6 +1633,27 @@ class EpochStore:
 
     def epoch_path(self, epoch: int) -> pathlib.Path:
         return self.root / f"epoch_{epoch:04d}.rsnap"
+
+    def _keyframe_reader(self, path: pathlib.Path) -> _RecordReader:
+        """The shared reader of the keyframe at ``path`` (see class doc)."""
+        identity = _file_identity(path)
+        cached = self._keyframes.get(path)
+        reader = cached[1]() if cached is not None \
+            and cached[0] == identity else None
+        if reader is None:
+            reader = _RecordReader(_SectionReader(path, KIND_RESULTS))
+            self._keyframes[path] = (identity, weakref.ref(reader))
+        return reader
+
+    def _reference_indexes(self, path: pathlib.Path) -> _RefIndexes:
+        """The keyframe at ``path``'s delta reference indexes, cached."""
+        identity = _file_identity(path)
+        cached = self._references
+        if cached is None or cached[:2] != (path, identity):
+            cached = self._references = (
+                path, identity,
+                _base_ref_indexes(self._keyframe_reader(path)))
+        return cached[2]
 
     def epoch_numbers(self) -> List[int]:
         """The epoch numbers present on disk, sorted (gaps and all)."""
@@ -1581,10 +1810,10 @@ class EpochStore:
                 continue
             if record != previous.record_for(record.name):
                 changed_rows.append(row)
-        base = _RecordReader(_SectionReader(
-            self.epoch_path(self._keyframe_for(epoch - 1)), KIND_RESULTS))
+        references = self._reference_indexes(
+            self.epoch_path(self._keyframe_for(epoch - 1)))
         return _write_delta_snapshot(self.epoch_path(epoch), results,
-                                     previous, changed_rows, base=base)
+                                     previous, changed_rows, references)
 
     def load_epoch(self, epoch: int) -> LazySurveyResults:
         """Open epoch ``epoch`` as a lazy view (deltas overlaid on base)."""
@@ -1593,8 +1822,7 @@ class EpochStore:
                 f"{self.root}: epoch {epoch} not in store "
                 f"(holds {self.epochs})")
         keyframe = self._keyframe_for(epoch)
-        base = _RecordReader(_SectionReader(self.epoch_path(keyframe),
-                                            KIND_RESULTS))
+        base = self._keyframe_reader(self.epoch_path(keyframe))
         overlays: Dict[int, Tuple[_RecordReader, int]] = {}
         patches: List[_RecordReader] = []
         for step in range(keyframe + 1, epoch + 1):

@@ -258,6 +258,15 @@ class SurveyResults:
         return [record.extras[column] for record in records
                 if column in record.extras]
 
+    def numeric_extra_count(self, column: str) -> Optional[int]:
+        """How many records carry ``column`` when every value is a number
+        (bools are not); ``None`` for an empty or non-numeric column."""
+        values = self.extra_values(column, resolved_only=False)
+        if values and all(isinstance(value, (int, float)) and
+                          not isinstance(value, bool) for value in values):
+            return len(values)
+        return None
+
     def extras_summary(self) -> Dict[str, float]:
         """Aggregate pass columns: means for numbers, fractions for the rest.
 

@@ -55,12 +55,9 @@ class _ShardFile:
     def __init__(self, path):
         self.path = pathlib.Path(path)
         self.reader = _SectionReader(path, KIND_SHARD)
+        # Checks every section, the row index's length included.
         self.records = _RecordReader(self.reader)
         self.rows = list(self.reader.q("rows"))
-        if len(self.rows) != len(self.records):
-            raise DistribError(
-                f"{self.path}: shard row index covers {len(self.rows)} rows "
-                f"for {len(self.records)} records")
 
     def set_member_texts(self, set_id: int) -> List[str]:
         store, text = self.records.sets, self.records.pool.text
@@ -133,10 +130,8 @@ def merge_shard_snapshots(paths, output) -> MergeReport:
             if flag & _FLAG_RESOLVED:
                 for member in tcb_members:
                     counts[member] = counts.get(member, 0) + 1
-            for position, entry in enumerate(rec.extras_dir):
-                if rec.reader.bytes_view(f"ex.{position}.pres")[local]:
-                    extras_values.setdefault(entry["column"], {})[row] = \
-                        rec._extra_cell(position, entry["kind"], local)
+            for column, value in rec.extras_for(local).items():
+                extras_values.setdefault(column, {})[row] = value
 
         for prefix, target in (("vm", vulnerable), ("cm", compromisable)):
             host_ids = shard.reader.q(f"{prefix}.host")
