@@ -1,9 +1,11 @@
 """Setuptools shim.
 
-The canonical build configuration lives in ``pyproject.toml``; this file
-exists so that ``pip install -e .`` keeps working on minimal environments
-that lack the ``wheel`` package required for PEP 660 editable installs
-(``pip install -e . --no-use-pep517`` falls back to ``setup.py develop``).
+The tree declares no packaging metadata (there is no ``pyproject.toml`` or
+``setup.cfg``), so installing it does not make the ``repro`` package
+importable.  Run everything from the source tree instead::
+
+    PYTHONPATH=src python -m repro.cli survey --sld-count 60
+    PYTHONPATH=src python -m pytest -x -q
 """
 
 from setuptools import setup

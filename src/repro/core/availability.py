@@ -21,21 +21,18 @@ Cycles (mutual secondaries) are broken the same way as in the bottleneck
 analysis: a dependency loop cannot make a server *more* reachable, so the
 looping branch contributes only the server's own up-probability.
 
-The analyzer accepts any :class:`~repro.core.delegation.DelegationView` —
-a materialised per-name :class:`~repro.core.delegation.DelegationGraph` or
-the survey engine's zero-copy :class:`~repro.core.delegation.TCBView` — and
-supports *shared memos* across names, with the same clean/tainted publishing
-discipline as :class:`~repro.core.mincut.BottleneckAnalyzer`: only values
-computed without truncating a dependency cycle (and without consuming a
+The analyzer accepts any :class:`~repro.core.delegation.DelegationView`
+and runs on the dense node ids and NS slots its
+:meth:`~repro.core.delegation.DelegationView.int_core` hands over: the
+survey engine's zero-copy :class:`~repro.core.delegation.TCBView` shares
+the builder's universe, and a materialised
+:class:`~repro.core.delegation.DelegationGraph` lowers itself into a
+throwaway one.  It supports *shared memos* across names, with the same
+clean/tainted publishing discipline as
+:class:`~repro.core.mincut.BottleneckAnalyzer`: only values computed
+without truncating a dependency cycle (and without consuming a
 truncation-tainted value) are published cross-name, because those are the
 only values independent of the path the recursion took to reach the node.
-
-Like the bottleneck analyzer, every evaluation mode has two structurally
-identical implementations: an **integer path** over dense node ids and NS
-slots (taken automatically for :class:`~repro.core.delegation.TCBView`) and
-a **generic path** over ``(kind, DomainName)`` node keys.  Both traverse
-successors in the same order with the same arithmetic, so they agree
-bit-for-bit; the equivalence suite asserts it.
 
 Three evaluation modes are provided:
 
@@ -44,34 +41,25 @@ Three evaluation modes are provided:
   (an approximation: shared dependencies are treated as independent).
 * :meth:`AvailabilityAnalyzer.monte_carlo` — simulate failure draws and
   evaluate the same structure exactly per draw; used to sanity-check the
-  analytic value and to study correlated (regional) failures.  On the
-  integer path the sweep is *bit-parallel*: every server gets one up/down
-  bitmask over all samples (one RNG draw array per sample, in the same
-  draw order as the scalar loop), and a single AND/OR traversal of the
-  graph evaluates every sample at once against the name's TCB masks.
+  analytic value and to study correlated (regional) failures.  The sweep
+  is *bit-parallel*: every server gets one up/down bitmask over all
+  samples (per sample, one draw per TCB host in sorted order), and a
+  single AND/OR traversal of the graph evaluates every sample at once.
 * :meth:`AvailabilityAnalyzer.single_points_of_failure` — the servers whose
   individual loss makes the name unresolvable, computed by a kill-set
   recursion over the same AND/OR structure (a server kills a zone iff it
   kills every nameserver of that zone) instead of one full re-evaluation
-  per TCB member.  Kill sets are NS-slot bitsets on the integer path.
+  per TCB member.  Kill sets are NS-slot bitsets.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Mapping,
-    Optional,
-    Set,
-    Union,
-)
+from typing import Dict, FrozenSet, Mapping, Optional, Set, Union
 
 from repro.dns.name import DomainName
-from repro.core.delegation import DelegationView, NodeKey, TCBView, name_node
+from repro.core.delegation import DelegationView
 from repro.core.graphcore import NS_CODE
 
 #: A per-server up-probability map or a single probability applied to all.
@@ -107,7 +95,8 @@ class AvailabilityAnalyzer:
         Up-probability for servers not listed in the mapping.
     shared_memo:
         Optional cross-name memo for analytic availabilities, keyed by
-        integer node id on the fast path (NodeKey on the generic path).
+        integer node id, so the analyzer binds to one universe at a time
+        and clears its shared memos in place when it is handed another.
         Only cycle-independent ("clean") values are published.  The survey
         engine registers it with the builder's
         :class:`~repro.core.delegation.ClosureIndex` so universe growth
@@ -140,13 +129,13 @@ class AvailabilityAnalyzer:
         #: lets the hot loops skip the per-slot lookup entirely.
         self._up_const: Optional[float] = \
             self.default_up if not self._per_server else None
-        #: Cross-name memo for "resolvable with every server up" booleans
-        #: (integer path only); enabled alongside the other shared memos.
+        #: Cross-name memo for "resolvable with every server up" booleans;
+        #: enabled alongside the other shared memos.
         self.shared_reach_memo: Optional[Dict[int, bool]] = \
             {} if shared_memo is not None or shared_spof_memo is not None \
             else None
         self._slot_up: Dict[int, float] = {}
-        self._slot_up_universe: Optional[object] = None
+        self._universe = None
         self._taint_events = 0
         self._tainted: Set = set()
         self._prefix_state: Optional[tuple] = None
@@ -163,7 +152,25 @@ class AvailabilityAnalyzer:
         self._struct_zc: Optional[Dict[int, tuple]] = None
         self._struct_base: Optional[Dict[int, int]] = None
 
-    def _prefix_cache(self, universe, closures, kind: str) -> Dict[int, tuple]:
+    def _lower(self, graph: DelegationView):
+        """``graph.int_core()``, with the analyzer bound to its universe.
+
+        Memo keys and slots are universe-local ids, so a new universe
+        clears the shared memos (in place: they may be registered as
+        closure-index companions), the prefix snapshots and the slot cache.
+        """
+        core = graph.int_core()
+        if core[0] is not self._universe:
+            self._universe = core[0]
+            for memo in (self.shared_memo, self.shared_spof_memo,
+                         self.shared_reach_memo):
+                if memo is not None:
+                    memo.clear()
+            self._prefix_state = None
+            self._slot_up = {}
+        return core
+
+    def _prefix_cache(self, closures, kind: str) -> Dict[int, tuple]:
         """Per-first-zone resume snapshots, valid for one closure version.
 
         A surveyed name's node has no in-edges, so evaluating its first
@@ -177,11 +184,10 @@ class AvailabilityAnalyzer:
         kill-set evaluations.
         """
         state = self._prefix_state
-        if state is None or state[0] is not universe \
-                or state[1] != closures.version:
-            state = (universe, closures.version, {})
+        if state is None or state[0] != closures.version:
+            state = (closures.version, {})
             self._prefix_state = state
-        return state[2].setdefault(kind, {})
+        return state[1].setdefault(kind, {})
 
     # -- probability model ---------------------------------------------------------
 
@@ -190,14 +196,7 @@ class AvailabilityAnalyzer:
         return self._per_server.get(hostname, self.default_up)
 
     def _up_slot(self, universe, slot: int) -> float:
-        """Slot-indexed up-probability (the up-model is fixed per analyzer).
-
-        Slots are universe-local, so the cache resets when this analyzer is
-        pointed at a different builder's universe.
-        """
-        if self._slot_up_universe is not universe:
-            self._slot_up = {}
-            self._slot_up_universe = universe
+        """Slot-indexed up-probability (the up-model is fixed per analyzer)."""
         cache = self._slot_up
         probability = cache.get(slot)
         if probability is None:
@@ -205,12 +204,6 @@ class AvailabilityAnalyzer:
                                                self.default_up)
             cache[slot] = probability
         return probability
-
-    @staticmethod
-    def _int_core(graph):
-        if isinstance(graph, TCBView):
-            return graph.int_core()
-        return None
 
     # -- analytic evaluation -----------------------------------------------------------
 
@@ -222,83 +215,73 @@ class AvailabilityAnalyzer:
         zones share servers); :meth:`monte_carlo` evaluates the structure
         without that assumption.
         """
-        core = self._int_core(graph)
-        if core is not None:
-            universe, closures, target_id = core
-            zones = closures.split_ids(target_id)[0]
-            if not zones:
-                # Nothing is known about the name's delegation chain at all.
-                return 0.0
-            self._taint_events = 0
-            self._tainted = set()
-            shared = self.shared_memo
-            if shared is not None:
-                hit = shared.get(target_id)
-                if hit is not None:
-                    return hit
-            split_ids = closures.split_ids
-            ns_slots = universe.ns_slots
-            prefix = self._prefix_cache(universe, closures, "avail")
-            first = zones[0]
-            entry = prefix.get(first)
-            in_progress = frozenset((target_id,))
-            memo: Dict[int, float] = {}
-            probability = 1.0
-            start = 0
-            self._avail_zc = self._avail_base = None
-            if entry is not None:
-                probability, snap_memo, snap_tainted, snap_events, broke, \
-                    zone_cache = entry
-                memo = dict(snap_memo)
-                self._tainted = set(snap_tainted)
-                self._taint_events = snap_events
-                self._avail_zc = zone_cache
-                self._avail_base = snap_memo
-                start = len(zones) if broke else 1
-            up_const = self._up_const
-            for index in range(start, len(zones)):
-                zone = zones[index]
-                nameservers = split_ids(zone)[1]
-                if not nameservers:
-                    probability = 0.0
-                    if index == 0:
-                        prefix[first] = (probability, dict(memo),
-                                         set(self._tainted),
-                                         self._taint_events, True, {})
-                    break
-                all_down = 1.0
-                memo_get = memo.get
-                tainted = self._tainted
-                for ns in nameservers:
-                    value = memo_get(ns)
-                    if value is None:
-                        value = self._avail_int(universe, closures, ns, memo,
-                                                in_progress, shared)
-                    elif ns in tainted:
-                        self._taint_events += 1
-                    up = up_const if up_const is not None else \
-                        self._up_slot(universe, ns_slots[ns])
-                    all_down *= (1.0 - up * value)
-                probability *= (1.0 - all_down)
-                if index == 0:
-                    prefix[first] = (probability, dict(memo),
-                                     set(self._tainted), self._taint_events,
-                                     False, {})
-            memo[target_id] = probability
-            if self._taint_events == 0:
-                if shared is not None:
-                    shared[target_id] = probability
-            else:
-                self._tainted.add(target_id)
-            return probability
-        target = name_node(graph.target)
-        if not graph.zones_of(target):
+        universe, closures, target_id = self._lower(graph)
+        zones = closures.split_ids(target_id)[0]
+        if not zones:
+            # Nothing is known about the name's delegation chain at all.
             return 0.0
         self._taint_events = 0
         self._tainted = set()
-        return self._avail_name(graph, target, {}, frozenset(),
-                                lambda hostname: self.up_probability(hostname),
-                                self.shared_memo)
+        shared = self.shared_memo
+        if shared is not None:
+            hit = shared.get(target_id)
+            if hit is not None:
+                return hit
+        split_ids = closures.split_ids
+        ns_slots = universe.ns_slots
+        prefix = self._prefix_cache(closures, "avail")
+        first = zones[0]
+        entry = prefix.get(first)
+        in_progress = frozenset((target_id,))
+        memo: Dict[int, float] = {}
+        probability = 1.0
+        start = 0
+        self._avail_zc = self._avail_base = None
+        if entry is not None:
+            probability, snap_memo, snap_tainted, snap_events, broke, \
+                zone_cache = entry
+            memo = dict(snap_memo)
+            self._tainted = set(snap_tainted)
+            self._taint_events = snap_events
+            self._avail_zc = zone_cache
+            self._avail_base = snap_memo
+            start = len(zones) if broke else 1
+        up_const = self._up_const
+        for index in range(start, len(zones)):
+            zone = zones[index]
+            nameservers = split_ids(zone)[1]
+            if not nameservers:
+                probability = 0.0
+                if index == 0:
+                    prefix[first] = (probability, dict(memo),
+                                     set(self._tainted),
+                                     self._taint_events, True, {})
+                break
+            all_down = 1.0
+            memo_get = memo.get
+            tainted = self._tainted
+            for ns in nameservers:
+                value = memo_get(ns)
+                if value is None:
+                    value = self._avail_int(universe, closures, ns, memo,
+                                            in_progress, shared)
+                elif ns in tainted:
+                    self._taint_events += 1
+                up = up_const if up_const is not None else \
+                    self._up_slot(universe, ns_slots[ns])
+                all_down *= (1.0 - up * value)
+            probability *= (1.0 - all_down)
+            if index == 0:
+                prefix[first] = (probability, dict(memo),
+                                 set(self._tainted), self._taint_events,
+                                 False, {})
+        memo[target_id] = probability
+        if self._taint_events == 0:
+            if shared is not None:
+                shared[target_id] = probability
+        else:
+            self._tainted.add(target_id)
+        return probability
 
     def _avail_int(self, universe, closures, node: int,
                    memo: Dict[int, float], in_progress: FrozenSet[int],
@@ -379,91 +362,27 @@ class AvailabilityAnalyzer:
             self._tainted.add(node)
         return probability
 
-    def _avail_name(self, graph: DelegationView, node: NodeKey,
-                    memo: Dict[NodeKey, float],
-                    in_progress: FrozenSet[NodeKey],
-                    up: Callable[[DomainName], float],
-                    shared: Optional[Dict[NodeKey, float]] = None) -> float:
-        cached = memo.get(node)
-        if cached is not None:
-            if node in self._tainted:
-                # The consumer inherits this value's context-dependence.
-                self._taint_events += 1
-            return cached
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
-        if node in in_progress:
-            # A dependency loop cannot improve reachability.
-            self._taint_events += 1
-            return 1.0
-        in_progress = in_progress | {node}
-        events_before = self._taint_events
-        zones = graph.zones_of(node)
-        if not zones:
-            # No recorded chain (e.g. glued hostname inside an already
-            # covered zone): treat as reachable so the parent term reduces
-            # to the server's own up-probability.
-            memo[node] = 1.0
-            if shared is not None:
-                shared[node] = 1.0
-            return 1.0
-        probability = 1.0
-        for zone in zones:
-            nameservers = graph.nameservers_of_zone(zone)
-            if not nameservers:
-                probability = 0.0
-                break
-            all_down = 1.0
-            for ns in nameservers:
-                hostname = ns[1]
-                reachable = up(hostname) * self._avail_name(
-                    graph, ns, memo, in_progress, up, shared)
-                all_down *= (1.0 - reachable)
-            probability *= (1.0 - all_down)
-        memo[node] = probability
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = probability
-        else:
-            self._tainted.add(node)
-        return probability
-
     # -- Monte Carlo evaluation ------------------------------------------------------------
 
     def monte_carlo(self, graph: DelegationView, samples: int = 500,
                     rng: Optional[random.Random] = None) -> float:
         """Estimate availability by sampling failure scenarios.
 
-        The draw order is fixed (per sample, hosts in sorted order), so a
-        given seed yields the same estimate on both implementations.
+        The draw order is fixed — per sample, one draw per host of
+        ``graph.tcb()`` in sorted order — so a given seed yields the same
+        estimate as drawing a down set per sample and calling
+        :meth:`resolvable_with_failures` on it.  The sweep is bit-parallel:
+        one up-mask per server, all samples at once.
         """
         if samples <= 0:
             raise ValueError("samples must be positive")
         rng = rng or random.Random(0)
-        core = self._int_core(graph)
-        if core is not None:
-            return self._monte_carlo_int(graph, core, samples, rng)
-        hosts = sorted(graph.tcb())
-        successes = 0
-        for _ in range(samples):
-            down = {host for host in hosts
-                    if rng.random() >= self.up_probability(host)}
-            if self.resolvable_with_failures(graph, down):
-                successes += 1
-        return successes / samples
-
-    def _monte_carlo_int(self, graph: TCBView, core, samples: int,
-                         rng: random.Random) -> float:
-        """Bit-parallel sweep: one up-mask per server, all samples at once."""
-        universe, closures, target_id = core
+        universe, closures, target_id = self._lower(graph)
         hosts = sorted(graph.tcb())
         probabilities = [self.up_probability(host) for host in hosts]
         down_masks = [0] * len(hosts)
         rand = rng.random
-        # Same RNG consumption order as the scalar loop: per sample, hosts
-        # in sorted order — bit s of a server's mask is sample s's draw.
+        # Bit s of a server's mask is sample s's draw.
         for sample in range(samples):
             bit = 1 << sample
             for index, probability in enumerate(probabilities):
@@ -490,8 +409,8 @@ class AvailabilityAnalyzer:
                       up_by_slot: Dict[int, int], full: int) -> int:
         """Bitmask over samples in which ``node`` resolves.
 
-        Structurally identical to the scalar availability recursion with
-        0/1 up-probabilities, evaluated for every sample bit at once: OR
+        The availability recursion with 0/1 up-probabilities, evaluated
+        for every sample bit at once: OR
         across a zone's nameservers, AND across a node's zones, dependency
         loops truncated as "reachable" — so bit *s* equals what
         :meth:`resolvable_with_failures` returns for sample *s*'s down set.
@@ -544,35 +463,27 @@ class AvailabilityAnalyzer:
     def resolvable_with_failures(self, graph: DelegationView,
                                  failed: Set[DomainName]) -> bool:
         """Exact check: does the name resolve when ``failed`` servers are down?"""
-        core = self._int_core(graph)
-        if core is not None:
-            universe, closures, target_id = core
-            zones = closures.split_ids(target_id)[0]
-            if not zones:
-                return False
-            if not failed:
-                return self._resolvable_structurally(universe, closures,
-                                                     target_id, zones)
-            full = 1
-            up_by_slot: Dict[int, int] = {}
-            ns_slots = universe.ns_slots
-            for host in failed:
-                node_id = universe.find_id(NS_CODE, host)
-                if node_id is not None:
-                    up_by_slot[ns_slots[node_id]] = 0
-            # Zone-term replay is only sound for the all-up evaluation.
-            self._struct_zc = self._struct_base = None
-            value = self._sample_masks(universe, closures, target_id, {},
-                                       frozenset(), up_by_slot, full)
-            return bool(value)
-        target = name_node(graph.target)
-        if not graph.zones_of(target):
+        return self._resolvable(self._lower(graph), failed)
+
+    def _resolvable(self, core, failed: Set[DomainName]) -> bool:
+        universe, closures, target_id = core
+        zones = closures.split_ids(target_id)[0]
+        if not zones:
             return False
-        up = (lambda hostname: 0.0 if hostname in failed else 1.0)
-        self._taint_events = 0
-        self._tainted = set()
-        probability = self._avail_name(graph, target, {}, frozenset(), up)
-        return probability > 0.5
+        if not failed:
+            return self._resolvable_structurally(universe, closures,
+                                                 target_id, zones)
+        up_by_slot: Dict[int, int] = {}
+        ns_slots = universe.ns_slots
+        for host in failed:
+            node_id = universe.find_id(NS_CODE, host)
+            if node_id is not None:
+                up_by_slot[ns_slots[node_id]] = 0
+        # Zone-term replay is only sound for the all-up evaluation.
+        self._struct_zc = self._struct_base = None
+        value = self._sample_masks(universe, closures, target_id, {},
+                                   frozenset(), up_by_slot, 1)
+        return bool(value)
 
     def _resolvable_structurally(self, universe, closures, target_id: int,
                                  zones) -> bool:
@@ -583,7 +494,7 @@ class AvailabilityAnalyzer:
         top-level walk, its first-zone state is name-independent and can be
         snapshotted (the single-bit evaluation carries no taint state).
         """
-        prefix = self._prefix_cache(universe, closures, "structure")
+        prefix = self._prefix_cache(closures, "structure")
         first = zones[0]
         entry = prefix.get(first)
         in_progress = frozenset((target_id,))
@@ -633,23 +544,16 @@ class AvailabilityAnalyzer:
         that zone (by being it, or by killing its hostname's resolution) —
         so the cost is one graph walk instead of one per TCB member.
         """
-        core = self._int_core(graph)
-        if core is not None:
-            universe, closures, target_id = core
-            if not self.resolvable_with_failures(graph, set()):
-                # The name does not resolve even with every server up: any
-                # single failure "also" leaves it unresolvable.
-                return graph.tcb_frozen()
-            mask = self._kill_top_int(universe, closures, target_id)
-            if not mask:
-                return frozenset()
-            return frozenset(universe.mask_to_hosts(mask))
-        if not self.resolvable_with_failures(graph, set()):
+        core = self._lower(graph)
+        if not self._resolvable(core, set()):
+            # The name does not resolve even with every server up: any
+            # single failure "also" leaves it unresolvable.
             return frozenset(graph.tcb())
-        self._taint_events = 0
-        self._tainted = set()
-        return self._kill_name(graph, name_node(graph.target), {}, {},
-                               frozenset(), self.shared_spof_memo)
+        universe, closures, target_id = core
+        mask = self._kill_top_int(universe, closures, target_id)
+        if not mask:
+            return frozenset()
+        return frozenset(universe.mask_to_hosts(mask))
 
     def _kill_top_int(self, universe, closures, target_id: int) -> int:
         """Top-level kill-set evaluation with per-first-zone prefix resume.
@@ -674,7 +578,7 @@ class AvailabilityAnalyzer:
             if shared is not None:
                 shared[target_id] = 0
             return 0
-        prefix = self._prefix_cache(universe, closures, "kill")
+        prefix = self._prefix_cache(closures, "kill")
         first = zones[0]
         entry = prefix.get(first)
         in_progress = frozenset((target_id,))
@@ -865,78 +769,16 @@ class AvailabilityAnalyzer:
             self._tainted.add(node)
         return reachable
 
-    def _kill_name(self, graph: DelegationView, node: NodeKey,
-                   memo: Dict[NodeKey, FrozenSet[DomainName]],
-                   reach_memo: Dict[NodeKey, float],
-                   in_progress: FrozenSet[NodeKey],
-                   shared: Optional[Dict[NodeKey, FrozenSet[DomainName]]]
-                   ) -> FrozenSet[DomainName]:
-        """Hostnames whose individual failure makes ``node`` unresolvable."""
-        cached = memo.get(node)
-        if cached is not None:
-            if node in self._tainted:
-                self._taint_events += 1
-            return cached
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
-        if node in in_progress:
-            # The looping branch is treated as reachable by the availability
-            # recursion, so nothing kills it from inside the loop.
-            self._taint_events += 1
-            return frozenset()
-        in_progress = in_progress | {node}
-        events_before = self._taint_events
-        zones = graph.zones_of(node)
-        if not zones:
-            memo[node] = frozenset()
-            if shared is not None:
-                shared[node] = frozenset()
-            return frozenset()
-        kills: Set[DomainName] = set()
-        all_up = (lambda _hostname: 1.0)
-        for zone in zones:
-            nameservers = graph.nameservers_of_zone(zone)
-            zone_kill: Optional[FrozenSet[DomainName]] = None
-            for ns in nameservers:
-                # A nameserver that cannot resolve even with every server up
-                # (its own chain crosses a dead zone) is no alternative: it
-                # imposes no constraint on the zone's kill intersection.
-                reachable = self._avail_name(graph, ns, reach_memo,
-                                             in_progress, all_up)
-                if reachable <= 0.5:
-                    continue
-                hostname = ns[1]
-                term = frozenset({hostname}) | self._kill_name(
-                    graph, ns, memo, reach_memo, in_progress, shared)
-                zone_kill = term if zone_kill is None else (zone_kill & term)
-                if not zone_kill:
-                    break
-            if zone_kill:
-                kills |= zone_kill
-        result = frozenset(kills)
-        memo[node] = result
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = result
-        else:
-            self._tainted.add(node)
-        return result
-
     def single_points_of_failure_exhaustive(self, graph: DelegationView
                                             ) -> FrozenSet[DomainName]:
         """Reference implementation: re-evaluate resolution per TCB member.
 
         One full availability evaluation per server — O(TCB × graph) versus
-        the kill-set recursion's single walk.  Kept as the ground truth the
-        tests compare :meth:`single_points_of_failure` against.
+        the kill-set recursion's single walk.
         """
-        culprits = set()
-        for hostname in graph.tcb():
-            if not self.resolvable_with_failures(graph, {hostname}):
-                culprits.add(hostname)
-        return frozenset(culprits)
+        core = self._lower(graph)
+        return frozenset(hostname for hostname in graph.tcb()
+                         if not self._resolvable(core, {hostname}))
 
     def report(self, graph: DelegationView, samples: int = 0,
                rng: Optional[random.Random] = None) -> AvailabilityReport:

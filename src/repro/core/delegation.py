@@ -23,6 +23,11 @@ are offered:
   never copies a graph and never recomputes a closure that is already
   known.
 
+The analyses run on one integer representation only, reached through
+:meth:`DelegationView.int_core`: a :class:`TCBView` hands over the
+builder's universe, and a :class:`DelegationGraph` lowers itself into a
+throwaway one.
+
 Graph encoding
 --------------
 
@@ -132,7 +137,6 @@ class ClosureIndex:
         self._excluded = tuple(DomainName(s) for s in excluded_suffixes)
         self._memo: Dict[int, int] = {}
         self._split: Dict[int, Tuple[List[int], List[int]]] = {}
-        self._key_split: Dict[int, Tuple[List[NodeKey], List[NodeKey]]] = {}
         self._companions: List[MutableMapping[int, object]] = []
         #: slot -> contribution bit (0 for excluded hosts), grown lazily.
         self._slot_bits: List[int] = []
@@ -304,30 +308,12 @@ class ClosureIndex:
         self._split[node] = split
         return split
 
-    def successors_split(self, node: NodeKey
-                         ) -> Tuple[List[NodeKey], List[NodeKey]]:
-        """The node's successors split into (zones, nameservers), as keys."""
-        node_id = self._graph.find_key(node)
-        if node_id is None:
-            # Not cached: the node may be added (with edges) later, which
-            # would not trigger invalidation for a first-ever edge.
-            return ([], [])
-        cached = self._key_split.get(node_id)
-        if cached is not None:
-            return cached
-        zones, nameservers = self.split_ids(node_id)
-        key_of = self._graph.key_of
-        split = ([key_of(z) for z in zones], [key_of(n) for n in nameservers])
-        self._key_split[node_id] = split
-        return split
-
     # -- invalidation -------------------------------------------------------------------
 
     def clear(self) -> None:
         """Drop every memoized closure (companion memos included)."""
         self._memo.clear()
         self._split.clear()
-        self._key_split.clear()
         for companion in self._companions:
             companion.clear()
         self.version += 1
@@ -360,12 +346,10 @@ class ClosureIndex:
 
     def invalidate_id(self, node: int) -> None:
         """Integer-id variant of :meth:`invalidate` (the builder's path)."""
-        if not self._memo and not self._split and not self._key_split \
-                and not any(self._companions):
+        if not self._memo and not self._split and not any(self._companions):
             return
         memo = self._memo
         split = self._split
-        key_split = self._key_split
         companions = self._companions
         inn = self._graph.inn
         seen = {node}
@@ -377,8 +361,6 @@ class ClosureIndex:
                 self.invalidations += 1
                 dropped += 1
             if split.pop(current, None) is not None:
-                dropped += 1
-            if key_split.pop(current, None) is not None:
                 dropped += 1
             for companion in companions:
                 if companion.pop(current, None) is not None:
@@ -400,10 +382,10 @@ class DelegationView:
     the shared :class:`~repro.core.graphcore.DependencyUniverse`, or any
     object with the same ``successors``/``nodes`` surface, e.g. a
     ``networkx.DiGraph`` built by a test), ``excluded_suffixes``, and an
-    implementation of :meth:`tcb`.  All structure accessors follow successor
-    edges from the target, so they observe exactly the nodes a per-name
-    subgraph copy would contain even when ``graph`` is the whole shared
-    universe.
+    implementation of :meth:`tcb` and :meth:`int_core`.  All structure
+    accessors follow successor edges from the target, so they observe
+    exactly the nodes a per-name subgraph copy would contain even when
+    ``graph`` is the whole shared universe.
     """
 
     target: DomainName
@@ -416,6 +398,16 @@ class DelegationView:
         """The trusted computing base: nameservers the target depends on."""
         raise NotImplementedError
 
+    def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
+        """(universe, closure index, target id) for the integer analyses.
+
+        :class:`~repro.core.mincut.BottleneckAnalyzer` and
+        :class:`~repro.core.availability.AvailabilityAnalyzer` run only on
+        this core; the ids in it are universe-local and must never cross a
+        process boundary.
+        """
+        raise NotImplementedError
+
     def tcb_size(self) -> int:
         """Number of nameservers in the TCB."""
         return len(self.tcb())
@@ -424,7 +416,7 @@ class DelegationView:
         return any(hostname.is_subdomain_of(suffix)
                    for suffix in self.excluded_suffixes)
 
-    # -- structure accessors used by the bottleneck analysis -----------------------
+    # -- structure accessors (chain keys, hijack paths) ----------------------------
 
     def zones_of(self, node: NodeKey) -> List[NodeKey]:
         """Zone successors of a name or nameserver node."""
@@ -534,6 +526,31 @@ class DelegationGraph(DelegationView):
         return {key[1] for key in self.graph.nodes
                 if key[0] == NS_KIND and not self._is_excluded(key[1])}
 
+    def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
+        """Lower the graph into a throwaway integer universe.
+
+        Only the nodes the target reaches are interned, and every node's
+        row is added in the graph's own successor order, because the
+        analyses break ties by that order.  Works for any graph with the
+        ``successors`` surface (:class:`~repro.core.graphcore.KeyGraph`,
+        ``networkx.DiGraph``).
+        """
+        universe = DependencyUniverse()
+        source = name_node(self.target)
+        target_id = universe.ensure_key(source)
+        seen = {source}
+        stack = [source]
+        while stack:
+            node = stack.pop()
+            node_id = universe.ensure_key(node)
+            for succ in self.graph.successors(node):
+                universe.add_edge_ids(node_id, universe.ensure_key(succ))
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return (universe, ClosureIndex(universe, self.excluded_suffixes),
+                target_id)
+
     def node_count(self) -> int:
         """Total nodes (names + zones + nameservers) in the graph."""
         return self.graph.number_of_nodes()
@@ -551,57 +568,31 @@ class DelegationGraph(DelegationView):
 class TCBView(DelegationView):
     """A zero-copy per-name view backed by the shared integer universe.
 
-    Provides everything the TCB report and the bottleneck analysis need —
-    :meth:`tcb` / :meth:`tcb_size` / :meth:`in_bailiwick_servers` /
-    :meth:`zones_of` / :meth:`nameservers_of_zone` — without materialising a
-    copied subgraph.  The TCB itself is an NS-slot bitset from the builder's
-    :class:`ClosureIndex`, fixed at construction time; names are
-    materialised from it lazily (and shared across views with equal masks).
-    Ask the builder for a fresh view (or a full :class:`DelegationGraph`)
-    after the universe has grown.
-
-    Integer-path consumers (:class:`~repro.core.mincut.BottleneckAnalyzer`,
-    :class:`~repro.core.availability.AvailabilityAnalyzer`) reach the raw
-    core through :meth:`int_core`; the ids they see are builder-local and
-    must never cross a process boundary.
+    Provides everything the TCB report and the analyses need without
+    materialising a copied subgraph.  The TCB itself is an NS-slot bitset
+    from the builder's :class:`ClosureIndex`, fixed at construction time;
+    names are materialised from it lazily (and shared across views with
+    equal masks).  Ask the builder for a fresh view (or a full
+    :class:`DelegationGraph`) after the universe has grown.
     """
 
     def __init__(self, target: NameLike, universe: DependencyUniverse,
                  mask: int, excluded_suffixes: Sequence[str] =
-                 DEFAULT_EXCLUDED_SUFFIXES,
-                 structure: Optional[ClosureIndex] = None,
-                 target_id: Optional[int] = None):
+                 DEFAULT_EXCLUDED_SUFFIXES, *, structure: ClosureIndex,
+                 target_id: int):
         self.target = DomainName(target)
         self.graph = universe
         self.excluded_suffixes = tuple(DomainName(s) for s in excluded_suffixes)
         self._mask = mask
         self._structure = structure
-        self._target_id = target_id if target_id is not None else \
-            universe.find_id(NAME_CODE, self.target)
+        self._target_id = target_id
 
-    # -- integer core -----------------------------------------------------------
-
-    def int_core(self) -> Optional[Tuple[DependencyUniverse, ClosureIndex, int]]:
-        """(universe, closure index, target id) for integer fast paths."""
-        if self._structure is None or self._target_id is None:
-            return None
+    def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
         return (self.graph, self._structure, self._target_id)
 
     def tcb_mask(self) -> int:
         """The TCB as an NS-slot bitset (do not persist across processes)."""
         return self._mask
-
-    # -- NodeKey accessors -------------------------------------------------------
-
-    def zones_of(self, node: NodeKey) -> List[NodeKey]:
-        if self._structure is None:
-            return super().zones_of(node)
-        return self._structure.successors_split(node)[0]
-
-    def nameservers_of_zone(self, zone: NodeKey) -> List[NodeKey]:
-        if self._structure is None:
-            return super().nameservers_of_zone(zone)
-        return self._structure.successors_split(zone)[1]
 
     def tcb(self) -> Set[DomainName]:
         return set(self.tcb_frozen())
@@ -611,9 +602,7 @@ class TCBView(DelegationView):
 
     def tcb_frozen(self) -> FrozenSet[DomainName]:
         """The TCB as the shared (do-not-mutate) frozenset."""
-        if self._structure is not None:
-            return self._structure.mask_set(self._mask)
-        return frozenset(self.graph.mask_to_hosts(self._mask))
+        return self._structure.mask_set(self._mask)
 
     def in_bailiwick_servers(self) -> Set[DomainName]:
         zone = self.authoritative_zone()
@@ -803,14 +792,6 @@ class DelegationGraphBuilder:
             if hostname in self._expanded_hosts:
                 continue  # pulled back in by an earlier host's re-walk
             self._expand_host(hostname, hnode, depth=1)
-
-    def build_many(self, names: Iterable[NameLike]) -> Dict[DomainName, DelegationGraph]:
-        """Build graphs for many names, sharing every intermediate result."""
-        graphs: Dict[DomainName, DelegationGraph] = {}
-        for name in names:
-            graph = self.build(name)
-            graphs[graph.target] = graph
-        return graphs
 
     def chain(self, name: NameLike) -> List[ZoneCut]:
         """The (cached) zone-cut chain for a name or hostname."""

@@ -392,10 +392,10 @@ class KeyGraph:
     """A minimal insertion-ordered digraph over ``(kind, DomainName)`` keys.
 
     Implements the same ``networkx.DiGraph`` surface subset as
-    :class:`DependencyUniverse` — enough for :class:`DelegationGraph`, the
-    exporters, and the generic (non-integer) analysis recursions — without
-    importing networkx.  Materialised per-name subgraph copies are built on
-    this class.
+    :class:`DependencyUniverse` — enough for :class:`DelegationGraph` (and
+    its lowering into a throwaway universe for the analyses) and the
+    exporters — without importing networkx.  Materialised per-name subgraph
+    copies are built on this class.
     """
 
     __slots__ = ("_succ", "_pred")

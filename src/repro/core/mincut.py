@@ -17,20 +17,15 @@ machine itself or by taking over the resolution of its hostname
                      min(attack(H), block(H.hostname))
 
 :class:`BottleneckAnalyzer` evaluates this recursion directly on the
-delegation graph with memoisation and cycle guards.  Two implementations
-share the same structure:
-
-* the **integer path** — taken automatically for the survey engine's
-  :class:`~repro.core.delegation.TCBView`: the recursion runs on dense node
-  ids from the :class:`~repro.core.graphcore.DependencyUniverse`, candidate
-  cuts are NS-slot bitsets (union = big-int OR, dedup = AND-NOT), and
-  nothing in the loop hashes a :class:`~repro.dns.name.DomainName`;
-* the **generic path** — for materialised
-  :class:`~repro.core.delegation.DelegationGraph`\\ s (including hand-built
-  test topologies), walking ``(kind, DomainName)`` node keys.
-
-Both traverse successors in identical order and make identical tie-breaking
-decisions, so they produce identical cuts; the equivalence suite asserts it.
+delegation graph with memoisation and cycle guards.  It runs on dense node
+ids from the :class:`~repro.core.graphcore.DependencyUniverse` that
+:meth:`~repro.core.delegation.DelegationView.int_core` hands over (the
+survey engine's :class:`~repro.core.delegation.TCBView` shares the
+builder's universe; a materialised
+:class:`~repro.core.delegation.DelegationGraph` lowers itself into a
+throwaway one).  Candidate cuts are NS-slot bitsets (union = big-int OR,
+dedup = AND-NOT), and nothing in the loop hashes a
+:class:`~repro.dns.name.DomainName`.
 
 Two weightings are provided:
 
@@ -51,15 +46,9 @@ the dominant pattern (the weakest zone is the name's own NS set).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
 from repro.dns.name import DomainName
-from repro.core.delegation import (
-    DelegationGraph,
-    NodeKey,
-    TCBView,
-    name_node,
-)
 
 #: Cost value representing "cannot be blocked" (e.g. behind the trusted root).
 _INFINITY = (10 ** 9, 10 ** 9)
@@ -125,9 +114,10 @@ class BottleneckAnalyzer:
     shared_memo:
         Optional cross-call memo, used by the survey engine to reuse blocking
         costs across the thousands of names that share a universe graph.
-        On the integer path entries are keyed by integer node id (and cuts
-        are slot bitsets); on the generic path by NodeKey.  Only *clean*
-        results — computed without truncating a dependency cycle and without
+        Entries are keyed by integer node id (and cuts are slot bitsets),
+        so the analyzer binds to one universe at a time and clears the memo
+        in place when it is handed another.  Only *clean* results —
+        computed without truncating a dependency cycle and without
         consuming a truncation-tainted value — are published to it, because
         those are the only results independent of the path the recursion
         took to reach the node (a node on a cycle always observes its own
@@ -146,7 +136,8 @@ class BottleneckAnalyzer:
         self.shared_memo = shared_memo
         self._taint_events = 0
         self._tainted: Set = set()
-        self._prefix_state: Optional[Tuple[object, int, Dict]] = None
+        self._universe = None
+        self._prefix_state: Optional[Tuple[int, Dict]] = None
         # Zone-term replay state, active only during a prefix-resumed
         # evaluation: `_zc` maps a zone id to (cost, mask, taint-event
         # delta) when the term was computed purely from snapshot-resident
@@ -155,7 +146,21 @@ class BottleneckAnalyzer:
         self._zc: Optional[Dict[int, tuple]] = None
         self._base: Optional[Dict] = None
 
-    def _prefix_cache(self, universe, closures) -> Dict[int, tuple]:
+    def _bind(self, universe) -> None:
+        """Point the analyzer at ``universe``, dropping another's state.
+
+        Memo keys and slot bits are universe-local ids.  The shared memo is
+        cleared in place because it may be registered as a closure-index
+        companion.
+        """
+        if self._universe is universe:
+            return
+        self._universe = universe
+        if self.shared_memo is not None:
+            self.shared_memo.clear()
+        self._prefix_state = None
+
+    def _prefix_cache(self, closures) -> Dict[int, tuple]:
         """Per-first-zone resume snapshots, valid for one closure version.
 
         A surveyed name's node has no in-edges, so the evaluation of its
@@ -168,26 +173,76 @@ class BottleneckAnalyzer:
         without changing a single comparison the recursion makes.
         """
         state = self._prefix_state
-        if state is None or state[0] is not universe \
-                or state[1] != closures.version:
-            state = (universe, closures.version, {})
+        if state is None or state[0] != closures.version:
+            state = (closures.version, {})
             self._prefix_state = state
-        return state[2]
+        return state[1]
 
     # -- public -------------------------------------------------------------------
 
     def analyze(self, graph) -> BottleneckResult:
-        """Compute the optimal attack set for ``graph``'s target name."""
-        if isinstance(graph, TCBView):
-            core = graph.int_core()
-            if core is not None:
-                return self._analyze_int(graph, core)
-        memo: Dict[NodeKey, Tuple[Tuple[int, int], FrozenSet[DomainName]]] = {}
+        """Compute the optimal attack set for ``graph``'s target name.
+
+        Evaluates :meth:`_block_node` on the target, except that the first
+        zone's (cost, mask, memo, taint) state is snapshotted and replayed
+        across chains sharing it: the target itself is unreachable from the
+        universe, so that state cannot depend on it.
+        """
+        universe, closures, target_id = graph.int_core()
+        self._bind(universe)
         self._taint_events = 0
         self._tainted = set()
-        cost, servers = self._block_name(graph, name_node(graph.target),
-                                         memo, frozenset())
-        return self._result(graph.target, cost, servers)
+        shared = self.shared_memo
+        if shared is not None:
+            hit = shared.get(target_id)
+            if hit is not None:
+                return self._result_from_mask(graph.target, universe, hit)
+        zones = closures.split_ids(target_id)[0]
+        memo: Dict[int, Tuple[Tuple[int, int], int]] = {}
+        if not zones:
+            result = (_INFINITY, 0)
+            memo[target_id] = result
+            if shared is not None:
+                shared[target_id] = result
+            return self._result_from_mask(graph.target, universe, result)
+
+        prefix = self._prefix_cache(closures)
+        first = zones[0]
+        entry = prefix.get(first)
+        best_cost: Tuple[int, int] = _INFINITY
+        best_mask = 0
+        in_progress = frozenset((target_id,))
+        start = 0
+        self._zc = self._base = None
+        if entry is not None:
+            cost0, mask0, snap_memo, snap_tainted, snap_events, zone_cache \
+                = entry
+            memo = dict(snap_memo)
+            self._tainted = set(snap_tainted)
+            self._taint_events = snap_events
+            self._zc = zone_cache
+            self._base = snap_memo
+            if cost0 < best_cost:
+                best_cost, best_mask = cost0, mask0
+            start = 1
+        for index in range(start, len(zones)):
+            cost, mask, _pure = self._zone_block(universe, closures,
+                                                 zones[index], memo,
+                                                 in_progress)
+            if cost < best_cost:
+                best_cost, best_mask = cost, mask
+            if index == 0:
+                prefix[first] = (cost, mask, dict(memo), set(self._tainted),
+                                 self._taint_events, {})
+        result = (best_cost, best_mask)
+        if best_cost < _INFINITY:
+            memo[target_id] = result
+            if self._taint_events == 0:
+                if shared is not None:
+                    shared[target_id] = result
+            else:
+                self._tainted.add(target_id)
+        return self._result_from_mask(graph.target, universe, result)
 
     def analyze_unweighted(self, graph) -> BottleneckResult:
         """Convenience: the cut that minimises total size regardless of vulns."""
@@ -213,70 +268,7 @@ class BottleneckAnalyzer:
     def _is_vulnerable(self, hostname: DomainName) -> bool:
         return bool(self.vulnerability_map.get(hostname, False))
 
-    # -- integer recursion (TCBView fast path) ------------------------------------------
-
-    def _analyze_int(self, graph: TCBView, core) -> BottleneckResult:
-        """Top-level integer evaluation, with per-first-zone prefix resume.
-
-        Mirrors :meth:`_block_name_int` applied to the target node, except
-        that the first zone's (cost, mask, memo, taint) state is snapshotted
-        and replayed across chains sharing it — the target itself is
-        unreachable from the universe, so that state cannot depend on it.
-        """
-        universe, closures, target_id = core
-        self._taint_events = 0
-        self._tainted = set()
-        shared = self.shared_memo
-        if shared is not None:
-            hit = shared.get(target_id)
-            if hit is not None:
-                return self._result_from_mask(graph.target, universe, hit)
-        zones = closures.split_ids(target_id)[0]
-        memo: Dict[int, Tuple[Tuple[int, int], int]] = {}
-        if not zones:
-            result = (_INFINITY, 0)
-            memo[target_id] = result
-            if shared is not None:
-                shared[target_id] = result
-            return self._result_from_mask(graph.target, universe, result)
-
-        prefix = self._prefix_cache(universe, closures)
-        first = zones[0]
-        entry = prefix.get(first)
-        best_cost: Tuple[int, int] = _INFINITY
-        best_mask = 0
-        in_progress = frozenset((target_id,))
-        start = 0
-        self._zc = self._base = None
-        if entry is not None:
-            cost0, mask0, snap_memo, snap_tainted, snap_events, zone_cache \
-                = entry
-            memo = dict(snap_memo)
-            self._tainted = set(snap_tainted)
-            self._taint_events = snap_events
-            self._zc = zone_cache
-            self._base = snap_memo
-            if cost0 < best_cost:
-                best_cost, best_mask = cost0, mask0
-            start = 1
-        for index in range(start, len(zones)):
-            cost, mask, _pure = self._block_zone_int(universe, closures,
-                                                     zones[index], memo,
-                                                     in_progress)
-            if cost < best_cost:
-                best_cost, best_mask = cost, mask
-            if index == 0:
-                prefix[first] = (cost, mask, dict(memo), set(self._tainted),
-                                 self._taint_events, {})
-        result = (best_cost, best_mask)
-        if best_cost < _INFINITY:
-            memo[target_id] = result
-            if self._taint_events == 0:
-                if shared is not None:
-                    shared[target_id] = result
-            else:
-                self._tainted.add(target_id)
-        return self._result_from_mask(graph.target, universe, result)
+    # -- recursion -----------------------------------------------------------------------
 
     def _result_from_mask(self, target: DomainName, universe,
                           result: Tuple[Tuple[int, int], int]
@@ -286,10 +278,10 @@ class BottleneckAnalyzer:
             frozenset()
         return self._result(target, cost, servers)
 
-    def _block_name_int(self, universe, closures, node: int,
-                        memo: Dict[int, Tuple[Tuple[int, int], int]],
-                        in_progress: FrozenSet[int]
-                        ) -> Tuple[Tuple[int, int], int]:
+    def _block_node(self, universe, closures, node: int,
+                    memo: Dict[int, Tuple[Tuple[int, int], int]],
+                    in_progress: FrozenSet[int]
+                    ) -> Tuple[Tuple[int, int], int]:
         """Cheapest way to block a name/host node (ids + slot bitsets)."""
         cached = memo.get(node)
         if cached is not None:
@@ -335,16 +327,14 @@ class BottleneckAnalyzer:
                         best_cost, best_mask = cost, mask
                     continue
                 events_zone = self._taint_events
-                cost, mask, pure = self._block_zone_int(universe, closures,
-                                                        zone, memo,
-                                                        in_progress)
+                cost, mask, pure = self._zone_block(universe, closures,
+                                                    zone, memo, in_progress)
                 if pure:
                     zone_cache[zone] = (cost, mask,
                                         self._taint_events - events_zone)
             else:
-                cost, mask, _pure = self._block_zone_int(universe, closures,
-                                                         zone, memo,
-                                                         in_progress)
+                cost, mask, _pure = self._zone_block(universe, closures,
+                                                     zone, memo, in_progress)
             if cost < best_cost:
                 best_cost, best_mask = cost, mask
         result = (best_cost, best_mask)
@@ -357,10 +347,10 @@ class BottleneckAnalyzer:
                 self._tainted.add(node)
         return result
 
-    def _block_zone_int(self, universe, closures, zone: int,
-                        memo: Dict[int, Tuple[Tuple[int, int], int]],
-                        in_progress: FrozenSet[int]
-                        ) -> Tuple[Tuple[int, int], int, bool]:
+    def _zone_block(self, universe, closures, zone: int,
+                    memo: Dict[int, Tuple[Tuple[int, int], int]],
+                    in_progress: FrozenSet[int]
+                    ) -> Tuple[Tuple[int, int], int, bool]:
         """Cheapest way to control every nameserver delegated for a zone.
 
         The third element of the result is the zone-term *purity* flag:
@@ -394,8 +384,8 @@ class BottleneckAnalyzer:
                 direct_cost = (1, 1)
             cached = memo_get(ns)
             if cached is None:
-                cached = self._block_name_int(universe, closures, ns, memo,
-                                              in_progress)
+                cached = self._block_node(universe, closures, ns, memo,
+                                          in_progress)
                 pure = False
             else:
                 if ns in tainted:
@@ -412,109 +402,16 @@ class BottleneckAnalyzer:
             # Servers already selected for this zone's cut are not paid twice.
             new_mask = choice_mask & ~servers_mask
             if new_mask != choice_mask:
-                choice_cost = self._cost_of_mask(universe, new_mask)
+                choice_cost = self._mask_cost(universe, new_mask)
             total = (total[0] + choice_cost[0], total[1] + choice_cost[1])
             servers_mask |= new_mask
             if total >= _INFINITY:
                 return _INFINITY, 0, pure
         return total, servers_mask, pure
 
-    def _cost_of_mask(self, universe, mask: int) -> Tuple[int, int]:
+    def _mask_cost(self, universe, mask: int) -> Tuple[int, int]:
         """Combined cost of a concrete slot bitset (used when deduplicating)."""
         hosts = universe.mask_to_hosts(mask)
         safe = sum(1 for host in hosts if not (
             self.vulnerability_aware and self._is_vulnerable(host)))
         return (safe if self.vulnerability_aware else len(hosts), len(hosts))
-
-    # -- generic recursion (materialised graphs, hand-built topologies) ------------------
-
-    def _block_name(self, graph, node: NodeKey,
-                    memo: Dict, in_progress: FrozenSet[NodeKey]
-                    ) -> Tuple[Tuple[int, int], FrozenSet[DomainName]]:
-        """Cheapest way to block every resolution path of a name/host node."""
-        cached = memo.get(node)
-        if cached is not None:
-            if node in self._tainted:
-                # The consumer inherits this value's context-dependence.
-                self._taint_events += 1
-            return cached
-        shared = self.shared_memo
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
-        if node in in_progress:
-            # Cyclic dependency (mutual secondaries): this branch cannot be
-            # used to block the node more cheaply than attacking servers
-            # directly, so treat it as unblockable here.
-            self._taint_events += 1
-            return _INFINITY, frozenset()
-        in_progress = in_progress | {node}
-        events_before = self._taint_events
-
-        zones = graph.zones_of(node)
-        if not zones:
-            result = (_INFINITY, frozenset())
-            memo[node] = result
-            if shared is not None:
-                # A node with no zone dependencies is unblockable regardless
-                # of how the recursion reached it.
-                shared[node] = result
-            return result
-
-        best_cost: Tuple[int, int] = _INFINITY
-        best_servers: FrozenSet[DomainName] = frozenset()
-        for zone in zones:
-            cost, servers = self._block_zone(graph, zone, memo, in_progress)
-            if cost < best_cost:
-                best_cost, best_servers = cost, servers
-        result = (best_cost, best_servers)
-        if best_cost < _INFINITY:
-            memo[node] = result
-            if self._taint_events == events_before:
-                if shared is not None:
-                    shared[node] = result
-            else:
-                self._tainted.add(node)
-        return result
-
-    def _block_zone(self, graph, zone: NodeKey,
-                    memo: Dict, in_progress: FrozenSet[NodeKey]
-                    ) -> Tuple[Tuple[int, int], FrozenSet[DomainName]]:
-        """Cheapest way to control every nameserver delegated for a zone."""
-        nameservers = graph.nameservers_of_zone(zone)
-        if not nameservers:
-            return _INFINITY, frozenset()
-        total = (0, 0)
-        servers: Set[DomainName] = set()
-        vulnerability_aware = self.vulnerability_aware
-        vulnerability_get = self.vulnerability_map.get
-        for ns in nameservers:
-            hostname = ns[1]
-            if vulnerability_aware and vulnerability_get(hostname, False):
-                direct_cost = (0, 1)
-            else:
-                direct_cost = (1, 1)
-            indirect_cost, indirect_servers = self._block_name(
-                graph, ns, memo, in_progress)
-            if indirect_cost < direct_cost:
-                choice_cost, choice_servers = indirect_cost, indirect_servers
-            else:
-                choice_cost, choice_servers = direct_cost, frozenset({hostname})
-            if choice_cost >= _INFINITY:
-                return _INFINITY, frozenset()
-            # Servers already selected for this zone's cut are not paid twice.
-            new_servers = set(choice_servers) - servers
-            if len(new_servers) != len(choice_servers):
-                choice_cost = self._cost_of(new_servers)
-            total = (total[0] + choice_cost[0], total[1] + choice_cost[1])
-            servers.update(new_servers)
-            if total >= _INFINITY:
-                return _INFINITY, frozenset()
-        return total, frozenset(servers)
-
-    def _cost_of(self, servers: Set[DomainName]) -> Tuple[int, int]:
-        """Combined cost of a concrete server set (used when deduplicating)."""
-        safe = sum(1 for host in servers if not (
-            self.vulnerability_aware and self._is_vulnerable(host)))
-        return (safe if self.vulnerability_aware else len(servers), len(servers))

@@ -19,7 +19,7 @@ On-disk layout (all integers little-endian)::
     sections ...                                   raw bytes, 8-aligned
     TOC     json {"sections": {name: [off, len]}}
 
-Three file kinds share the container:
+Two of the file kinds sharing the container hold survey results:
 
 * **results** (:func:`save_results_snapshot` / :func:`open_results`) — a
   full :class:`~repro.core.survey.SurveyResults`: one string pool, a
@@ -29,11 +29,7 @@ Three file kinds share the container:
   pass-``extras`` columns with presence bytes, and the aggregate maps;
 * **delta** (:class:`EpochStore`) — only the rows whose records changed
   since the previous epoch (keyed off the delta engine's dirty set), plus
-  aggregate-map patches, with a file-local pool/set-store;
-* **universe** (:func:`save_universe` / :func:`load_universe`) — a
-  :class:`~repro.core.graphcore.DependencyUniverse`: the
-  :class:`~repro.core.graphcore.NameTable` string pool plus the CSR
-  adjacency arrays, for warm-starting a serving daemon.
+  aggregate-map patches, with a file-local pool/set-store.
 
 :func:`open_results` returns a :class:`LazySurveyResults` — a drop-in
 :class:`~repro.core.survey.SurveyResults` whose record list materialises
@@ -78,7 +74,6 @@ from typing import (
 
 from repro.dns.name import DomainName, NameLike
 from repro.core.atomic import AtomicFile, fsync_directory, temp_debris
-from repro.core.graphcore import DependencyUniverse, NameTable
 from repro.core.survey import NameRecord, SurveyResults
 from repro.vulns.bindversion import BindVersion
 from repro.vulns.fingerprint import FingerprintResult
@@ -94,13 +89,11 @@ SNAPSTORE_VERSION = 1
 #: File kinds sharing the container.
 KIND_RESULTS = 1
 KIND_DELTA = 2
-KIND_UNIVERSE = 3
-KIND_SHARD = 4
+KIND_SHARD = 4     # 3 was a retired universe archive; never reuse it
 KIND_ORDER = 5
 
 _KIND_NAMES = {KIND_RESULTS: "results snapshot", KIND_DELTA: "epoch delta",
-               KIND_UNIVERSE: "universe", KIND_SHARD: "shard results",
-               KIND_ORDER: "shard work order"}
+               KIND_SHARD: "shard results", KIND_ORDER: "shard work order"}
 
 #: Header struct after the magic: version, kind, flags, payload crc32,
 #: TOC offset, TOC length, header crc32.
@@ -1842,57 +1835,3 @@ class EpochStore:
         metadata = patches[-1].metadata if patches else base.metadata
         return LazySurveyResults(_RowSource(base, overlays,
                                             aggregates, metadata))
-
-
-# -- universe persistence ----------------------------------------------------------------
-
-
-def save_universe(universe: DependencyUniverse,
-                  path: PathLike) -> pathlib.Path:
-    """Write a :class:`DependencyUniverse` as a REPRO-SNAP universe file.
-
-    The :class:`NameTable` rides the string pool verbatim — table ids are
-    dense first-seen order, exactly how the pool assigns its ids — and the
-    adjacency goes out as the CSR snapshot, so a serving daemon can warm-
-    start from disk instead of re-crawling.
-    """
-    writer = _SectionWriter(path, KIND_UNIVERSE)
-    try:
-        pool = _PoolWriter()
-        for name_id in range(len(universe.names)):
-            pool.intern_name(universe.names.name_of(name_id))
-        writer.add("uni.kinds", bytes(bytearray(universe.kinds)))
-        writer.add("uni.nameid", array("q", universe.name_ids))
-        offsets, targets = universe.csr()
-        writer.add("uni.csr.off", array("q", offsets))
-        writer.add("uni.csr.tgt", array("q", targets))
-        pool.write(writer, "strs")
-    except BaseException:
-        writer.abort()
-        raise
-    return writer.close()
-
-
-def load_universe(path: PathLike) -> DependencyUniverse:
-    """Rebuild a :class:`DependencyUniverse` from :func:`save_universe`.
-
-    Node ids, NS slot assignments, and adjacency orders reproduce the
-    saved universe exactly: nodes are re-created in id order and edges in
-    CSR row order, which is the original insertion order.
-    """
-    reader = _SectionReader(path, KIND_UNIVERSE)
-    pool = _Pool(reader, "strs")
-    table = NameTable()
-    for name_id in range(len(pool)):
-        table.intern(pool.name(name_id))
-    universe = DependencyUniverse(table)
-    kinds = reader.bytes_view("uni.kinds")
-    name_ids = reader.q("uni.nameid")
-    for node_id in range(len(kinds)):
-        universe.ensure_id(kinds[node_id], table.name_of(name_ids[node_id]))
-    offsets = reader.q("uni.csr.off")
-    targets = reader.q("uni.csr.tgt")
-    for source in range(len(kinds)):
-        for position in range(offsets[source], offsets[source + 1]):
-            universe.add_edge_ids(source, targets[position])
-    return universe

@@ -11,12 +11,15 @@ from repro.core.availability import (
     availability_security_tradeoff,
 )
 from repro.core.delegation import (
+    ClosureIndex,
     DelegationGraph,
     DelegationGraphBuilder,
+    TCBView,
     name_node,
     ns_node,
     zone_node,
 )
+from repro.core.graphcore import DependencyUniverse
 
 
 def two_level_graph(ns_per_zone=2):
@@ -207,37 +210,50 @@ def test_shared_memo_does_not_change_values(mini_internet):
             fresh.single_points_of_failure(view)
 
 
+def _tcb_view(edges, name):
+    """A TCBView over a hand-built universe (what the builder would make)."""
+    universe = DependencyUniverse()
+    for source, target in edges:
+        universe.add_edge(source, target)
+    closures = ClosureIndex(universe)
+    target_id = universe.ensure_key(name_node(name))
+    return TCBView(name, universe, closures.closure_mask_id(target_id),
+                   structure=closures, target_id=target_id)
+
+
 def test_shared_memo_publishes_only_cycle_free_values():
     """Acyclic subtrees are published cross-name; cycle members never are.
 
     This mirrors the bottleneck memo's discipline: a value computed with a
     truncated dependency loop depends on where the recursion entered the
-    loop, so only clean values may cross evaluation roots.
+    loop, so only clean values may cross evaluation roots.  Memo keys are
+    the universe's node ids.
     """
     # Acyclic: name -> zone -> two leaf nameservers without further chains.
-    acyclic = nx.DiGraph()
     target = name_node("www.flat.test")
     zone = zone_node("flat.test")
-    acyclic.add_edge(target, zone)
-    acyclic.add_edge(zone, ns_node("ns1.flat.test"))
-    acyclic.add_edge(zone, ns_node("ns2.flat.test"))
+    view = _tcb_view([(target, zone),
+                      (zone, ns_node("ns1.flat.test")),
+                      (zone, ns_node("ns2.flat.test"))], "www.flat.test")
+    node_id = view.graph.find_key
     analyzer = AvailabilityAnalyzer(0.9, shared_memo={}, shared_spof_memo={})
-    graph = DelegationGraph("www.flat.test", acyclic)
-    value = analyzer.resolution_probability(graph)
-    assert ns_node("ns1.flat.test") in analyzer.shared_memo
-    assert target in analyzer.shared_memo
-    assert analyzer.shared_memo[target] == pytest.approx(value)
+    value = analyzer.resolution_probability(view)
+    assert node_id(ns_node("ns1.flat.test")) in analyzer.shared_memo
+    assert analyzer.shared_memo[node_id(target)] == pytest.approx(value)
     # Two redundant servers: no SPOF, and the (empty) kill set is published.
-    assert analyzer.single_points_of_failure(graph) == frozenset()
-    assert analyzer.shared_spof_memo[target] == frozenset()
+    assert analyzer.single_points_of_failure(view) == frozenset()
+    assert analyzer.shared_spof_memo[node_id(target)] == 0
 
     # Cyclic (mutual registry dependency): nothing tainted is published.
-    cyclic_analyzer = AvailabilityAnalyzer(0.9, shared_memo={})
     cyclic = two_level_graph(ns_per_zone=2)
-    cyclic_analyzer.resolution_probability(cyclic)
-    assert name_node("www.site.com") not in cyclic_analyzer.shared_memo
+    view = _tcb_view(cyclic.graph.edges, "www.site.com")
+    node_id = view.graph.find_key
+    cyclic_analyzer = AvailabilityAnalyzer(0.9, shared_memo={})
+    cyclic_analyzer.resolution_probability(view)
+    assert node_id(name_node("www.site.com")) not in \
+        cyclic_analyzer.shared_memo
     for index in range(2):
-        assert ns_node(f"ns{index}.registry.net") not in \
+        assert node_id(ns_node(f"ns{index}.registry.net")) not in \
             cyclic_analyzer.shared_memo
 
 

@@ -126,12 +126,6 @@ def test_universe_shared_across_names(mini_internet):
     assert queries_after_second - queries_after_first < queries_after_first
 
 
-def test_build_many_returns_graph_per_name(mini_internet):
-    builder = make_builder(mini_internet)
-    graphs = builder.build_many(["www.example.com", "www.uni.edu"])
-    assert set(map(str, graphs)) == {"www.example.com", "www.uni.edu"}
-
-
 def test_chain_is_cached(mini_internet):
     builder = make_builder(mini_internet)
     first = builder.chain("www.example.com")

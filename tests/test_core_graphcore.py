@@ -1,18 +1,21 @@
-"""The integer graph core, and integer/generic analysis equivalence.
+"""The integer graph core, and the integer analyses against the oracle.
 
 The first half unit-tests :mod:`repro.core.graphcore` (name table, universe
-duck API, CSR snapshot, slot bitsets).  The second half is the equivalence
-suite the CSR PR promises: for hand-built topologies — including cyclic
-(mutual secondaries), self-looped (in-bailiwick NS), and never-resolvable
-(dead zone) ones — the bitset/integer paths (closures, min-cut, analytic
-availability, bit-parallel Monte-Carlo, SPOF kill sets) must agree exactly
-with the frozenset/NodeKey reference paths running on a materialised
-:class:`DelegationGraph` of the same shape.
+duck API, CSR snapshot, slot bitsets).  The second half checks the analyses
+on hand-built topologies — including cyclic (mutual secondaries),
+self-looped (in-bailiwick NS), and never-resolvable (dead zone) ones: the
+bitset closures must equal a plain BFS, and the integer analyses (min-cut,
+analytic availability, bit-parallel Monte-Carlo, SPOF kill sets) must agree
+exactly with the generic NodeKey recursions of ``tests/oracle.py``, both on
+a :class:`TCBView` and on a :class:`DelegationGraph` lowered at the
+analyzer boundary.
 """
 
 import random
 
 import pytest
+
+import oracle
 
 from repro.dns.name import DomainName
 from repro.core.availability import AvailabilityAnalyzer
@@ -121,7 +124,7 @@ def test_keygraph_mirrors_digraph_surface():
     assert graph.number_of_edges() == 2
 
 
-# -- equivalence suite: integer paths vs. the generic reference ------------------------
+# -- integer analyses vs. the generic oracle ------------------------------------------
 
 #: Topologies as NodeKey edge lists.  Every shape the recursions special-case
 #: is represented: plain chains, shared dependencies, mutual-secondary
@@ -227,18 +230,22 @@ def test_bitset_closures_match_reference(topology):
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 def test_integer_mincut_matches_generic(topology):
     universe, closures, generic = _twin(TOPOLOGIES[topology])
-    vulnerability = {DomainName(host): True for host in VULNERABLE[topology]}
+    vulnerable = {DomainName(host) for host in VULNERABLE[topology]}
+    vulnerability = {host: True for host in vulnerable}
     view = _int_view(universe, closures, "www.a.test")
     graph = DelegationGraph("www.a.test", generic)
     for aware in (True, False):
-        from_view = BottleneckAnalyzer(
-            vulnerability, vulnerability_aware=aware).analyze(view)
-        from_graph = BottleneckAnalyzer(
-            vulnerability, vulnerability_aware=aware).analyze(graph)
-        assert from_view.feasible == from_graph.feasible
-        assert from_view.cut_servers == from_graph.cut_servers
-        assert from_view.safe_in_cut == from_graph.safe_in_cut
-        assert from_view.vulnerable_in_cut == from_graph.vulnerable_in_cut
+        cost, servers = oracle.min_cut(generic, "www.a.test", vulnerable,
+                                       aware=aware)
+        feasible = cost < oracle.INFINITY
+        safe = sum(1 for host in servers if host not in vulnerable)
+        for subject in (view, graph):
+            got = BottleneckAnalyzer(
+                vulnerability, vulnerability_aware=aware).analyze(subject)
+            assert got.feasible == feasible
+            assert got.cut_servers == servers
+            assert got.safe_in_cut == safe
+            assert got.vulnerable_in_cut == len(servers) - safe
 
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
@@ -249,21 +256,24 @@ def test_integer_availability_matches_generic(topology):
     int_analyzer = AvailabilityAnalyzer(0.9, shared_memo={},
                                         shared_spof_memo={})
     ref_analyzer = AvailabilityAnalyzer(0.9)
+    up = ref_analyzer.up_probability
 
     assert int_analyzer.resolution_probability(view) == \
-        ref_analyzer.resolution_probability(graph)
+        oracle.availability(generic, "www.a.test", up)
     assert int_analyzer.single_points_of_failure(view) == \
-        ref_analyzer.single_points_of_failure(graph)
+        oracle.single_points_of_failure(generic, "www.a.test", view.tcb())
     assert int_analyzer.single_points_of_failure(view) == \
         ref_analyzer.single_points_of_failure_exhaustive(graph)
-    assert int_analyzer.monte_carlo(view, samples=64,
-                                    rng=random.Random(42)) == \
-        ref_analyzer.monte_carlo(graph, samples=64, rng=random.Random(42))
+    for subject in (view, graph):
+        assert int_analyzer.monte_carlo(subject, samples=64,
+                                        rng=random.Random(42)) == \
+            oracle.monte_carlo(generic, "www.a.test", subject.tcb(), up,
+                               samples=64, rng=random.Random(42))
     for failed in ([], ["ns1.a.test"], ["ns1.a.test", "ns2.a.test"],
                    ["ns.a.test", "ns.b.test"]):
         down = {DomainName(host) for host in failed}
         assert int_analyzer.resolvable_with_failures(view, down) == \
-            ref_analyzer.resolvable_with_failures(graph, down), \
+            oracle.resolvable(generic, "www.a.test", down), \
             f"resolvable mismatch with {failed} down in {topology}"
 
 
@@ -282,14 +292,16 @@ def test_undiscovered_name_is_unresolvable():
     graph = DelegationGraph("ghost.test", generic)
     analyzer = AvailabilityAnalyzer(0.99)
     assert analyzer.resolution_probability(view) == \
-        analyzer.resolution_probability(graph) == 0.0
+        analyzer.resolution_probability(graph) == \
+        oracle.availability(generic, "ghost.test",
+                            analyzer.up_probability) == 0.0
     assert not analyzer.resolvable_with_failures(view, set())
 
 
 def test_prefix_resume_matches_fresh_analysis_across_many_names():
     """Shared-analyzer evaluation over many names sharing a TLD (the
-    prefix-resume + zone-replay machinery) must equal fresh per-name
-    generic analysis."""
+    prefix-resume + zone-replay machinery) must equal the oracle on each
+    name's own subgraph."""
     universe = DependencyUniverse()
     generic = KeyGraph()
 
@@ -335,25 +347,25 @@ def test_prefix_resume_matches_fresh_analysis_across_many_names():
         return DelegationGraph(name, copy)
 
     closures = ClosureIndex(universe)
-    vulnerability = {DomainName("ns1.sld3.test"): True,
-                     DomainName("backup.sld0.test"): True}
+    vulnerable = {DomainName("ns1.sld3.test"), DomainName("backup.sld0.test")}
     shared_avail = AvailabilityAnalyzer(0.93, shared_memo={},
                                         shared_spof_memo={})
-    shared_cut = BottleneckAnalyzer(vulnerability, shared_memo={})
+    shared_cut = BottleneckAnalyzer({host: True for host in vulnerable},
+                                    shared_memo={})
     for name in names:
         view = _int_view(universe, closures, name)
         graph = per_name_subgraph(name)
-        fresh_avail = AvailabilityAnalyzer(0.93)
-        fresh_cut = BottleneckAnalyzer(vulnerability)
         assert view.tcb_frozen() == graph.tcb()
         assert shared_avail.resolution_probability(view) == \
-            fresh_avail.resolution_probability(graph), name
+            oracle.availability(graph.graph, name,
+                                shared_avail.up_probability), name
         assert shared_avail.single_points_of_failure(view) == \
-            fresh_avail.single_points_of_failure(graph), name
+            oracle.single_points_of_failure(graph.graph, name,
+                                            graph.tcb()), name
         got = shared_cut.analyze(view)
-        want = fresh_cut.analyze(graph)
+        cost, servers = oracle.min_cut(graph.graph, name, vulnerable)
         assert (got.cut_servers, got.safe_in_cut) == \
-            (want.cut_servers, want.safe_in_cut), name
+            (servers, cost[0]), name
 
 
 def test_analyzer_reused_across_universes_resets_slot_cache():
@@ -374,3 +386,39 @@ def test_analyzer_reused_across_universes_resets_slot_cache():
     # ns.up.test occupies slot 0 of ITS universe, just like ns.down.test
     # did in the first one — the cached probability must not leak over.
     assert analyzer.resolution_probability(view_up) == 1.0
+
+
+def test_shared_memos_do_not_leak_across_universes():
+    """Memo keys are universe-local node ids: one shared-memo analyzer fed
+    views from two builders must answer the second from its own universe,
+    exactly as a fresh analyzer would."""
+    first = DependencyUniverse()
+    first.add_edge(name_node("www.a.test"), zone_node("a.test"))
+    first.add_edge(zone_node("a.test"), ns_node("ns.down.test"))
+    second = DependencyUniverse()
+    second.add_edge(name_node("www.b.test"), zone_node("b.test"))
+    second.add_edge(zone_node("b.test"), ns_node("ns.up.test"))
+    second.add_edge(zone_node("b.test"), ns_node("ns2.up.test"))
+    view_down = _int_view(first, ClosureIndex(first), "www.a.test")
+    view_up = _int_view(second, ClosureIndex(second), "www.b.test")
+
+    def availability_analyzer():
+        return AvailabilityAnalyzer({DomainName("ns.down.test"): 0.0},
+                                    default_up=1.0, shared_memo={},
+                                    shared_spof_memo={})
+
+    shared = availability_analyzer()
+    assert shared.resolution_probability(view_down) == 0.0
+    assert shared.single_points_of_failure(view_down) == \
+        {DomainName("ns.down.test")}
+    fresh = availability_analyzer()
+    assert shared.resolution_probability(view_up) == \
+        fresh.resolution_probability(view_up) == 1.0
+    assert shared.single_points_of_failure(view_up) == \
+        fresh.single_points_of_failure(view_up) == frozenset()
+
+    cut = BottleneckAnalyzer(shared_memo={})
+    assert cut.analyze(view_down).cut_servers == {DomainName("ns.down.test")}
+    assert cut.analyze(view_up).cut_servers == \
+        BottleneckAnalyzer().analyze(view_up).cut_servers == \
+        {DomainName("ns.up.test"), DomainName("ns2.up.test")}

@@ -1,0 +1,210 @@
+"""Differential tests: the integer analyzers against ``tests/oracle.py``.
+
+Hypothesis draws small AND/OR delegation graphs (1–4 names, 1–5 zones,
+1–6 hosts) with cycles, dead zones (no nameservers) and unreachable hosts,
+plus per-host vulnerability flags and up-probabilities.  Every analysis
+must agree exactly with the plain oracle recursion, twice over: on a
+:class:`DelegationGraph` lowered at the analyzer boundary with a fresh
+analyzer, and on :class:`TCBView`\\ s of one shared universe walked by
+analyzers that keep their shared memos and prefix snapshots across names.
+"""
+
+import dataclasses
+import random
+from typing import Dict, FrozenSet, List, Tuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from repro.dns.name import DomainName
+from repro.core.availability import AvailabilityAnalyzer
+from repro.core.delegation import (
+    ClosureIndex,
+    DelegationGraph,
+    TCBView,
+    name_node,
+    ns_node,
+    zone_node,
+)
+from repro.core.graphcore import DependencyUniverse, KeyGraph
+from repro.core.mincut import BottleneckAnalyzer
+
+#: Monte-Carlo samples per name (the sweep is exact, so few suffice).
+MC_SAMPLES = 24
+
+
+@dataclasses.dataclass
+class World:
+    names: List[str]
+    edges: List[Tuple[tuple, tuple]]
+    vulnerable: FrozenSet[DomainName]
+    up: Dict[str, float]
+    default_up: float
+    failed_sets: List[FrozenSet[DomainName]]
+
+    def key_graph(self) -> KeyGraph:
+        graph = KeyGraph()
+        for name in self.names:
+            graph.add_node(name_node(name))
+        for source, target in self.edges:
+            graph.add_edge(source, target)
+        return graph
+
+    def views(self) -> List[TCBView]:
+        universe = DependencyUniverse()
+        for name in self.names:
+            universe.add_node(name_node(name))
+        for source, target in self.edges:
+            universe.add_edge(source, target)
+        closures = ClosureIndex(universe)
+        views = []
+        for name in self.names:
+            target_id = universe.find_key(name_node(name))
+            views.append(TCBView(name, universe,
+                                 closures.closure_mask_id(target_id),
+                                 structure=closures, target_id=target_id))
+        return views
+
+    def up_of(self, host: DomainName) -> float:
+        return self.up.get(str(host), self.default_up)
+
+    def availability_analyzer(self, shared: bool) -> AvailabilityAnalyzer:
+        memos = dict(shared_memo={}, shared_spof_memo={}) if shared else {}
+        return AvailabilityAnalyzer(self.up, default_up=self.default_up,
+                                    **memos)
+
+
+@st.composite
+def worlds(draw) -> World:
+    names = [f"www{i}.t" for i in range(draw(st.integers(1, 4)))]
+    zones = [f"z{i}.t" for i in range(draw(st.integers(1, 5)))]
+    hosts = [f"ns{i}.t" for i in range(draw(st.integers(1, 6)))]
+
+    def row(pool, max_size):
+        return draw(st.lists(st.sampled_from(pool), unique=True,
+                             max_size=max_size))
+
+    edges = []
+    for name in names:
+        edges += [(name_node(name), zone_node(z)) for z in row(zones, 3)]
+    for zone in zones:
+        # An empty row is a dead zone.
+        edges += [(zone_node(zone), ns_node(h)) for h in row(hosts, 3)]
+    for host in hosts:
+        edges += [(ns_node(host), zone_node(z)) for z in row(zones, 2)]
+    edges = draw(st.permutations(edges))
+    host_names = st.sampled_from([DomainName(h) for h in hosts])
+    return World(
+        names=names, edges=edges,
+        vulnerable=frozenset(draw(st.sets(host_names))),
+        up=draw(st.dictionaries(st.sampled_from(hosts),
+                                st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))),
+        default_up=draw(st.sampled_from([0.8, 0.95, 1.0])),
+        failed_sets=[frozenset(s) for s in
+                     draw(st.lists(st.sets(host_names, max_size=3),
+                                   max_size=3))])
+
+
+def _check_min_cut(analyzer, subject, generic, world, aware):
+    result = analyzer.analyze(subject)
+    cost, servers = oracle.min_cut(generic, subject.target, world.vulnerable,
+                                   aware=aware)
+    safe = sum(1 for host in servers if host not in world.vulnerable)
+    assert result.feasible == (cost < oracle.INFINITY)
+    assert result.cut_servers == servers
+    assert (result.safe_in_cut, result.vulnerable_in_cut) == \
+        (safe, len(servers) - safe)
+
+
+def _check_availability(analyzer, subject, generic, world, seed):
+    target = subject.target
+    assert analyzer.resolution_probability(subject) == \
+        oracle.availability(generic, target, world.up_of)
+    for failed in world.failed_sets:
+        assert analyzer.resolvable_with_failures(subject, set(failed)) == \
+            oracle.resolvable(generic, target, failed)
+    assert analyzer.single_points_of_failure(subject) == \
+        oracle.single_points_of_failure(generic, target, subject.tcb())
+    assert analyzer.monte_carlo(subject, samples=MC_SAMPLES,
+                                rng=random.Random(seed)) == \
+        oracle.monte_carlo(generic, target, subject.tcb(), world.up_of,
+                           MC_SAMPLES, rng=random.Random(seed))
+
+
+@settings(max_examples=250, deadline=None)
+@given(worlds())
+def test_lowered_graph_analyses_match_oracle(world):
+    generic = world.key_graph()
+    vulnerability = {host: True for host in world.vulnerable}
+    for seed, name in enumerate(world.names):
+        graph = DelegationGraph(name, generic)
+        for aware in (True, False):
+            _check_min_cut(BottleneckAnalyzer(vulnerability,
+                                              vulnerability_aware=aware),
+                           graph, generic, world, aware)
+        _check_availability(world.availability_analyzer(shared=False),
+                            graph, generic, world, seed)
+
+
+@settings(max_examples=250, deadline=None)
+@given(worlds())
+def test_shared_memo_analyzers_match_oracle(world):
+    generic = world.key_graph()
+    views = world.views()
+    vulnerability = {host: True for host in world.vulnerable}
+    cuts = {aware: BottleneckAnalyzer(vulnerability,
+                                      vulnerability_aware=aware,
+                                      shared_memo={})
+            for aware in (True, False)}
+    availability = world.availability_analyzer(shared=True)
+    # Walk every name twice, so the second pass answers from warm memos.
+    for seed, view in enumerate(views + views[::-1]):
+        for aware, analyzer in cuts.items():
+            _check_min_cut(analyzer, view, generic, world, aware)
+        _check_availability(availability, view, generic, world, seed)
+
+
+# -- a known SPOF disagreement, pinned ----------------------------------------------------
+
+def _cyclic_spof_graph() -> DelegationGraph:
+    """12 edges where the two SPOF methods disagree (``z1.t`` has no NS)."""
+    graph = KeyGraph()
+    for source, target in [
+            (name_node("www.t"), zone_node("z0.t")),
+            (zone_node("z0.t"), ns_node("ns3.t")),
+            (zone_node("z0.t"), ns_node("ns1.t")),
+            (ns_node("ns3.t"), zone_node("z4.t")),
+            (ns_node("ns3.t"), zone_node("z3.t")),
+            (zone_node("z4.t"), ns_node("ns2.t")),
+            (zone_node("z4.t"), ns_node("ns3.t")),
+            (zone_node("z3.t"), ns_node("ns1.t")),
+            (ns_node("ns1.t"), zone_node("z0.t")),
+            (ns_node("ns1.t"), zone_node("z4.t")),
+            (ns_node("ns2.t"), zone_node("z3.t")),
+            (ns_node("ns2.t"), zone_node("z1.t"))]:
+        graph.add_edge(source, target)
+    return DelegationGraph("www.t", graph)
+
+
+def test_kill_set_spof_on_cyclic_graph_matches_oracle():
+    graph = _cyclic_spof_graph()
+    expected = {DomainName("ns1.t"), DomainName("ns3.t")}
+    assert AvailabilityAnalyzer(1.0).single_points_of_failure(graph) == \
+        expected
+    assert oracle.single_points_of_failure(graph.graph, "www.t",
+                                           graph.tcb()) == expected
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="single_points_of_failure_exhaustive memoises ns1.t's value "
+           "along the walk's path through the cycle and reports {ns1.t}; "
+           "settling which answer the paper's definition gives belongs to "
+           "the ROADMAP item 'Paper-definition oracle, exact min-cut, and "
+           "differential fuzzing'")
+def test_exhaustive_spof_agrees_with_kill_set_on_cyclic_graph():
+    graph = _cyclic_spof_graph()
+    analyzer = AvailabilityAnalyzer(1.0)
+    assert analyzer.single_points_of_failure_exhaustive(graph) == \
+        analyzer.single_points_of_failure(graph)

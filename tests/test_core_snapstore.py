@@ -28,10 +28,8 @@ from repro.core.snapstore import (
     EpochStore,
     LazySurveyResults,
     SnapshotFormatError,
-    load_universe,
     open_results,
     save_results_snapshot,
-    save_universe,
     sniff_kind,
 )
 from repro.topology.changes import ChangeJournal
@@ -342,26 +340,6 @@ def test_epoch_store_load_is_lazy(tmp_path):
     assert lazy.record_for(record.name).to_dict() == record.to_dict()
     assert lazy.hydrated_record_count == 1
 
-
-# -- universe archive ------------------------------------------------------------------
-
-def test_universe_round_trips_through_binary(tmp_path):
-    world = _store_world(4242)
-    engine = SurveyEngine(world, config=EngineConfig())
-    engine.run()
-    universe = engine.builder.universe
-    path = save_universe(universe, tmp_path / "universe.rsnap")
-    restored = load_universe(path)
-    assert len(restored) == len(universe)
-    assert list(restored.kinds) == list(universe.kinds)
-    assert [restored.key_of(i) for i in range(len(restored))] == \
-        [universe.key_of(i) for i in range(len(universe))]
-    offsets, targets = universe.csr()
-    restored_offsets, restored_targets = restored.csr()
-    assert list(restored_offsets) == list(offsets)
-    assert list(restored_targets) == list(targets)
-    # NS slot assignment reproduces too (the bitmask layout closures use).
-    assert restored.slot_count() == universe.slot_count()
 
 def test_epoch_store_periodic_keyframes(tmp_path):
     """``keyframe_every=K`` bounds every overlay chain at K files: full
