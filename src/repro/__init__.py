@@ -24,24 +24,7 @@ Quick start::
     print(results.headline())
 """
 
-from repro.topology.generator import (
-    GeneratorConfig,
-    InternetGenerator,
-    SyntheticInternet,
-)
-from repro.core.survey import Survey, SurveyResults, NameRecord
-from repro.core.delegation import DelegationGraph, DelegationGraphBuilder
-from repro.core.passes import (
-    AnalysisPass,
-    AvailabilityPass,
-    DNSSECImpactPass,
-    build_passes,
-)
-from repro.core.tcb import TCBReport, compute_tcb_report
-from repro.core.mincut import BottleneckAnalyzer, BottleneckResult
-from repro.core.hijack import HijackAnalyzer, HijackSimulator
-from repro.core.value import NameserverValueAnalyzer
-from repro.vulns.database import VulnerabilityDatabase, default_database
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -69,3 +52,20 @@ __all__ = [
     "default_database",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.generator": (
+        "GeneratorConfig", "InternetGenerator", "SyntheticInternet",
+    ),
+    "repro.core.survey": ("Survey", "SurveyResults", "NameRecord"),
+    "repro.core.delegation": ("DelegationGraph", "DelegationGraphBuilder"),
+    "repro.core.passes": (
+        "AnalysisPass", "AvailabilityPass", "DNSSECImpactPass",
+        "build_passes",
+    ),
+    "repro.core.tcb": ("TCBReport", "compute_tcb_report"),
+    "repro.core.mincut": ("BottleneckAnalyzer", "BottleneckResult"),
+    "repro.core.hijack": ("HijackAnalyzer", "HijackSimulator"),
+    "repro.core.value": ("NameserverValueAnalyzer",),
+    "repro.vulns.database": ("VulnerabilityDatabase", "default_database"),
+})

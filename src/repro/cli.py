@@ -84,23 +84,17 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.engine import BACKENDS
-from repro.core.passes import build_passes
+# Only what building the parser and printing tables needs is imported
+# here; each command imports the rest of the program it runs, so
+# ``report`` never loads the resolver, the engine or the generator.
 from repro.core.report import format_table, sort_groups_descending
 from repro.core.snapshot import (
     SNAPSHOT_FORMATS,
     SnapshotFormatError,
-    diff_results,
     load_results,
-    save_results,
 )
-from repro.core.survey import Survey, SurveyResults
-from repro.distrib import DistribError
-from repro.core.hijack import HijackAnalyzer
-from repro.core.delegation import DelegationGraphBuilder
-from repro.topology.generator import GeneratorConfig, InternetGenerator
-from repro.vulns.database import default_database
-from repro.vulns.fingerprint import Fingerprinter
+from repro.core.survey import BACKENDS, SurveyResults
+from repro.distrib.wire import DistribError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,6 +468,8 @@ def _add_snapshot_output_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _write_snapshot(results: SurveyResults, args: argparse.Namespace):
     """Write ``--output`` honouring ``--format`` / ``--compress``."""
+    from repro.core.snapshot import save_results
+
     if args.compress and args.format == "binary":
         raise SnapshotFormatError(
             "--compress applies to --format json only (binary snapshots "
@@ -493,10 +489,14 @@ def _add_generator_arguments(parser: argparse.ArgumentParser) -> None:
                         help="number of universities in the topology")
 
 
-def _config_from_args(args: argparse.Namespace) -> GeneratorConfig:
-    return GeneratorConfig(seed=args.seed, sld_count=args.sld_count,
-                           directory_name_count=args.directory_names,
-                           university_count=args.universities)
+def _generate_internet(args: argparse.Namespace):
+    """The synthetic Internet the generator arguments describe."""
+    from repro.topology.generator import GeneratorConfig, InternetGenerator
+
+    return InternetGenerator(GeneratorConfig(
+        seed=args.seed, sld_count=args.sld_count,
+        directory_name_count=args.directory_names,
+        university_count=args.universities)).generate()
 
 
 def _print_headline(results: SurveyResults) -> None:
@@ -539,9 +539,10 @@ def _print_value_summary(results: SurveyResults) -> None:
 
 
 def _print_tld_tables(results: SurveyResults) -> None:
+    columns = results.columns()
     for kind, title in (("gtld", "Mean TCB size per gTLD (Figure 3)"),
                         ("cctld", "Mean TCB size per ccTLD (Figure 4)")):
-        averages = sort_groups_descending(results.mean_tcb_by_tld(kind=kind))
+        averages = sort_groups_descending(columns.mean_tcb_by_tld(kind=kind))
         if not averages:
             continue
         print()
@@ -566,10 +567,12 @@ class ProgressPrinter:
 
 
 def _command_survey(args: argparse.Namespace) -> int:
+    from repro.core.passes import build_passes
+    from repro.core.survey import Survey
+
     if args.shard is not None:
         return _command_survey_shard(args)
-    config = _config_from_args(args)
-    internet = InternetGenerator(config).generate()
+    internet = _generate_internet(args)
     worker_addrs, fleet = _worker_fleet(args)
     survey = Survey(internet, include_bottleneck=not args.no_bottleneck,
                     backend=args.backend, workers=args.workers,
@@ -605,6 +608,7 @@ def _command_survey(args: argparse.Namespace) -> int:
 def _command_survey_shard(args: argparse.Namespace) -> int:
     """Survey one stripe of the directory into a binary shard file."""
     from repro.core.engine import EngineConfig, SurveyAggregator, SurveyEngine
+    from repro.core.passes import build_passes
     from repro.core.snapstore import pack_shard_result
 
     if not args.output:
@@ -614,8 +618,7 @@ def _command_survey_shard(args: argparse.Namespace) -> int:
                            "backend shards online; merge offline shards "
                            "with 'repro-dns merge')")
     index, count = args.shard
-    config = _config_from_args(args)
-    internet = InternetGenerator(config).generate()
+    internet = _generate_internet(args)
     engine = SurveyEngine(internet, config=EngineConfig(
         backend="serial", include_bottleneck=not args.no_bottleneck,
         passes=build_passes(args.passes)))
@@ -706,6 +709,8 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def _command_diff(args: argparse.Namespace) -> int:
+    from repro.core.snapshot import diff_results
+
     results_a = load_results(args.snapshot_a)
     results_b = load_results(args.snapshot_b)
     diff = diff_results(results_a, results_b)
@@ -813,6 +818,7 @@ def _commit_snapshot_with_sidecar(results: SurveyResults, output,
     """
     import json as json_module
     from repro.core.atomic import atomic_write_text, publish_file
+    from repro.core.snapshot import save_results
 
     if args.compress and args.format == "binary":
         raise SnapshotFormatError(
@@ -839,11 +845,11 @@ def _commit_snapshot_with_sidecar(results: SurveyResults, output,
 
 def _command_resurvey(args: argparse.Namespace) -> int:
     from repro.core.engine import EngineConfig, SurveyEngine
+    from repro.core.passes import build_passes
     from repro.topology.changes import ChangeJournal, apply_mutation_spec
 
     previous = load_results(args.previous)
-    config = _config_from_args(args)
-    internet = InternetGenerator(config).generate()
+    internet = _generate_internet(args)
     worker_addrs, fleet = _worker_fleet(args)
     engine = SurveyEngine(
         internet,
@@ -979,8 +985,7 @@ def _command_churn(args: argparse.Namespace) -> int:
         atomic.set_fsync(False)
 
     rates = ChurnRates.parse(args.rates)
-    config = _config_from_args(args)
-    internet = InternetGenerator(config).generate()
+    internet = _generate_internet(args)
 
     initial_dnssec, dnssec_seed, sign_tlds = dnssec_spec_options(args.passes)
     model = ChurnModel(internet, rates, seed=args.churn_seed,
@@ -1171,8 +1176,12 @@ def _fsck_snapshot(path, salvage: bool) -> int:
 
 
 def _command_inspect(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    internet = InternetGenerator(config).generate()
+    from repro.core.delegation import DelegationGraphBuilder
+    from repro.core.hijack import HijackAnalyzer
+    from repro.vulns.database import default_database
+    from repro.vulns.fingerprint import Fingerprinter
+
+    internet = _generate_internet(args)
     resolver = internet.make_resolver()
     builder = DelegationGraphBuilder(resolver)
     graph = builder.build(args.name)

@@ -24,55 +24,7 @@ contribution, on top of the DNS / network / topology substrates:
   re-surveys over a journalled world change.
 """
 
-from repro.core.delegation import (
-    ClosureIndex,
-    DelegationGraph,
-    DelegationGraphBuilder,
-    TCBView,
-)
-from repro.core.tcb import TCBReport, compute_tcb_report
-from repro.core.mincut import BottleneckAnalyzer, BottleneckResult
-from repro.core.hijack import (
-    HijackAnalyzer,
-    HijackAssessment,
-    HijackSimulator,
-    HijackOutcome,
-    AttackStep,
-)
-from repro.core.value import NameserverValueAnalyzer, ServerValue
-from repro.core.survey import Survey, SurveyResults, NameRecord
-from repro.core.engine import (
-    EngineConfig,
-    SurveyAggregator,
-    SurveyEngine,
-    WorkerContext,
-)
-from repro.core.report import (
-    CDFSeries,
-    summary_stats,
-    average_by_group,
-    rank_series,
-)
-from repro.core.delta import DeltaOutcome, DeltaStats, DirtyIndex
-from repro.core.snapshot import save_results, load_results
-from repro.core.timeline import (
-    Timeline,
-    TimelineSnapshot,
-    load_timeline,
-    run_churn_timeline,
-    save_timeline,
-)
-from repro.core.availability import (
-    AvailabilityAnalyzer,
-    AvailabilityReport,
-    availability_security_tradeoff,
-)
-from repro.core.dnssec_impact import (
-    DNSSECDeployment,
-    DNSSECImpactAnalyzer,
-    DNSSECImpactReport,
-    deploy_dnssec,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClosureIndex",
@@ -119,3 +71,38 @@ __all__ = [
     "DNSSECImpactReport",
     "deploy_dnssec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.delegation": (
+        "ClosureIndex", "DelegationGraph", "DelegationGraphBuilder",
+        "TCBView",
+    ),
+    "repro.core.tcb": ("TCBReport", "compute_tcb_report"),
+    "repro.core.mincut": ("BottleneckAnalyzer", "BottleneckResult"),
+    "repro.core.hijack": (
+        "HijackAnalyzer", "HijackAssessment", "HijackSimulator",
+        "HijackOutcome", "AttackStep",
+    ),
+    "repro.core.value": ("NameserverValueAnalyzer", "ServerValue"),
+    "repro.core.survey": ("Survey", "SurveyResults", "NameRecord"),
+    "repro.core.engine": (
+        "EngineConfig", "SurveyAggregator", "SurveyEngine", "WorkerContext",
+    ),
+    "repro.core.report": (
+        "CDFSeries", "summary_stats", "average_by_group", "rank_series",
+    ),
+    "repro.core.delta": ("DeltaOutcome", "DeltaStats", "DirtyIndex"),
+    "repro.core.snapshot": ("save_results", "load_results"),
+    "repro.core.timeline": (
+        "Timeline", "TimelineSnapshot", "load_timeline", "run_churn_timeline",
+        "save_timeline",
+    ),
+    "repro.core.availability": (
+        "AvailabilityAnalyzer", "AvailabilityReport",
+        "availability_security_tradeoff",
+    ),
+    "repro.core.dnssec_impact": (
+        "DNSSECDeployment", "DNSSECImpactAnalyzer", "DNSSECImpactReport",
+        "deploy_dnssec",
+    ),
+})

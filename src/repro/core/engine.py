@@ -82,15 +82,11 @@ from repro.core.delegation import (
 from repro.core.delta import DeltaOutcome, DeltaStats, DirtyIndex
 from repro.core.mincut import BottleneckAnalyzer
 from repro.core.passes import AnalysisPass, PassContext, build_passes
-from repro.core.survey import NameRecord, SurveyResults
+from repro.core.survey import BACKENDS, NameRecord, SurveyResults
 from repro.core.tcb import compute_tcb_report
 from repro.vulns.database import VulnerabilityDatabase, default_database
 from repro.vulns.fingerprint import Fingerprinter, FingerprintResult
 from repro.topology.webdirectory import DirectoryEntry
-
-#: Execution backends understood by the engine.
-BACKENDS: Tuple[str, ...] = ("serial", "thread", "sharded", "process",
-                             "socket")
 
 ProgressCallback = Callable[[int, int], None]
 

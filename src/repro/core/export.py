@@ -15,7 +15,8 @@ transparently.  Most callers should go through the format-dispatching
 **Delegation-graph drawings.**  Figure 1 of the paper is a drawing of
 www.cs.cornell.edu's delegation graph; :func:`to_ascii_tree`,
 :func:`to_dot`, and :func:`to_graphml` render the same structure for any
-name (networkx is imported lazily — only :func:`to_graphml` needs it).
+name (networkx is imported lazily — only :func:`to_graphml` needs it — and
+so is :mod:`repro.core.delegation`, which the JSON codec never touches).
 """
 
 from __future__ import annotations
@@ -23,20 +24,15 @@ from __future__ import annotations
 import json
 import pathlib
 import zlib
-from typing import Dict, List, Mapping, Optional, Set, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Union
 
 from repro.dns.name import DomainName
 from repro.core.atomic import atomic_write_bytes, atomic_write_text
-from repro.core.delegation import (
-    DelegationGraph,
-    NAME_KIND,
-    NS_KIND,
-    ZONE_KIND,
-    name_node,
-)
 from repro.core.survey import NameRecord, SurveyResults
-from repro.vulns.bindversion import BindVersion
-from repro.vulns.fingerprint import FingerprintResult
+from repro.vulns.bindversion import BindVersion, FingerprintResult
+
+if TYPE_CHECKING:
+    from repro.core.delegation import DelegationGraph
 
 PathLike = Union[str, pathlib.Path]
 
@@ -184,6 +180,8 @@ def to_ascii_tree(graph: DelegationGraph,
     elsewhere are marked with ``(see above)`` so cycles and shared
     sub-structures do not repeat.
     """
+    from repro.core.delegation import NAME_KIND, NS_KIND, ZONE_KIND, name_node
+
     vulnerability_map = vulnerability_map or {}
     lines: List[str] = []
     expanded: Set = set()
@@ -214,6 +212,8 @@ def to_dot(graph: DelegationGraph,
            vulnerability_map: Optional[Mapping[DomainName, bool]] = None
            ) -> str:
     """Render the delegation graph as Graphviz DOT text."""
+    from repro.core.delegation import NAME_KIND, ZONE_KIND
+
     vulnerability_map = vulnerability_map or {}
     lines = ["digraph delegation {", "  rankdir=LR;",
              '  node [fontsize=10];']

@@ -74,9 +74,8 @@ from typing import (
 
 from repro.dns.name import DomainName, NameLike
 from repro.core.atomic import AtomicFile, fsync_directory, temp_debris
-from repro.core.survey import NameRecord, SurveyResults
-from repro.vulns.bindversion import BindVersion
-from repro.vulns.fingerprint import FingerprintResult
+from repro.core.survey import ABSENT, NameRecord, SurveyResults
+from repro.vulns.bindversion import BindVersion, FingerprintResult
 
 PathLike = Union[str, pathlib.Path]
 
@@ -109,6 +108,11 @@ _INT_COLUMNS = ("tcb_size", "in_bailiwick", "vulnerable_in_tcb",
 
 _FLAG_POPULAR = 1
 _FLAG_RESOLVED = 2
+_FLAG_BITS = {"is_popular": _FLAG_POPULAR, "resolved": _FLAG_RESOLVED}
+
+#: The host-set aggregate maps and their section name stems.
+_AGGREGATE_SETS = {"vulnerable": "vuln", "compromisable": "comp",
+                   "popular": "pop"}
 
 #: Extras column kinds and the bytes per row of their value columns (the
 #: ``json`` fallback preserves anything a JSON snapshot could carry, mixed
@@ -854,6 +858,14 @@ class _RecordReader:
         self._safety = reader.d("rec.safety")
         self._tcb_sets = reader.q("rec.tcbset")
         self._cut_sets = reader.q("rec.cutset")
+        #: Pool- and set-id columns and how one id decodes.
+        self._id_columns = {
+            "name": (self._names, self.pool.name),
+            "tld": (self._tlds, self.pool.text),
+            "category": (self._categories, self.pool.text),
+            "classification": (self._classifications, self.pool.text),
+            "tcb_servers": (self._tcb_sets, self.sets.frozen),
+            "mincut_servers": (self._cut_sets, self.sets.frozen)}
         self._extras_index = {entry["column"]: position for position, entry
                               in enumerate(self.extras_dir)}
         self._extra_kinds = [entry["kind"] for entry in self.extras_dir]
@@ -919,12 +931,18 @@ class _RecordReader:
         return position is not None and \
             bool(self._extra_presence[position][row])
 
-    def extra_value(self, column: str, row: int):
-        """One extras cell (``None`` when the record lacks the column)."""
+    def extra_column(self, column: str,
+                     rows: Optional[Sequence[int]] = None) -> List[object]:
+        """One extras column for every row (or just ``rows``), with
+        :data:`ABSENT` where a record lacks it."""
+        if rows is None:
+            rows = range(len(self))
         position = self._extras_index.get(column)
         if position is None:
-            return None
-        return self._extra_cell(position, row)
+            return [ABSENT] * len(rows)
+        presence, cell = self._extra_presence[position], self._extra_cell
+        return [cell(position, row) if presence[row] else ABSENT
+                for row in rows]
 
     def _extra_cell(self, position: int, row: int):
         if not self._extra_presence[position][row]:
@@ -956,6 +974,35 @@ class _RecordReader:
             return self._safety[row]
         return None
 
+    def column(self, field: str,
+               rows: Optional[Sequence[int]] = None) -> List[object]:
+        """One built-in record field for every row (or just ``rows``).
+
+        Read off the column views cast at open: the int and safety
+        columns in one ``tolist``, the flags bit by bit, pool and set ids
+        through the shared caches.  Values equal the hydrated record's
+        (server sets come back as the shared frozensets).
+        """
+        numbers = self._ints.get(field)
+        if numbers is None and field == "safety_percentage":
+            numbers = self._safety
+        if numbers is not None:
+            return numbers.tolist() if rows is None else \
+                [numbers[row] for row in rows]
+        if rows is None:
+            rows = range(len(self))
+        bit = _FLAG_BITS.get(field)
+        if bit is not None:
+            flags = self._flags
+            return [bool(flags[row] & bit) for row in rows]
+        if field == "extras":
+            return [self.extras_for(row) for row in rows]
+        ids = self._id_columns.get(field)
+        if ids is None:
+            raise ValueError(f"not a NameRecord field: {field!r}")
+        ids, decode = ids
+        return [decode(ids[row]) for row in rows]
+
     def extras_for(self, row: int) -> Dict[str, object]:
         return {entry["column"]: self._extra_cell(position, row)
                 for position, entry in enumerate(self.extras_dir)
@@ -984,19 +1031,17 @@ class _RecordReader:
             mincut_servers=set(self.sets.frozen(self._cut_sets[row])),
             extras=self.extras_for(row))
 
-    def aggregates(self) -> Dict[str, object]:
-        """Materialise the aggregate maps (counts, sets, fingerprints)."""
+    def aggregate(self, key: str):
+        """Materialise one aggregate map (a fresh object on every call)."""
         reader, pool = self.reader, self.pool
-        hosts = reader.q("agg.counts.host")
-        counts = reader.q("agg.counts.n")
-        return {
-            "counts": {pool.name(hosts[i]): counts[i]
-                       for i in range(len(hosts))},
-            "vulnerable": {pool.name(i) for i in reader.q("agg.vuln")},
-            "compromisable": {pool.name(i) for i in reader.q("agg.comp")},
-            "popular": {pool.name(i) for i in reader.q("agg.pop")},
-            "fingerprints": _read_fingerprints(reader, "fp", pool),
-        }
+        if key == "counts":
+            hosts = reader.q("agg.counts.host")
+            counts = reader.q("agg.counts.n")
+            return {pool.name(hosts[i]): counts[i]
+                    for i in range(len(hosts))}
+        if key == "fingerprints":
+            return _read_fingerprints(reader, "fp", pool)
+        return {pool.name(i) for i in reader.q("agg." + _AGGREGATE_SETS[key])}
 
     def metadata(self) -> Dict[str, object]:
         return self.reader.json("meta")
@@ -1016,11 +1061,11 @@ class _RowSource:
     def __init__(self, base: _RecordReader,
                  overlays: Optional[Dict[int, Tuple[_RecordReader,
                                                     int]]] = None,
-                 aggregates: Optional[Callable[[], Dict[str, object]]] = None,
+                 aggregate: Optional[Callable[[str], object]] = None,
                  metadata: Optional[Callable[[], Dict[str, object]]] = None):
         self.base = base
         self.overlays = overlays or {}
-        self._aggregates = aggregates or base.aggregates
+        self.aggregate = aggregate or base.aggregate
         self._metadata = metadata or base.metadata
 
     def __len__(self) -> int:
@@ -1042,13 +1087,19 @@ class _RowSource:
         reader, local = self.locate(row)
         return reader.field_value(field, local)
 
-    def extra_present(self, column: str, row: int) -> bool:
-        reader, local = self.locate(row)
-        return reader.extra_present(column, local)
+    def column(self, field: str) -> List[object]:
+        """One built-in field for every row: base column, overlays patched."""
+        return self._patched(_RecordReader.column, field)
 
-    def extra_value(self, column: str, row: int):
-        reader, local = self.locate(row)
-        return reader.extra_value(column, local)
+    def extra_column(self, column: str) -> List[object]:
+        """One extras column for every row (:data:`ABSENT` where missing)."""
+        return self._patched(_RecordReader.extra_column, column)
+
+    def _patched(self, read: Callable, key: str) -> List[object]:
+        values = read(self.base, key)
+        for row, (reader, local) in self.overlays.items():
+            values[row] = read(reader, key, (local,))[0]
+        return values
 
     def resolved(self, row: int) -> bool:
         reader, local = self.locate(row)
@@ -1084,9 +1135,6 @@ class _RowSource:
         if from_base:
             kinds.add(base.extra_kind(column))
         return kinds, from_base + overlaid
-
-    def aggregates(self) -> Dict[str, object]:
-        return self._aggregates()
 
     def metadata(self) -> Dict[str, object]:
         return self._metadata()
@@ -1173,11 +1221,13 @@ class LazySurveyResults(SurveyResults):
 
     Construction is O(1): no record, aggregate map, or frozenset exists
     until something asks for it.  ``records`` hydrates row by row (cached);
-    the aggregate maps materialise once on first touch; ``record_for``
+    each aggregate map materialises on its own first touch, so reading
+    ``server_names_controlled`` decodes no fingerprint; ``record_for``
     goes through a name→row index built from the string pool without
-    hydrating any record.  Everything else — ``headline``, the figure
-    reducers, ``extras_summary`` — is inherited and works on the lazy
-    sequence unchanged.
+    hydrating any record.  :meth:`column` answers straight off the
+    column views, so ``headline`` and the figure reducers — inherited,
+    and written once over :meth:`SurveyResults.column` — hydrate
+    nothing; ``extras_summary`` reads the extras columns the same way.
     """
 
     def __init__(self, source: _RowSource):
@@ -1185,7 +1235,7 @@ class LazySurveyResults(SurveyResults):
         # by a property below, off the columns.
         self._source = source
         self._lazy_records = _LazyRecords(source)
-        self._aggregates: Optional[Dict[str, object]] = None
+        self._aggregates: Dict[str, object] = {}
         self._metadata: Optional[Dict[str, object]] = None
 
     # -- lazy field surface ---------------------------------------------------------
@@ -1195,9 +1245,10 @@ class LazySurveyResults(SurveyResults):
         return self._lazy_records
 
     def _aggregate(self, key: str):
-        if self._aggregates is None:
-            self._aggregates = self._source.aggregates()
-        return self._aggregates[key]
+        found = self._aggregates.get(key)
+        if found is None:
+            found = self._aggregates[key] = self._source.aggregate(key)
+        return found
 
     @property
     def server_names_controlled(self):  # type: ignore[override]
@@ -1249,6 +1300,10 @@ class LazySurveyResults(SurveyResults):
             row = index.get(str(name))
         return None if row is None else self._lazy_records[row]
 
+    def column(self, field: str) -> List[object]:
+        """One built-in field for every row, read off the columns."""
+        return self._source.column(field)
+
     def tcb_index_rows(self):
         """(name, resolved, tcb_servers) rows without record hydration.
 
@@ -1264,13 +1319,9 @@ class LazySurveyResults(SurveyResults):
     def extras_columns(self) -> List[str]:
         return self._source.extras_columns()
 
-    def extra_values(self, column: str,
-                     resolved_only: bool = True) -> List[object]:
-        source = self._source
-        return [source.extra_value(column, row)
-                for row in range(len(source))
-                if (not resolved_only or source.resolved(row))
-                and source.extra_present(column, row)]
+    def extra_column(self, column: str) -> List[object]:
+        """One pass column for every row, read off the extras columns."""
+        return self._source.extra_column(column)
 
     def numeric_extra_count(self, column: str) -> Optional[int]:
         """From column kinds and presence counts; values only for json."""
@@ -1498,29 +1549,26 @@ def _stream_delta_snapshot(writer: _SectionWriter, results: SurveyResults,
     return writer.close()
 
 
-def _apply_aggregate_patch(aggregates: Dict[str, object],
-                           patch: _RecordReader) -> None:
-    """Fold one delta file's aggregate-map patches into ``aggregates``."""
+def _apply_aggregate_patch(key: str, value, patch: _RecordReader) -> None:
+    """Fold one delta file's patch of aggregate ``key`` into ``value``."""
     reader, pool = patch.reader, patch.pool
-    counts: Dict[DomainName, int] = aggregates["counts"]
-    hosts = reader.q("aggd.counts.set.host")
-    values = reader.q("aggd.counts.set.n")
-    for position in range(len(hosts)):
-        counts[pool.name(hosts[position])] = values[position]
-    for host_id in reader.q("aggd.counts.del"):
-        counts.pop(pool.name(host_id), None)
-    for section, key in (("vuln", "vulnerable"), ("comp", "compromisable"),
-                         ("pop", "popular")):
-        members: Set[DomainName] = aggregates[key]
+    if key == "counts":
+        hosts = reader.q("aggd.counts.set.host")
+        counts = reader.q("aggd.counts.set.n")
+        for position in range(len(hosts)):
+            value[pool.name(hosts[position])] = counts[position]
+        for host_id in reader.q("aggd.counts.del"):
+            value.pop(pool.name(host_id), None)
+    elif key == "fingerprints":
+        value.update(_read_fingerprints(reader, "fpd", pool))
+        for host_id in reader.q("fpd.del"):
+            value.pop(pool.name(host_id), None)
+    else:
+        section = _AGGREGATE_SETS[key]
         for host_id in reader.q(f"aggd.{section}.add"):
-            members.add(pool.name(host_id))
+            value.add(pool.name(host_id))
         for host_id in reader.q(f"aggd.{section}.del"):
-            members.discard(pool.name(host_id))
-    fingerprints: Dict[DomainName, FingerprintResult] = \
-        aggregates["fingerprints"]
-    fingerprints.update(_read_fingerprints(reader, "fpd", pool))
-    for host_id in reader.q("fpd.del"):
-        fingerprints.pop(pool.name(host_id), None)
+            value.discard(pool.name(host_id))
 
 
 #: An epoch file name (temp debris is dot-prefixed and never matches).
@@ -1826,12 +1874,12 @@ class EpochStore:
             for local in range(len(rows)):
                 overlays[rows[local]] = (patch, local)
 
-        def aggregates() -> Dict[str, object]:
-            folded = base.aggregates()
+        def aggregate(key: str):
+            folded = base.aggregate(key)
             for patch in patches:
-                _apply_aggregate_patch(folded, patch)
+                _apply_aggregate_patch(key, folded, patch)
             return folded
 
         metadata = patches[-1].metadata if patches else base.metadata
         return LazySurveyResults(_RowSource(base, overlays,
-                                            aggregates, metadata))
+                                            aggregate, metadata))

@@ -16,7 +16,10 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -24,13 +27,31 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro.dns.name import DomainName, NameLike
-from repro.core.value import NameserverValueAnalyzer, ServerValue
 from repro.core.report import CDFSeries, average_by_group, summary_stats
-from repro.vulns.database import VulnerabilityDatabase
-from repro.vulns.fingerprint import FingerprintResult
+
+if TYPE_CHECKING:
+    from repro.core.value import NameserverValueAnalyzer, ServerValue
+    from repro.vulns.bindversion import FingerprintResult
+    from repro.vulns.database import VulnerabilityDatabase
+
+#: Execution backends a :class:`Survey` (its engine) runs on.
+BACKENDS: Tuple[str, ...] = ("serial", "thread", "sharded", "process",
+                             "socket")
+
+#: An extras cell of a record that lacks the column.
+ABSENT = object()
+
+#: The classification of a name whose min-cut is entirely vulnerable.
+COMPLETELY_HIJACKABLE = "complete"
+
+
+def is_cctld(tld: str) -> bool:
+    """True for a two-letter (country-code) TLD label."""
+    return len(tld) == 2
 
 
 @dataclasses.dataclass
@@ -61,12 +82,12 @@ class NameRecord:
     @property
     def is_cctld_name(self) -> bool:
         """True if the name lives under a two-letter (country-code) TLD."""
-        return len(self.tld) == 2
+        return is_cctld(self.tld)
 
     @property
     def completely_hijackable(self) -> bool:
         """True if the min-cut consists solely of vulnerable servers."""
-        return self.classification == "complete"
+        return self.classification == COMPLETELY_HIJACKABLE
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly record used by snapshots."""
@@ -89,6 +110,11 @@ class NameRecord:
             "mincut_servers": sorted(str(s) for s in self.mincut_servers),
             "extras": {key: self.extras[key] for key in sorted(self.extras)},
         }
+
+
+#: The built-in record fields, in declaration order
+#: (:meth:`SurveyResults.column` serves exactly these).
+RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(NameRecord))
 
 
 @dataclasses.dataclass
@@ -158,77 +184,67 @@ class SurveyResults:
         for record in self.records:
             yield record.name, record.resolved, record.tcb_servers
 
-    # -- figure 2: TCB size distribution ----------------------------------------------
+    # -- record columns ------------------------------------------------------------------
+
+    def column(self, field: str) -> List[object]:
+        """One :class:`NameRecord` field for every record, in record order.
+
+        The figure and headline reducers (:class:`SurveyColumns`) read the
+        survey only through this, so a column-backed view answers them
+        without building a single record.
+        """
+        if field not in RECORD_FIELDS:
+            raise ValueError(f"not a NameRecord field: {field!r}")
+        return list(map(operator.attrgetter(field), self.records))
+
+    def columns(self) -> "SurveyColumns":
+        """A fresh :class:`SurveyColumns` over these results."""
+        return SurveyColumns(self)
+
+    # -- figures 2-7: per-name distributions (reduced by SurveyColumns) --------------
 
     def tcb_sizes(self, popular_only: bool = False) -> List[int]:
         """TCB sizes across the survey (optionally only the popular cohort)."""
-        records = self.popular_records() if popular_only else self.records
-        return [record.tcb_size for record in records if record.resolved]
+        return self.columns().tcb_sizes(popular_only)
 
     def tcb_cdf(self, popular_only: bool = False) -> CDFSeries:
         """The Figure 2 CDF."""
         return CDFSeries.from_values(self.tcb_sizes(popular_only=popular_only))
 
-    # -- figures 3-4: per-TLD averages ---------------------------------------------------
-
     def mean_tcb_by_tld(self, kind: str = "all",
                         minimum_samples: int = 3) -> Dict[str, float]:
         """Mean TCB size per TLD; ``kind`` is "gtld", "cctld", or "all"."""
-        grouped: Dict[str, List[float]] = {}
-        for record in self.resolved_records():
-            if kind == "gtld" and record.is_cctld_name:
-                continue
-            if kind == "cctld" and not record.is_cctld_name:
-                continue
-            grouped.setdefault(record.tld, []).append(float(record.tcb_size))
-        return average_by_group(grouped, minimum_samples=minimum_samples)
-
-    # -- figures 5-6: vulnerability exposure -----------------------------------------------
+        return self.columns().mean_tcb_by_tld(kind, minimum_samples)
 
     def vulnerable_in_tcb_counts(self, popular_only: bool = False) -> List[int]:
         """Per-name count of vulnerable TCB members (Figure 5)."""
-        records = self.popular_records() if popular_only else self.records
-        return [record.vulnerable_in_tcb for record in records if record.resolved]
+        return self.columns().vulnerable_in_tcb_counts(popular_only)
 
     def safety_percentages(self, popular_only: bool = False) -> List[float]:
         """Per-name percentage of safe TCB members (Figure 6)."""
-        records = self.popular_records() if popular_only else self.records
-        return [record.safety_percentage for record in records if record.resolved]
+        return self.columns().safety_percentages(popular_only)
 
     def fraction_with_vulnerable_dependency(self) -> float:
         """Fraction of names depending on >= 1 vulnerable server (45 %)."""
-        resolved = self.resolved_records()
-        if not resolved:
-            return 0.0
-        affected = sum(1 for record in resolved if record.vulnerable_in_tcb > 0)
-        return affected / len(resolved)
-
-    # -- figure 7: bottlenecks -----------------------------------------------------------------
+        return self.columns().fraction_with_vulnerable_dependency()
 
     def safe_bottleneck_counts(self, popular_only: bool = False) -> List[int]:
         """Per-name number of safe servers in the min-cut (Figure 7)."""
-        records = self.popular_records() if popular_only else self.records
-        return [record.mincut_safe for record in records if record.resolved]
+        return self.columns().safe_bottleneck_counts(popular_only)
 
     def fraction_completely_hijackable(self) -> float:
         """Fraction of names whose min-cut is entirely vulnerable (30 %)."""
-        resolved = self.resolved_records()
-        if not resolved:
-            return 0.0
-        hijackable = sum(1 for record in resolved
-                         if record.completely_hijackable)
-        return hijackable / len(resolved)
+        return self.columns().fraction_completely_hijackable()
 
     def mean_mincut_size(self) -> float:
         """Average bottleneck size (paper: 2.5 servers)."""
-        sizes = [record.mincut_size for record in self.resolved_records()
-                 if record.mincut_size > 0]
-        return sum(sizes) / len(sizes) if sizes else 0.0
+        return self.columns().mean_mincut_size()
 
     # -- figures 8-9: nameserver value ------------------------------------------------------------
 
     def value_analyzer(self) -> NameserverValueAnalyzer:
         """A value analyzer loaded with this survey's TCBs."""
+        from repro.core.value import NameserverValueAnalyzer
         vulnerability_map = {host: True for host in self.vulnerable_servers}
         analyzer = NameserverValueAnalyzer(vulnerability_map)
         for record in self.resolved_records():
@@ -251,12 +267,15 @@ class SurveyResults:
             columns.update(record.extras)
         return sorted(columns)
 
+    def extra_column(self, column: str) -> List[object]:
+        """One pass column for every record, in record order, with
+        :data:`ABSENT` where a record lacks it."""
+        return [record.extras.get(column, ABSENT) for record in self.records]
+
     def extra_values(self, column: str,
                      resolved_only: bool = True) -> List[object]:
         """Values of one pass column (records missing it are skipped)."""
-        records = self.resolved_records() if resolved_only else self.records
-        return [record.extras[column] for record in records
-                if column in record.extras]
+        return self.columns().extra_values(column, resolved_only)
 
     def numeric_extra_count(self, column: str) -> Optional[int]:
         """How many records carry ``column`` when every value is a number
@@ -266,6 +285,140 @@ class SurveyResults:
                           not isinstance(value, bool) for value in values):
             return len(values)
         return None
+
+    def extras_summary(self) -> Dict[str, float]:
+        """Aggregate pass columns: means for numbers, fractions for the rest."""
+        return self.columns().extras_summary()
+
+    # -- headline summary -------------------------------------------------------------------------
+
+    def total_servers_discovered(self) -> int:
+        """Distinct nameservers appearing in at least one TCB."""
+        return len(self.server_names_controlled)
+
+    def vulnerable_server_fraction(self) -> float:
+        """Fraction of discovered servers with a known vulnerability (17 %)."""
+        total = self.total_servers_discovered()
+        if not total:
+            return 0.0
+        vulnerable = sum(1 for host in self.server_names_controlled
+                         if host in self.vulnerable_servers)
+        return vulnerable / total
+
+    def headline(self) -> Dict[str, float]:
+        """The paper's headline statistics, computed from this survey."""
+        return self.columns().headline()
+
+
+class SurveyColumns:
+    """The reducers behind the headline, Figures 2-7 and the pass summary.
+
+    Every statistic here reads the survey through
+    :meth:`SurveyResults.column` (pass columns through
+    :meth:`SurveyResults.extra_column`) and nothing else.  Each field is
+    fetched once and kept, as is each field's resolved-rows cut, so a
+    caller asking for several statistics (:meth:`headline`, the churn
+    timeline's per-epoch row) reads every column once.  Use one instance
+    per reduction: records changed after a column was read are not seen.
+    """
+
+    def __init__(self, results: SurveyResults):
+        self._results = results
+        self._columns: Dict[str, List[object]] = {}
+        self._resolved: Dict[tuple, List[object]] = {}
+        self._extras_columns: Optional[List[str]] = None
+
+    def column(self, field: str) -> List[object]:
+        """One record field for every row (fetched once, shared)."""
+        found = self._columns.get(field)
+        if found is None:
+            found = self._columns[field] = self._results.column(field)
+        return found
+
+    def resolved(self, field: str, popular_only: bool = False) -> List[object]:
+        """``field`` over the resolved rows (popular ones only, if asked)."""
+        key = (field, popular_only)
+        found = self._resolved.get(key)
+        if found is None:
+            keep = self.column("resolved")
+            if popular_only:
+                keep = [resolved and popular for resolved, popular in
+                        zip(keep, self.column("is_popular"))]
+            found = self._resolved[key] = list(
+                itertools.compress(self.column(field), keep))
+        return found
+
+    # -- figure 2: TCB size distribution ----------------------------------------------
+
+    def tcb_sizes(self, popular_only: bool = False) -> List[int]:
+        """TCB sizes across the survey (optionally only the popular cohort)."""
+        return list(self.resolved("tcb_size", popular_only))
+
+    # -- figures 3-4: per-TLD averages ---------------------------------------------------
+
+    def mean_tcb_by_tld(self, kind: str = "all",
+                        minimum_samples: int = 3) -> Dict[str, float]:
+        """Mean TCB size per TLD; ``kind`` is "gtld", "cctld", or "all"."""
+        grouped: Dict[str, List[float]] = {}
+        for tld, size in zip(self.resolved("tld"), self.resolved("tcb_size")):
+            if kind == "gtld" and is_cctld(tld):
+                continue
+            if kind == "cctld" and not is_cctld(tld):
+                continue
+            grouped.setdefault(tld, []).append(float(size))
+        return average_by_group(grouped, minimum_samples=minimum_samples)
+
+    # -- figures 5-6: vulnerability exposure -----------------------------------------------
+
+    def vulnerable_in_tcb_counts(self, popular_only: bool = False) -> List[int]:
+        """Per-name count of vulnerable TCB members (Figure 5)."""
+        return list(self.resolved("vulnerable_in_tcb", popular_only))
+
+    def safety_percentages(self, popular_only: bool = False) -> List[float]:
+        """Per-name percentage of safe TCB members (Figure 6)."""
+        return list(self.resolved("safety_percentage", popular_only))
+
+    def fraction_with_vulnerable_dependency(self) -> float:
+        """Fraction of names depending on >= 1 vulnerable server (45 %)."""
+        counts = self.resolved("vulnerable_in_tcb")
+        if not counts:
+            return 0.0
+        return sum(1 for count in counts if count > 0) / len(counts)
+
+    # -- figure 7: bottlenecks -----------------------------------------------------------------
+
+    def safe_bottleneck_counts(self, popular_only: bool = False) -> List[int]:
+        """Per-name number of safe servers in the min-cut (Figure 7)."""
+        return list(self.resolved("mincut_safe", popular_only))
+
+    def fraction_completely_hijackable(self) -> float:
+        """Fraction of names whose min-cut is entirely vulnerable (30 %)."""
+        classifications = self.resolved("classification")
+        if not classifications:
+            return 0.0
+        return classifications.count(COMPLETELY_HIJACKABLE) / \
+            len(classifications)
+
+    def mean_mincut_size(self) -> float:
+        """Average bottleneck size (paper: 2.5 servers)."""
+        sizes = [size for size in self.resolved("mincut_size") if size > 0]
+        return sum(sizes) / len(sizes) if sizes else 0.0
+
+    # -- analysis-pass columns --------------------------------------------------------------------
+
+    def extras_columns(self) -> List[str]:
+        """Every pass column on at least one record (listed once, shared)."""
+        if self._extras_columns is None:
+            self._extras_columns = self._results.extras_columns()
+        return self._extras_columns
+
+    def extra_values(self, column: str,
+                     resolved_only: bool = True) -> List[object]:
+        """Values of one pass column (records missing it are skipped)."""
+        cells = self._results.extra_column(column)
+        if resolved_only:
+            cells = itertools.compress(cells, self.column("resolved"))
+        return [cell for cell in cells if cell is not ABSENT]
 
     def extras_summary(self) -> Dict[str, float]:
         """Aggregate pass columns: means for numbers, fractions for the rest.
@@ -294,31 +447,19 @@ class SurveyResults:
 
     # -- headline summary -------------------------------------------------------------------------
 
-    def total_servers_discovered(self) -> int:
-        """Distinct nameservers appearing in at least one TCB."""
-        return len(self.server_names_controlled)
-
-    def vulnerable_server_fraction(self) -> float:
-        """Fraction of discovered servers with a known vulnerability (17 %)."""
-        total = self.total_servers_discovered()
-        if not total:
-            return 0.0
-        vulnerable = sum(1 for host in self.server_names_controlled
-                         if host in self.vulnerable_servers)
-        return vulnerable / total
-
     def headline(self) -> Dict[str, float]:
-        """The paper's headline statistics, computed from this survey."""
-        sizes = self.tcb_sizes()
+        """The paper's headline statistics, computed from the survey."""
+        results = self._results
+        sizes = self.resolved("tcb_size")
         stats = summary_stats(sizes)
-        popular_stats = summary_stats(self.tcb_sizes(popular_only=True))
-        in_bailiwick = [record.in_bailiwick
-                        for record in self.resolved_records()]
-        vulnerable_counts = self.vulnerable_in_tcb_counts()
+        popular_stats = summary_stats(self.resolved("tcb_size",
+                                                    popular_only=True))
+        in_bailiwick = self.resolved("in_bailiwick")
+        vulnerable_counts = self.resolved("vulnerable_in_tcb")
         return {
-            "names_surveyed": float(len(self.records)),
-            "names_resolved": float(len(self.resolved_records())),
-            "servers_discovered": float(self.total_servers_discovered()),
+            "names_surveyed": float(len(self.column("resolved"))),
+            "names_resolved": float(len(sizes)),
+            "servers_discovered": float(results.total_servers_discovered()),
             "mean_tcb_size": stats["mean"],
             "median_tcb_size": stats["median"],
             "fraction_tcb_over_200": CDFSeries.from_values(sizes)
@@ -326,7 +467,7 @@ class SurveyResults:
             "popular_mean_tcb_size": popular_stats["mean"],
             "mean_in_bailiwick": (sum(in_bailiwick) / len(in_bailiwick))
             if in_bailiwick else 0.0,
-            "vulnerable_server_fraction": self.vulnerable_server_fraction(),
+            "vulnerable_server_fraction": results.vulnerable_server_fraction(),
             "fraction_names_with_vulnerable_dependency":
                 self.fraction_with_vulnerable_dependency(),
             "mean_vulnerable_in_tcb": (sum(vulnerable_counts) /
@@ -336,7 +477,6 @@ class SurveyResults:
                 self.fraction_completely_hijackable(),
             "mean_mincut_size": self.mean_mincut_size(),
         }
-
 
 class Survey:
     """Runs the measurement pipeline against a synthetic Internet.

@@ -358,16 +358,17 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
     ``dirty`` is the epoch's re-surveyed name set: every other record was
     copied from ``previous``, so the drift diff compares only these.
     """
-    sizes = [float(size) for size in results.tcb_sizes()]
+    columns = results.columns()
+    sizes = [float(size) for size in columns.tcb_sizes()]
     event_kinds: Dict[str, int] = {}
     for event in events:
         event_kinds[event.kind] = event_kinds.get(event.kind, 0) + 1
 
-    extras = results.extras_summary()
+    extras = columns.extras_summary()
     availability = extras.get("availability")
     dnssec_secure = extras.get("dnssec_status=secure")
     if dnssec_secure is None and "dnssec_status" in \
-            results.extras_columns():
+            columns.extras_columns():
         dnssec_secure = 0.0  # the pass ran but nothing validated secure
 
     changed = added = removed = 0
@@ -398,14 +399,14 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
         patched_names=stats.patched_names,
         dirty_fraction=stats.dirty_fraction,
         delta_elapsed_s=round(elapsed_s, 6),
-        names_resolved=len(results.resolved_records()),
-        hijackable_fraction=results.fraction_completely_hijackable(),
+        names_resolved=len(sizes),
+        hijackable_fraction=columns.fraction_completely_hijackable(),
         mean_tcb=size_stats["mean"],
         median_tcb=size_stats["median"],
         p95_tcb=percentile(sizes, 95.0),
-        mean_mincut=results.mean_mincut_size(),
+        mean_mincut=columns.mean_mincut_size(),
         vulnerable_dependency_fraction=
-        results.fraction_with_vulnerable_dependency(),
+        columns.fraction_with_vulnerable_dependency(),
         availability_mean=availability,
         dnssec_secure_fraction=dnssec_secure,
         dnssec_fraction=dnssec_fraction,

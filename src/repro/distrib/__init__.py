@@ -22,11 +22,15 @@ reconnect-and-rebuild retries with deterministic backoff,
 shard is reassigned to a survivor, preserving byte-identical folds).
 """
 
-from repro.distrib.wire import DistribError, WireError
-
-from repro.distrib.coordinator import (FaultReport, RetryPolicy,
-                                       WorkerLostError)
-from repro.distrib.faults import FaultPlan
+from repro._lazy import lazy_exports
 
 __all__ = ["DistribError", "WireError", "FaultReport", "RetryPolicy",
            "WorkerLostError", "FaultPlan"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.distrib.wire": ("DistribError", "WireError"),
+    "repro.distrib.coordinator": (
+        "FaultReport", "RetryPolicy", "WorkerLostError",
+    ),
+    "repro.distrib.faults": ("FaultPlan",),
+})

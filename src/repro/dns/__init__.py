@@ -21,23 +21,7 @@ and in Section 2 of the paper.  It provides:
   (the paper's delegation graph).
 """
 
-from repro.dns.errors import (
-    DNSError,
-    NameError_,
-    NoSuchDomainError,
-    ResolutionError,
-    ServerFailureError,
-    ZoneError,
-)
-from repro.dns.name import DomainName, ROOT_NAME
-from repro.dns.rdtypes import RRType, RRClass, RCode, OpCode
-from repro.dns.records import ResourceRecord, RRSet
-from repro.dns.message import Question, Message, make_query, make_response
-from repro.dns.zone import Zone, Delegation
-from repro.dns.server import AuthoritativeServer, ServerStatus
-from repro.dns.cache import ResolverCache, CacheEntry
-from repro.dns.resolver import IterativeResolver, ResolutionTrace, ResolutionStep
-from repro.dns.dnssec import ChainValidator, ValidationResult, ZoneSigner
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DNSError",
@@ -71,3 +55,23 @@ __all__ = [
     "ValidationResult",
     "ZoneSigner",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dns.errors": (
+        "DNSError", "NameError_", "NoSuchDomainError", "ResolutionError",
+        "ServerFailureError", "ZoneError",
+    ),
+    "repro.dns.name": ("DomainName", "ROOT_NAME"),
+    "repro.dns.rdtypes": ("RRType", "RRClass", "RCode", "OpCode"),
+    "repro.dns.records": ("ResourceRecord", "RRSet"),
+    "repro.dns.message": (
+        "Question", "Message", "make_query", "make_response",
+    ),
+    "repro.dns.zone": ("Zone", "Delegation"),
+    "repro.dns.server": ("AuthoritativeServer", "ServerStatus"),
+    "repro.dns.cache": ("ResolverCache", "CacheEntry"),
+    "repro.dns.resolver": (
+        "IterativeResolver", "ResolutionTrace", "ResolutionStep",
+    ),
+    "repro.dns.dnssec": ("ChainValidator", "ValidationResult", "ZoneSigner"),
+})

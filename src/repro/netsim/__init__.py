@@ -8,10 +8,7 @@ latency, advances a simulated clock, and supports failure injection (downed
 servers, partitioned regions, saturating DoS) used by the what-if analyses.
 """
 
-from repro.netsim.ip import IPv4Allocator, is_valid_ipv4
-from repro.netsim.latency import LatencyModel, REGION_RTT_MS
-from repro.netsim.network import SimulatedNetwork, NetworkStats
-from repro.netsim.failures import FailureInjector, FailureScenario
+from repro._lazy import lazy_exports
 
 __all__ = [
     "IPv4Allocator",
@@ -23,3 +20,10 @@ __all__ = [
     "FailureInjector",
     "FailureScenario",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.netsim.ip": ("IPv4Allocator", "is_valid_ipv4"),
+    "repro.netsim.latency": ("LatencyModel", "REGION_RTT_MS"),
+    "repro.netsim.network": ("SimulatedNetwork", "NetworkStats"),
+    "repro.netsim.failures": ("FailureInjector", "FailureScenario"),
+})

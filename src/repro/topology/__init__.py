@@ -21,35 +21,7 @@ re-collected, so this subpackage generates a synthetic Internet with the same
 Everything is driven by a single seeded RNG so that surveys are reproducible.
 """
 
-from repro.topology.distributions import (
-    ZipfSampler,
-    bounded_pareto,
-    weighted_choice,
-)
-from repro.topology.tlds import (
-    GTLD_PROFILES,
-    CCTLD_PROFILES,
-    TLDProfile,
-    gtld_labels,
-    cctld_labels,
-)
-from repro.topology.operators import Organization, OperatorKind
-from repro.topology.bindpolicy import BindVersionPolicy, VERSION_POOLS
-from repro.topology.generator import (
-    GeneratorConfig,
-    InternetGenerator,
-    SyntheticInternet,
-)
-from repro.topology.webdirectory import WebDirectory, DirectoryEntry
-from repro.topology.anecdotes import AnecdotePlanter
-from repro.topology.changes import (
-    ChangeEvent,
-    ChangeJournal,
-    ChangeSet,
-    apply_mutation_spec,
-    zone_nameserver_union,
-)
-from repro.topology.churn import ChurnModel, ChurnRates
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ZipfSampler",
@@ -78,3 +50,25 @@ __all__ = [
     "ChurnModel",
     "ChurnRates",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.distributions": (
+        "ZipfSampler", "bounded_pareto", "weighted_choice",
+    ),
+    "repro.topology.tlds": (
+        "GTLD_PROFILES", "CCTLD_PROFILES", "TLDProfile", "gtld_labels",
+        "cctld_labels",
+    ),
+    "repro.topology.operators": ("Organization", "OperatorKind"),
+    "repro.topology.bindpolicy": ("BindVersionPolicy", "VERSION_POOLS"),
+    "repro.topology.generator": (
+        "GeneratorConfig", "InternetGenerator", "SyntheticInternet",
+    ),
+    "repro.topology.webdirectory": ("WebDirectory", "DirectoryEntry"),
+    "repro.topology.anecdotes": ("AnecdotePlanter",),
+    "repro.topology.changes": (
+        "ChangeEvent", "ChangeJournal", "ChangeSet", "apply_mutation_spec",
+        "zone_nameserver_union",
+    ),
+    "repro.topology.churn": ("ChurnModel", "ChurnRates"),
+})

@@ -15,15 +15,7 @@ subpackage provides:
   collected version banners.
 """
 
-from repro.vulns.bindversion import BindVersion
-from repro.vulns.database import (
-    Vulnerability,
-    VulnerabilityDatabase,
-    Capability,
-    Severity,
-    default_database,
-)
-from repro.vulns.fingerprint import Fingerprinter, FingerprintResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BindVersion",
@@ -35,3 +27,12 @@ __all__ = [
     "Fingerprinter",
     "FingerprintResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.vulns.bindversion": ("BindVersion",),
+    "repro.vulns.database": (
+        "Vulnerability", "VulnerabilityDatabase", "Capability", "Severity",
+        "default_database",
+    ),
+    "repro.vulns.fingerprint": ("Fingerprinter", "FingerprintResult"),
+})

@@ -5,6 +5,11 @@ a banner such as ``"BIND 8.2.4-REL"`` or ``"9.2.1"``, which known
 vulnerabilities apply.  Affected ranges in the catalogue are expressed over
 (major, minor, patch) tuples, so this module provides a small, forgiving
 parser plus total ordering within a major release line.
+
+:class:`FingerprintResult`, what probing one server's banner yielded,
+lives here beside the parser rather than with the
+:class:`~repro.vulns.fingerprint.Fingerprinter` that probes: snapshot
+readers rebuild results without importing the DNS stack a probe needs.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.dns.name import DomainName
 
 _VERSION_RE = re.compile(
     r"(?:bind[\s_-]*)?v?(\d+)\.(\d+)(?:\.(\d+))?(?:[.\-]?(p\d+|rel|rc\d+|beta\d*|b\d+))?",
@@ -94,3 +102,24 @@ def version_range(low: str, high: str) -> Tuple[BindVersion, BindVersion]:
     if high_version < low_version:
         raise ValueError(f"inverted version range: {low!r}..{high!r}")
     return low_version, high_version
+
+
+@dataclasses.dataclass
+class FingerprintResult:
+    """Outcome of fingerprinting one nameserver."""
+
+    hostname: DomainName
+    banner: Optional[str]
+    version: Optional[BindVersion]
+    reachable: bool
+    vulnerabilities: List[str] = dataclasses.field(default_factory=list)
+
+    @property
+    def is_vulnerable(self) -> bool:
+        """True if any known vulnerability was matched."""
+        return bool(self.vulnerabilities)
+
+    @property
+    def disclosed(self) -> bool:
+        """True if the server answered with a parseable version banner."""
+        return self.version is not None

@@ -10,7 +10,6 @@ their banner or are unreachable.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Iterable, List, Optional
 
 from repro.dns.errors import ServerFailureError
@@ -18,29 +17,8 @@ from repro.dns.message import make_query
 from repro.dns.name import DomainName, NameLike
 from repro.dns.rdtypes import RCode, RRClass, RRType
 from repro.dns.server import VERSION_BIND
-from repro.vulns.bindversion import BindVersion
+from repro.vulns.bindversion import BindVersion, FingerprintResult
 from repro.vulns.database import VulnerabilityDatabase
-
-
-@dataclasses.dataclass
-class FingerprintResult:
-    """Outcome of fingerprinting one nameserver."""
-
-    hostname: DomainName
-    banner: Optional[str]
-    version: Optional[BindVersion]
-    reachable: bool
-    vulnerabilities: List[str] = dataclasses.field(default_factory=list)
-
-    @property
-    def is_vulnerable(self) -> bool:
-        """True if any known vulnerability was matched."""
-        return bool(self.vulnerabilities)
-
-    @property
-    def disclosed(self) -> bool:
-        """True if the server answered with a parseable version banner."""
-        return self.version is not None
 
 
 class Fingerprinter:

@@ -502,3 +502,77 @@ def test_churn_keyframe_every_flag(tmp_path, capsys):
     assert kinds == [KIND_RESULTS, KIND_DELTA, KIND_RESULTS, KIND_DELTA,
                      KIND_RESULTS]
     assert len(store.load_epoch(4).records) > 0
+
+
+def test_report_prints_the_same_for_binary_and_json_twin(tmp_path, capsys):
+    """``report`` reads a binary snapshot off its columns and a JSON one
+    off hydrated records; both print byte for byte the same tables."""
+    from repro.core.snapshot import load_results, save_results
+
+    binary = tmp_path / "snap.rsnap"
+    twin = tmp_path / "snap.json.z"
+    assert main(["survey", "--max-names", "40", "--format", "binary",
+                 "--passes", "availability,value", "--output", str(binary),
+                 *TINY]) == 0
+    save_results(load_results(binary), twin, compress=True)
+    capsys.readouterr()
+    assert main(["report", str(binary)]) == 0
+    from_binary = capsys.readouterr().out
+    assert main(["report", str(twin)]) == 0
+    assert capsys.readouterr().out == from_binary
+    assert "Nameserver value ranking" in from_binary
+    assert "availability" in from_binary
+
+
+# -- import policy ---------------------------------------------------------------------
+
+#: Modules ``report`` never needs: the engine, the graph builder, the
+#: resolver and server stack, the socket coordinator and the generator.
+REPORT_NEVER_IMPORTS = ("repro.core.engine", "repro.core.delegation",
+                        "repro.dns.resolver", "repro.dns.server",
+                        "repro.distrib.coordinator")
+
+PACKAGES = ("repro", "repro.core", "repro.dns", "repro.vulns",
+            "repro.topology", "repro.netsim", "repro.distrib")
+
+
+def test_report_imports_only_what_it_runs(tmp_path):
+    """``python -m repro.cli report`` on a binary snapshot loads none of
+    the survey machinery (read from ``-X importtime``, which lists every
+    module the process imported)."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    snap = tmp_path / "snap.rsnap"
+    assert main(["survey", "--max-names", "15", "--format", "binary",
+                 "--output", str(snap), *TINY]) == 0
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli", "report",
+         str(snap)], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert "mean_tcb_size" in child.stdout
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in child.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert "repro.core.snapstore" in imported
+    assert not imported & set(REPORT_NEVER_IMPORTS)
+    assert not {name for name in imported
+                if name.startswith("repro.topology.")}
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_reexports_resolve_on_first_access(package):
+    import importlib
+
+    module = importlib.import_module(package)
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_export")
