@@ -94,7 +94,6 @@ from repro.core.snapshot import (
     load_results,
 )
 from repro.core.survey import BACKENDS, SurveyResults
-from repro.distrib.wire import DistribError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,6 +387,7 @@ def _auth_token(args: argparse.Namespace) -> Optional[str]:
 def _fault_plans(args: argparse.Namespace) -> Dict[int, str]:
     """Parse repeated ``--fault-plan I=SPEC`` into {worker index: spec}."""
     from repro.distrib.faults import FaultPlan
+    from repro.distrib.wire import DistribError
     plans: Dict[int, str] = {}
     for item in getattr(args, "fault_plan", []) or []:
         index_text, separator, spec = str(item).partition("=")
@@ -402,6 +402,7 @@ def _fault_plans(args: argparse.Namespace) -> Dict[int, str]:
 
 def _worker_fleet(args: argparse.Namespace):
     """(worker_addrs, fleet) for a command; fleet is None unless spawned."""
+    from repro.distrib.wire import DistribError
     addrs = tuple(item.strip() for item in (args.worker_addrs or "").split(",")
                   if item.strip())
     plans = _fault_plans(args)
@@ -610,6 +611,7 @@ def _command_survey_shard(args: argparse.Namespace) -> int:
     from repro.core.engine import EngineConfig, SurveyAggregator, SurveyEngine
     from repro.core.passes import build_passes
     from repro.core.snapstore import pack_shard_result
+    from repro.distrib.wire import DistribError
 
     if not args.output:
         raise DistribError("--shard requires --output (the shard file)")
@@ -1234,17 +1236,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # atomic-commit protocol, wire faults on the coordinator side) — the
     # crash-matrix tests kill a churn run mid-commit this way.  Spawned
     # local workers never inherit it (the fleet strips the variable), and
-    # without the variable this is a no-op.
-    from repro.distrib.faults import activate_from_env
-    activate_from_env()
+    # without the variable this is a no-op, so the fault machinery (and
+    # the wire layer under it) is imported only when it is set.
+    if os.environ.get("REPRO_FAULT_PLAN"):  # faults.ENV_FAULT_PLAN
+        from repro.distrib.faults import activate_from_env
+        activate_from_env()
     handler = handlers[args.command]
     try:
         return handler(args)
-    except (SnapshotFormatError, DistribError) as error:
+    except Exception as error:
         # Corrupt, truncated, or wrong-format input — or a distributed
         # survey failure (dead worker, corrupt frame, timeout): one clear
         # line on stderr instead of a traceback, never a hang or a
         # partial result.
+        from repro.distrib.wire import DistribError
+        if not isinstance(error, (SnapshotFormatError, DistribError)):
+            raise
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -69,7 +69,7 @@ from typing import (
 )
 
 from repro.dns.errors import ResolutionError
-from repro.dns.name import DomainName, NameLike
+from repro.dns.name import DomainName, NameLike, SubtreeIndex
 from repro.dns.resolver import IterativeResolver, ZoneCut
 from repro.core.graphcore import (
     DependencyUniverse,
@@ -615,6 +615,80 @@ class TCBView(DelegationView):
         return f"TCBView({self.target!s}, {self.tcb_size()} nameservers)"
 
 
+class _ChainIndex:
+    """Where the builder's cached chains run, so a world change finds the
+    chains it stales by lookup instead of testing every one.
+
+    Each cached name has a place, numbered in chain-cache order: hits come
+    back in that order, which decides the order stale hosts are re-walked
+    in.  ``through`` maps a zone to the places of the chains that cross
+    it.  ``below`` files every place under its name's label suffixes;
+    only a newly cut zone needs it, so the first one builds it.
+    """
+
+    def __init__(self, chains: Dict[DomainName, List[ZoneCut]]):
+        #: place -> name; None once the name's chain is dropped.
+        self.names: List[Optional[DomainName]] = list(chains)
+        self.order: Dict[DomainName, int] = dict(
+            zip(self.names, range(len(self.names))))
+        self.through: Dict[DomainName, Set[int]] = {}
+        self.below: Optional[SubtreeIndex] = None
+        through = self.through
+        for place, cuts in enumerate(chains.values()):
+            for cut in cuts:
+                bucket = through.get(cut.zone)
+                if bucket is None:
+                    through[cut.zone] = {place}
+                else:
+                    bucket.add(place)
+
+    def add(self, name: DomainName, cuts: Sequence[ZoneCut]) -> None:
+        """File ``name``'s chain; a name already filed keeps its place."""
+        place = self.order.get(name)
+        if place is None:
+            place = self.order[name] = len(self.names)
+            self.names.append(name)
+            if self.below is not None:
+                self.below.add(name.labels, place)
+        for cut in cuts:
+            bucket = self.through.get(cut.zone)
+            if bucket is None:
+                self.through[cut.zone] = {place}
+            else:
+                bucket.add(place)
+
+    def remove(self, name: DomainName, cuts: Sequence[ZoneCut],
+               keep_place: bool = False) -> None:
+        """Unfile ``name``'s chain ``cuts`` (and its place, unless kept)."""
+        place = self.order[name]
+        for cut in cuts:
+            bucket = self.through.get(cut.zone)
+            if bucket is not None:
+                bucket.discard(place)
+                if not bucket:
+                    del self.through[cut.zone]
+        if not keep_place:
+            del self.order[name]
+            self.names[place] = None
+            if self.below is not None:
+                self.below.discard(name.labels, place)
+
+    def stale(self, edited: Iterable[DomainName],
+              created: Sequence[DomainName]) -> List[DomainName]:
+        """Names whose chain crosses an edited zone or lies at or below a
+        created one, in chain-cache order."""
+        hits: Set[int] = set()
+        for zone in edited:
+            hits.update(self.through.get(zone, ()))
+        if created and self.below is None:
+            self.below = SubtreeIndex()
+            for name, place in self.order.items():
+                self.below.add(name.labels, place)
+        for apex in created:
+            hits.update(self.below.at_or_below(apex.labels))
+        return [self.names[place] for place in sorted(hits)]
+
+
 class DelegationGraphBuilder:
     """Builds delegation graphs by querying the (simulated) DNS.
 
@@ -638,6 +712,8 @@ class DelegationGraphBuilder:
         self._universe = DependencyUniverse()
         self._closures = ClosureIndex(self._universe, self.excluded_suffixes)
         self._chain_cache: Dict[DomainName, List[ZoneCut]] = {}
+        #: Built by the first :meth:`apply_changes`, current from then on.
+        self._chain_index: Optional[_ChainIndex] = None
         self._expanded_hosts: Set[DomainName] = set()
         self._expanded_names: Set[DomainName] = set()
         #: hostname -> excluded?, decided once per host.
@@ -694,7 +770,14 @@ class DelegationGraphBuilder:
         may extend existing closures.
         """
         self._universe.merge(other._universe)
-        self._chain_cache.update(other._chain_cache)
+        index = self._chain_index
+        for name, cuts in other._chain_cache.items():
+            if index is not None:
+                replaced = self._chain_cache.get(name)
+                if replaced is not None:
+                    index.remove(name, replaced, keep_place=True)
+                index.add(name, cuts)
+            self._chain_cache[name] = cuts
         self._expanded_hosts |= other._expanded_hosts
         self._expanded_names |= other._expanded_names
         self._closures.clear()
@@ -738,16 +821,13 @@ class DelegationGraphBuilder:
 
         # Cached chains that embed a stale cut (re-delegated zone on the
         # path) or miss a new one (the walked name lies below a new cut).
-        def chain_stale(name: DomainName, cuts) -> bool:
-            if any(cut.zone in edited for cut in cuts):
-                return True
-            return any(name.is_subdomain_of(apex) for apex in created)
-
-        stale = [name for name, cuts in self._chain_cache.items()
-                 if chain_stale(name, cuts)]
+        index = self._chain_index
+        if index is None:
+            index = self._chain_index = _ChainIndex(self._chain_cache)
+        stale = index.stale(edited, created)
         stale_hosts: List[Tuple[DomainName, int]] = []
         for name in stale:
-            del self._chain_cache[name]
+            index.remove(name, self._chain_cache.pop(name))
             if name in self._expanded_hosts:
                 self._expanded_hosts.discard(name)
                 hnode = universe.find_id(NS_CODE, name)
@@ -769,7 +849,9 @@ class DelegationGraphBuilder:
         for name in dirty_names:
             name = DomainName(name)
             self._expanded_names.discard(name)
-            self._chain_cache.pop(name, None)
+            cuts = self._chain_cache.pop(name, None)
+            if cuts is not None:
+                index.remove(name, cuts)
             node_id = universe.find_id(NAME_CODE, name)
             if node_id is not None:
                 closures.invalidate_id(node_id)
@@ -805,6 +887,8 @@ class DelegationGraphBuilder:
         except ResolutionError:
             cuts = []
         self._chain_cache[key] = cuts
+        if self._chain_index is not None:
+            self._chain_index.add(key, cuts)
         return cuts
 
     def discovered_nameservers(self) -> Set[DomainName]:

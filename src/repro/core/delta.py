@@ -36,10 +36,33 @@ Two rules extend the closure argument to the cases it cannot see:
 from __future__ import annotations
 
 import dataclasses
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
+import weakref
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set)
 
 from repro.dns.name import DomainName
-from repro.core.survey import SurveyResults
+from repro.core.survey import ExtrasCensus, NameRecord, SurveyResults
+
+
+class _Rows:
+    """An index's names in row order, with each name's row on demand.
+
+    Shared, unchanged, by every index advanced over the same rows.
+    """
+
+    __slots__ = ("names", "_positions")
+
+    def __init__(self, names: List[DomainName]):
+        self.names = names
+        self._positions: Optional[Dict[DomainName, int]] = None
+
+    def positions(self, names: Iterable[DomainName]) -> List[int]:
+        """The rows of those ``names`` that are rows, ascending."""
+        if self._positions is None:
+            self._positions = {name: row
+                               for row, name in enumerate(self.names)}
+        return sorted(row for row in map(self._positions.get, names)
+                      if row is not None)
 
 
 class DirtyIndex:
@@ -66,6 +89,12 @@ class DirtyIndex:
                     by_host[host] = [name]
                 else:
                     bucket.append(name)
+        self._rows = _Rows(list(self._tcbs))
+        self._census: Optional[ExtrasCensus] = None
+        #: The index this one was advanced from, and the hosts in the
+        #: TCBs of the rows that left or came in on the way.
+        self._base: Optional[weakref.ref] = None
+        self._moved: FrozenSet[DomainName] = frozenset()
 
     @classmethod
     def of(cls, results: SurveyResults) -> "DirtyIndex":
@@ -91,6 +120,46 @@ class DirtyIndex:
     def hosts(self) -> AbstractSet[DomainName]:
         """Every host in at least one indexed TCB."""
         return self._by_host.keys()
+
+    def dirty_rows(self, entry_names: Sequence[DomainName],
+                   dirty: Iterable[DomainName]) -> Optional[List[int]]:
+        """The rows of the ``dirty`` names, ascending, when the survey's
+        ``entry_names`` are these rows in order; else None.
+
+        ``dirty`` must hold indexed names only, as :meth:`dirty_names`
+        returns.
+        """
+        if entry_names != self._rows.names:
+            return None
+        return self.rows_of(dirty)
+
+    def rows_of(self, names: Iterable[DomainName]) -> List[int]:
+        """The rows, in this index's result set, of those ``names`` it
+        holds, ascending."""
+        return self._rows.positions(names)
+
+    def extras_census(self, results: SurveyResults) -> ExtrasCensus:
+        """The pass-column census of ``results``, this index's result set
+        (counted on first use, then carried by :meth:`advanced`)."""
+        if self._census is None:
+            self._census = ExtrasCensus(results.records)
+        return self._census
+
+    def moved_since(self, base: object) -> Optional[FrozenSet[DomainName]]:
+        """Hosts in the TCBs of the rows that left or came in since
+        ``base``, if this index was advanced from it; else None.
+
+        Only these hosts can have a different TCB count, fingerprint or
+        verdict in this index's result set than in ``base``'s.
+        """
+        if self._base is None or base is None or self._base() is not base:
+            return None
+        return self._moved
+
+    def same_rows_as(self, base: object) -> bool:
+        """True if this index was advanced from ``base`` over its rows."""
+        return self.moved_since(base) is not None and \
+            self._rows is base._rows
 
     def resolved_count(self) -> int:
         """How many indexed names resolved."""
@@ -120,35 +189,46 @@ class DirtyIndex:
         return removed
 
     def advanced(self, leaving: Iterable[DomainName],
-                 rows: Iterable[Tuple[DomainName, bool,
-                                      AbstractSet[DomainName]]]
+                 incoming: Sequence[NameRecord],
+                 row_names: Optional[List[DomainName]] = None,
+                 leaving_records: Optional[Sequence[NameRecord]] = None
                  ) -> "DirtyIndex":
         """The index of the result set one delta epoch later.
 
         ``leaving`` are the indexed names whose rows go (re-surveyed or no
-        longer surveyed); ``rows`` are the ``(name, resolved,
-        tcb_servers)`` rows that come in.  A host bucket is copied only
-        when its membership changes — a re-surveyed name that keeps the
-        host in its TCB stays where it is — so this index stays valid for
-        its own results and the cost follows the TCBs that moved.
+        longer surveyed); ``incoming`` are the records that come in.
+        ``row_names`` is the new result set's record order, or None when
+        it keeps this index's rows.  A host bucket is copied only when
+        its membership changes — a re-surveyed name that keeps the host
+        in its TCB stays where it is — so this index stays valid for its
+        own results and the cost follows the TCBs that moved.  The extras
+        census is carried too when it was counted and ``leaving_records``
+        (the records of ``leaving``) are given.
         """
         index = object.__new__(DirtyIndex)
         tcbs = index._tcbs = dict(self._tcbs)
         unresolved = index._unresolved = set(self._unresolved)
         by_host = index._by_host = dict(self._by_host)
+        index._rows = self._rows if row_names is None else _Rows(row_names)
+        index._census = None
+        if self._census is not None and leaving_records is not None:
+            index._census = self._census.advanced(leaving_records, incoming)
+        index._base = weakref.ref(self)
         gone: Dict[DomainName, Set[DomainName]] = {}
         for name in leaving:
             unresolved.discard(name)
             for host in tcbs.pop(name):
                 gone.setdefault(host, set()).add(name)
         came: Dict[DomainName, List[DomainName]] = {}
-        for name, resolved, tcb_servers in rows:
-            tcbs[name] = tcb_servers
-            if not resolved:
+        for record in incoming:
+            name = record.name
+            tcbs[name] = record.tcb_servers
+            if not record.resolved:
                 unresolved.add(name)
-            for host in tcb_servers:
+            for host in record.tcb_servers:
                 came.setdefault(host, []).append(name)
-        for host in gone.keys() | came.keys():
+        index._moved = frozenset(gone.keys() | came.keys())
+        for host in index._moved:
             went, arrived = gone.get(host, set()), came.get(host, [])
             stayed = went.intersection(arrived)
             removed = went - stayed

@@ -61,6 +61,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
@@ -72,7 +73,7 @@ from typing import (
     Tuple,
 )
 
-from repro.dns.name import DomainName, NameLike
+from repro.dns.name import DomainName, NameLike, name_key
 from repro.core.delegation import (
     DelegationGraphBuilder,
     NodeKey,
@@ -230,6 +231,14 @@ class WorkerContext:
             result.banner)
 
 
+def _flags(hosts: Iterable[DomainName],
+           flagged: Iterable[DomainName]) -> Dict[DomainName, bool]:
+    """host -> flag for every host in ``hosts``, True where ``flagged``."""
+    flags = dict.fromkeys(hosts, False)
+    flags.update(dict.fromkeys(flagged, True))
+    return flags
+
+
 class SurveyAggregator:
     """Streams per-name records into aggregate survey state.
 
@@ -250,6 +259,12 @@ class SurveyAggregator:
         self._lock = threading.Lock()
         self.completed = 0
         self.resolved_count = 0
+        #: A delta's previous results, whose server maps restrict_hosts()
+        #: patches instead of rebuilding (see carry_maps), and the maps it
+        #: settles on.
+        self._carried: Optional[SurveyResults] = None
+        self._settled: Optional[Tuple[Dict[DomainName, FingerprintResult],
+                                      Set[DomainName], Set[DomainName]]] = None
 
     def add_record(self, index: int, record: NameRecord) -> None:
         """Fold one name's record into the aggregate state."""
@@ -265,13 +280,14 @@ class SurveyAggregator:
         if self._progress is not None:
             self._progress(done, self._total)
 
-    def patch(self, records: List[Tuple[int, NameRecord]],
+    def patch(self, records: Dict[int, NameRecord],
               counts: Dict[DomainName, int], resolved: int) -> None:
         """Adopt clean records whose TCBs ``counts`` already folds.
 
-        The delta path's bulk form of :meth:`add_record`: ``counts`` and
-        ``resolved`` are the previous epoch's fold less the rows leaving
-        it, so the clean records are placed without being re-counted.
+        The delta path's bulk form of :meth:`add_record`: ``records`` maps
+        directory index to record, and ``counts`` and ``resolved`` are the
+        previous epoch's fold less the rows leaving it, so the clean
+        records are placed without being re-counted.
         """
         with self._lock:
             self._records.update(records)
@@ -297,7 +313,10 @@ class SurveyAggregator:
     def vulnerability_flags(self) -> Dict[DomainName, bool]:
         """Per-host vulnerability flags merged from every shard (a copy)."""
         with self._lock:
-            return dict(self._vulnerability_map)
+            if self._carried is None:
+                return dict(self._vulnerability_map)
+            fingerprints, vulnerable, _ = self._server_maps()
+        return _flags(fingerprints, vulnerable)
 
     def indexed_records(self) -> List[Tuple[int, NameRecord]]:
         """(directory index, record) pairs in index order (a copy)."""
@@ -309,9 +328,13 @@ class SurveyAggregator:
                                   Dict[DomainName, bool]]:
         """Copies of the merged fingerprint/vulnerability/compromisable maps."""
         with self._lock:
-            return (dict(self._fingerprints),
-                    dict(self._vulnerability_map),
-                    dict(self._compromisable_map))
+            if self._carried is None:
+                return (dict(self._fingerprints),
+                        dict(self._vulnerability_map),
+                        dict(self._compromisable_map))
+            fingerprints, vulnerable, compromisable = self._server_maps()
+        return (fingerprints, _flags(fingerprints, vulnerable),
+                _flags(fingerprints, compromisable))
 
     def merge_context(self, context: WorkerContext) -> None:
         """Adopt a worker context's fingerprints and vulnerability maps."""
@@ -342,26 +365,84 @@ class SurveyAggregator:
                 union.update(record.tcb_servers)
             return union
 
-    def restrict_hosts(self, hosts: Set[DomainName]) -> None:
-        """Drop fingerprint / vulnerability entries outside ``hosts``."""
+    def carry_maps(self, previous: SurveyResults) -> None:
+        """Start from ``previous``'s fingerprint and verdict maps.
+
+        The delta path's form of merging them in first: they are not
+        copied here, and the merges that follow only overlay.
+        :meth:`restrict_hosts` then copies them once and re-decides just
+        the hosts whose rows moved, from the overlays.
+        """
         with self._lock:
-            for mapping in (self._fingerprints, self._vulnerability_map,
-                            self._compromisable_map):
-                for host in [h for h in mapping if h not in hosts]:
-                    del mapping[host]
+            self._carried = previous
+
+    def restrict_hosts(self, hosts: AbstractSet[DomainName],
+                       moved: Iterable[DomainName] = ()) -> None:
+        """Drop fingerprint / vulnerability entries outside ``hosts``.
+
+        After :meth:`carry_maps`, ``moved`` must hold every host whose
+        fingerprint, verdicts or membership of ``hosts`` can differ from
+        the carried results' (the hosts in the TCBs of the rows that left
+        or came in); only those are decided, as a full merge would: the
+        latest overlay wins, and hosts outside ``hosts`` go.
+        """
+        with self._lock:
+            if self._carried is None:
+                for mapping in (self._fingerprints, self._vulnerability_map,
+                                self._compromisable_map):
+                    for host in [h for h in mapping if h not in hosts]:
+                        del mapping[host]
+                return
+            carried = self._carried
+            fingerprints = dict(carried.fingerprints)
+            vulnerable = set(carried.vulnerable_servers)
+            compromisable = set(carried.compromisable_servers)
+            for host in sorted(moved, key=name_key):
+                if host not in hosts:
+                    fingerprints.pop(host, None)
+                    vulnerable.discard(host)
+                    compromisable.discard(host)
+                    continue
+                result = self._fingerprints.get(host)
+                if result is not None:
+                    fingerprints[host] = result
+                for flags, flagged in (
+                        (self._vulnerability_map, vulnerable),
+                        (self._compromisable_map, compromisable)):
+                    flag = flags.get(host)
+                    if flag:
+                        flagged.add(host)
+                    elif flag is not None:
+                        flagged.discard(host)
+            self._settled = (fingerprints, vulnerable, compromisable)
+
+    def _server_maps(self) -> Tuple[Dict[DomainName, FingerprintResult],
+                                    Set[DomainName], Set[DomainName]]:
+        """(fingerprints, vulnerable hosts, compromisable hosts), fresh."""
+        if self._carried is None:
+            return (dict(self._fingerprints),
+                    {host for host, flag
+                     in self._vulnerability_map.items() if flag},
+                    {host for host, flag
+                     in self._compromisable_map.items() if flag})
+        if self._settled is None:
+            raise RuntimeError("carried server maps need restrict_hosts() "
+                               "before they are read")
+        fingerprints, vulnerable, compromisable = self._settled
+        return dict(fingerprints), set(vulnerable), set(compromisable)
 
     def results(self, popular: Set[DomainName],
                 metadata: Dict[str, object]) -> SurveyResults:
         """Assemble the final :class:`SurveyResults`."""
         records = [self._records[index] for index in sorted(self._records)]
+        with self._lock:
+            fingerprints, vulnerable, compromisable = self._server_maps()
         return SurveyResults(
             records=records,
             server_names_controlled=dict(self._counts),
-            vulnerable_servers={host for host, flag
-                                in self._vulnerability_map.items() if flag},
-            compromisable_servers={host for host, flag
-                                   in self._compromisable_map.items() if flag},
-            fingerprints=dict(self._fingerprints),
+            vulnerable_servers=vulnerable,
+            compromisable_servers=compromisable,
+            fingerprints=fingerprints,
             popular_names=popular,
             metadata=metadata)
 
@@ -602,45 +683,64 @@ class SurveyEngine:
                     adopt(deployment)
 
         index = DirtyIndex.of(previous)
+        carried = index is getattr(previous, "_dirty_index", None)
         dirty = set(index.dirty_names(changes))
-        dirty_indexed: List[Tuple[int, DirectoryEntry]] = []
-        clean_records: List[Tuple[int, NameRecord]] = []
-        # Per-entry record_for instead of a records scan: on a lazy
-        # (mmap-backed) previous this hydrates exactly the clean records
-        # being patched into the output — dirty rows are re-surveyed, so
-        # their previous records are never materialised at all.
-        for position, entry in enumerate(entries):
-            previous_record = None if entry.name in dirty else \
-                previous.record_for(entry.name)
-            if previous_record is None:
-                dirty.add(entry.name)
-                dirty_indexed.append((position, entry))
-            else:
-                clean_records.append((position, previous_record))
-
-        # Rows leaving the index: every previous name not patched clean.
-        leaving = index.names() - {record.name for _, record in clean_records}
+        entry_names = [entry.name for entry in entries]
+        dirty_rows = index.dirty_rows(entry_names, dirty) if carried \
+            else None
+        if dirty_rows is not None:
+            # The carried index holds these very rows: every row not
+            # dirty is patched clean, and exactly the dirty rows leave.
+            dirty_indexed = [(row, entries[row]) for row in dirty_rows]
+            clean_records = dict(enumerate(previous.records))
+            for row in dirty_rows:
+                del clean_records[row]
+            leaving: AbstractSet[DomainName] = dirty
+        else:
+            dirty_indexed = []
+            clean_records = {}
+            # Per-entry record_for instead of a records scan: on a lazy
+            # (mmap-backed) previous this hydrates exactly the clean
+            # records being patched into the output — dirty rows are
+            # re-surveyed, so their previous records are never
+            # materialised at all.
+            for position, entry in enumerate(entries):
+                previous_record = None if entry.name in dirty else \
+                    previous.record_for(entry.name)
+                if previous_record is None:
+                    dirty.add(entry.name)
+                    dirty_indexed.append((position, entry))
+                else:
+                    clean_records[position] = previous_record
+            # Rows leaving the index: every previous name not patched
+            # clean.
+            leaving = index.names() - {record.name for record
+                                       in clean_records.values()}
 
         self._invalidate_for_changes(changes, dirty)
 
         popular = {entry.name for entry in
                    self.internet.directory.alexa_top(self.config.popular_count)}
         aggregator = SurveyAggregator(total=len(entries), progress=progress)
-        # Previous-world server maps go in first; shard merges from the
-        # re-survey overlay fresher verdicts (dict update, last wins).
-        aggregator.merge_maps(
-            dict(previous.fingerprints),
-            {host: host in previous.vulnerable_servers
-             for host in previous.fingerprints},
-            {host: host in previous.compromisable_servers
-             for host in previous.fingerprints})
-        if index is getattr(previous, "_dirty_index", None):
+        if carried:
+            # The previous server maps stand; restrict_hosts() re-decides
+            # the hosts whose rows moved.
+            aggregator.carry_maps(previous)
             counts = dict(previous.server_names_controlled)
             resolved = index.resolved_count() - \
                 index.fold_out(counts, leaving)
             aggregator.patch(clean_records, counts, resolved)
         else:
-            for position, record in clean_records:
+            # Previous-world server maps go in first; shard merges from
+            # the re-survey overlay fresher verdicts (dict update, last
+            # wins).
+            aggregator.merge_maps(
+                dict(previous.fingerprints),
+                {host: host in previous.vulnerable_servers
+                 for host in previous.fingerprints},
+                {host: host in previous.compromisable_servers
+                 for host in previous.fingerprints})
+            for position, record in clean_records.items():
                 aggregator.add_record(position, record)
 
         if dirty_indexed:
@@ -657,17 +757,34 @@ class SurveyEngine:
         # re-surveyed ones.
         resurveyed = [aggregator.record(position)
                       for position, _ in dirty_indexed]
-        index = index.advanced(
-            leaving, ((record.name, record.resolved, record.tcb_servers)
-                      for record in resurveyed))
+        if dirty_rows is not None:
+            index = index.advanced(
+                leaving, resurveyed,
+                leaving_records=[previous.records[row]
+                                 for row in dirty_rows])
+        else:
+            index = index.advanced(leaving, resurveyed,
+                                   row_names=entry_names)
 
         # A cold run fingerprints exactly the TCB members of its records;
         # prune carried entries for hosts nothing depends on any more.
-        aggregator.restrict_hosts(index.hosts())
+        aggregator.restrict_hosts(
+            index.hosts(), index.moved_since(previous._dirty_index)
+            if carried else ())
 
         results = aggregator.results(
             popular, self._final_metadata(len(entries), aggregator))
         results._dirty_index = index
+        if dirty_rows is None:
+            # Count the new rows' extras census now, so the next epoch
+            # carries it instead of recounting both sides of its diff.
+            index.extras_census(results)
+        if dirty_rows is not None and previous._record_index is not None \
+                and len(previous._record_index) == len(entries):
+            record_index = results._record_index = \
+                dict(previous._record_index)
+            for record in resurveyed:
+                record_index[record.name] = record
         stats = DeltaStats(
             total_names=len(entries), dirty_names=len(dirty_indexed),
             patched_names=len(clean_records), events=len(journal)

@@ -380,7 +380,7 @@ class ValueRankingPass(AnalysisPass):
         summary = {key: round(value, 6) for key, value in
                    analyzer.summary(self.high_leverage_fraction).items()}
         top_servers = [value.to_dict()
-                       for value in analyzer.ranking()[:self.top]]
+                       for value in analyzer.top_servers(self.top)]
         return {"value_summary": summary, "value_top_servers": top_servers}
 
     def spec(self) -> str:

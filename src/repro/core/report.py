@@ -68,7 +68,7 @@ class CDFSeries:
 
 def summary_stats(values: Sequence[float]) -> Dict[str, float]:
     """Mean, median, percentiles, and extremes of a sample."""
-    data = sorted(float(v) for v in values)
+    data = sorted(map(float, values))
     if not data:
         return {"count": 0.0, "mean": 0.0, "median": 0.0, "p90": 0.0,
                 "p99": 0.0, "min": 0.0, "max": 0.0, "stddev": 0.0}
@@ -96,7 +96,7 @@ def percentile(values: Sequence[float], pct: float) -> float:
     churn timeline's p95 TCB) report percentiles with the same definition
     as :func:`summary_stats`.
     """
-    return _percentile(sorted(float(v) for v in values), pct)
+    return _percentile(sorted(map(float, values)), pct)
 
 
 def _percentile(ordered: Sequence[float], percentile: float) -> float:

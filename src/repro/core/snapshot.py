@@ -238,7 +238,7 @@ class _RecordDiffView:
     """Diff cell access over hydrated records (the non-lazy path)."""
 
     def __init__(self, results: SurveyResults):
-        self.names = {record.name: record for record in results.records}
+        self.names = results.record_index()
 
     @staticmethod
     def value(record, field: str):
@@ -257,6 +257,15 @@ def _diff_view(results: SurveyResults):
     if maker is not None:
         return maker()
     return _RecordDiffView(results)
+
+
+def _same_names(a: SurveyResults, b: SurveyResults) -> bool:
+    """True when ``b`` carries a delta index advanced from ``a``'s over
+    the same rows, so both hold the same names (no set is compared)."""
+    index_a = getattr(a, "_dirty_index", None)
+    index_b = getattr(b, "_dirty_index", None)
+    return index_a is not None and index_b is not None and \
+        index_b.same_rows_as(index_a)
 
 
 def diff_results(a: SurveyResults, b: SurveyResults,
@@ -294,11 +303,17 @@ def diff_results(a: SurveyResults, b: SurveyResults,
         dirty = None if bound is None else bound(view_b)
     index_a = view_a.names
     index_b = view_b.names
-    common = index_a.keys() & index_b.keys()
-    compared = common if dirty is None else common.intersection(dirty)
+    if _same_names(a, b):
+        common = index_a.keys()
+        only_in_a: List[DomainName] = []
+        only_in_b: List[DomainName] = []
+    else:
+        common = index_a.keys() & index_b.keys()
+        only_in_a = sorted(index_a.keys() - common, key=name_key)
+        only_in_b = sorted(index_b.keys() - common, key=name_key)
+    compared = common if dirty is None else \
+        {name for name in dirty if name in common}
     shared = sorted(compared, key=name_key)
-    only_in_a = sorted(index_a.keys() - common, key=name_key)
-    only_in_b = sorted(index_b.keys() - common, key=name_key)
     numeric_fields, categorical_fields = _diff_fields(a)
     # Pairs left uncompared, per numeric field: the records of ``a``
     # carrying a value, less those that are not clean.

@@ -59,6 +59,7 @@ import weakref
 import zlib
 from array import array
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     Iterable,
@@ -1066,6 +1067,8 @@ class _RowSource:
         self.base = base
         self.overlays = overlays or {}
         self.aggregate = aggregate or base.aggregate
+        #: True while every aggregate is the base file's own.
+        self._unpatched = aggregate is None
         self._metadata = metadata or base.metadata
 
     def __len__(self) -> int:
@@ -1073,6 +1076,16 @@ class _RowSource:
 
     def locate(self, row: int) -> Tuple[_RecordReader, int]:
         return self.overlays.get(row, (self.base, row))
+
+    def server_tally(self) -> Optional[Tuple[int, int]]:
+        """(hosts counted, of which vulnerable) off the pool ids of an
+        unpatched file, building no name; None when patches apply."""
+        if not self._unpatched:
+            return None
+        reader = self.base.reader
+        hosts = reader.q("agg.counts.host")
+        vulnerable = set(reader.q("agg." + _AGGREGATE_SETS["vulnerable"]))
+        return len(hosts), len(vulnerable.intersection(hosts))
 
     def hydrate(self, row: int) -> NameRecord:
         reader, local = self.locate(row)
@@ -1285,6 +1298,19 @@ class LazySurveyResults(SurveyResults):
 
     # -- overridden accessors (hydration-free) ---------------------------------------
 
+    def total_servers_discovered(self) -> int:
+        tally = self._source.server_tally()
+        if tally is None:
+            return super().total_servers_discovered()
+        return tally[0]
+
+    def vulnerable_server_fraction(self) -> float:
+        tally = self._source.server_tally()
+        if tally is None:
+            return super().vulnerable_server_fraction()
+        total, vulnerable = tally
+        return vulnerable / total if total else 0.0
+
     def record_for(self, name: NameLike) -> Optional[NameRecord]:
         """One record by name, hydrating only that row.
 
@@ -1478,7 +1504,9 @@ def _base_ref_indexes(base: _RecordReader) -> _RefIndexes:
 def _write_delta_snapshot(path: PathLike, results: SurveyResults,
                           previous: SurveyResults,
                           changed_rows: List[int],
-                          references: _RefIndexes) -> pathlib.Path:
+                          references: _RefIndexes,
+                          moved: Optional[AbstractSet[DomainName]] = None
+                          ) -> pathlib.Path:
     """Write one epoch as a column delta against ``previous``.
 
     The file carries the changed rows' full record columns, the base-row
@@ -1487,12 +1515,15 @@ def _write_delta_snapshot(path: PathLike, results: SurveyResults,
     base epoch.  Strings and sets the base file (the keyframe) already
     stores — found through its ``references`` indexes — are written as
     negative references into its pool instead of being duplicated; only
-    genuinely new material enters the local pool.
+    genuinely new material enters the local pool.  ``moved``, when given,
+    holds every host whose server entries can differ between the two
+    (see :meth:`~repro.core.delta.DirtyIndex.moved_since`), and bounds
+    the aggregate comparison to them.
     """
     writer = _SectionWriter(path, KIND_DELTA)
     try:
         return _stream_delta_snapshot(writer, results, previous,
-                                      changed_rows, references)
+                                      changed_rows, references, moved)
     except BaseException:
         writer.abort()
         raise
@@ -1501,7 +1532,9 @@ def _write_delta_snapshot(path: PathLike, results: SurveyResults,
 def _stream_delta_snapshot(writer: _SectionWriter, results: SurveyResults,
                            previous: SurveyResults,
                            changed_rows: List[int],
-                           references: _RefIndexes) -> pathlib.Path:
+                           references: _RefIndexes,
+                           moved: Optional[AbstractSet[DomainName]]
+                           ) -> pathlib.Path:
     text_index, set_index = references
     pool = _PoolWriter(text_index)
     sets = _SetWriter(pool, set_index)
@@ -1510,17 +1543,32 @@ def _stream_delta_snapshot(writer: _SectionWriter, results: SurveyResults,
                            pool, sets)
     writer.add("rows", array("q", changed_rows))
 
-    counts, prev_counts = (results.server_names_controlled,
-                           previous.server_names_controlled)
-    upserts = sorted(
-        ((host, count) for host, count in counts.items()
-         if prev_counts.get(host) != count), key=lambda item: str(item[0]))
+    def patch(now: Dict, before: Dict) -> Tuple[Dict, List[DomainName]]:
+        """(entries of ``now`` that ``before`` lacks or differs on, keys
+        of ``before`` that ``now`` lacks), over the moved hosts only when
+        they are known."""
+        if moved is None:
+            hosts: Iterable[DomainName] = now.keys() | before.keys()
+        else:
+            hosts = moved
+        upserts, deleted = {}, []
+        for host in hosts:
+            value = now.get(host)
+            if value is None:
+                if host in before:
+                    deleted.append(host)
+            elif before.get(host) != value:
+                upserts[host] = value
+        return upserts, deleted
+
+    counts, deleted = patch(results.server_names_controlled,
+                            previous.server_names_controlled)
+    upserts = sorted(counts.items(), key=lambda item: str(item[0]))
     writer.add("aggd.counts.set.host",
                array("q", [pool.intern_name(host) for host, _ in upserts]))
     writer.add("aggd.counts.set.n",
                array("q", [count for _, count in upserts]))
-    writer.add("aggd.counts.del", array("q", _intern_sorted(
-        pool, (host for host in prev_counts if host not in counts))))
+    writer.add("aggd.counts.del", array("q", _intern_sorted(pool, deleted)))
 
     for section, now, before in (
             ("vuln", results.vulnerable_servers,
@@ -1528,19 +1576,16 @@ def _stream_delta_snapshot(writer: _SectionWriter, results: SurveyResults,
             ("comp", results.compromisable_servers,
              previous.compromisable_servers),
             ("pop", results.popular_names, previous.popular_names)):
+        if moved is not None and section != "pop":
+            now, before = now & moved, before & moved
         writer.add(f"aggd.{section}.add",
                    array("q", _intern_sorted(pool, now - before)))
         writer.add(f"aggd.{section}.del",
                    array("q", _intern_sorted(pool, before - now)))
 
-    fingerprints, prev_fingerprints = (results.fingerprints,
-                                       previous.fingerprints)
-    changed_fp = {host: result for host, result in fingerprints.items()
-                  if prev_fingerprints.get(host) != result}
+    changed_fp, deleted = patch(results.fingerprints, previous.fingerprints)
     _write_fingerprint_sections(writer, "fpd", changed_fp, pool)
-    writer.add("fpd.del", array("q", _intern_sorted(
-        pool, (host for host in prev_fingerprints
-               if host not in fingerprints))))
+    writer.add("fpd.del", array("q", _intern_sorted(pool, deleted)))
 
     writer.add("meta", json.dumps(results.metadata,
                                   sort_keys=True).encode("utf-8"))
@@ -1842,19 +1887,26 @@ class EpochStore:
                 f"epoch {epoch} surveys {len(records)} names, the store "
                 f"holds {len(previous.records)} — every epoch must survey "
                 f"the same directory")
-        dirty_set = None if dirty is None else \
-            {DomainName(name) for name in dirty}
-        changed_rows: List[int] = []
-        for row in range(len(records)):
-            record = records[row]
-            if dirty_set is not None and record.name not in dirty_set:
-                continue
-            if record != previous.record_for(record.name):
-                changed_rows.append(row)
+        # A delta's carried index knows its rows, and which hosts' server
+        # entries can differ from the previous epoch's: the scans below
+        # then cost the dirty rows and those hosts, not the world.
+        index = getattr(results, "_dirty_index", None)
+        moved = None if index is None else \
+            index.moved_since(getattr(previous, "_dirty_index", None))
+        if dirty is None:
+            rows: Iterable[int] = range(len(records))
+        else:
+            dirty_set = {DomainName(name) for name in dirty}
+            rows = index.rows_of(dirty_set) if index is not None else \
+                [row for row in range(len(records))
+                 if records[row].name in dirty_set]
+        changed_rows = [row for row in rows if records[row] !=
+                        previous.record_for(records[row].name)]
         references = self._reference_indexes(
             self.epoch_path(self._keyframe_for(epoch - 1)))
         return _write_delta_snapshot(self.epoch_path(epoch), results,
-                                     previous, changed_rows, references)
+                                     previous, changed_rows, references,
+                                     moved)
 
     def load_epoch(self, epoch: int) -> LazySurveyResults:
         """Open epoch ``epoch`` as a lazy view (deltas overlaid on base)."""

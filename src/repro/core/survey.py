@@ -117,6 +117,61 @@ class NameRecord:
 RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(NameRecord))
 
 
+def is_number(value: object) -> bool:
+    """True for an int or float cell; bools are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class ExtrasCensus:
+    """Per pass column: how many records carry it, and how many of those
+    carry something other than a number.
+
+    It answers :meth:`SurveyResults.extras_columns` and
+    :meth:`SurveyResults.numeric_extra_count` without reading a cell, and
+    :meth:`advanced` carries it from one result set to the next by
+    counting only the rows that changed.
+    """
+
+    def __init__(self, records: Iterable[NameRecord] = ()):
+        #: column -> [records carrying it, of which not numbers]
+        self._counts: Dict[str, List[int]] = {}
+        for record in records:
+            self._count(record.extras, 1)
+
+    def _count(self, extras: Dict[str, object], step: int) -> None:
+        counts = self._counts
+        for column, value in extras.items():
+            entry = counts.get(column)
+            if entry is None:
+                entry = counts[column] = [0, 0]
+            entry[0] += step
+            if not is_number(value):
+                entry[1] += step
+
+    def advanced(self, leaving: Iterable[NameRecord],
+                 incoming: Iterable[NameRecord]) -> "ExtrasCensus":
+        """The census once ``leaving`` rows go and ``incoming`` ones come."""
+        census = ExtrasCensus()
+        census._counts = {column: list(entry)
+                          for column, entry in self._counts.items()}
+        for record in leaving:
+            census._count(record.extras, -1)
+        for record in incoming:
+            census._count(record.extras, 1)
+        return census
+
+    def columns(self) -> List[str]:
+        """Every column at least one record carries, sorted."""
+        return sorted(column for column, (present, _) in self._counts.items()
+                      if present)
+
+    def numeric_count(self, column: str) -> Optional[int]:
+        """How many records carry ``column`` if every value is a number;
+        ``None`` for an absent or non-numeric column."""
+        present, other = self._counts.get(column, (0, 0))
+        return present if present and not other else None
+
+
 @dataclasses.dataclass
 class SurveyResults:
     """Aggregated output of a survey run."""
@@ -134,7 +189,9 @@ class SurveyResults:
     #: by :meth:`~repro.core.engine.SurveyEngine.run_delta` from the
     #: previous epoch's; while set, ``server_names_controlled`` is that
     #: run's exact fold too, so the next delta adjusts both instead of
-    #: rebuilding them.  Every other result set rebuilds from scratch.
+    #: rebuilding them, and the index's row order and extras census
+    #: describe ``records``.  Every other result set rebuilds from
+    #: scratch.
     _dirty_index: Optional[object] = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
@@ -161,16 +218,20 @@ class SurveyResults:
     def record_for(self, name: NameLike) -> Optional[NameRecord]:
         """The record for ``name``, if it was surveyed.
 
-        Backed by a name-indexed dictionary built on first use, so repeated
-        lookups are O(1) instead of scanning the record list.
+        Backed by :meth:`record_index`, so repeated lookups are O(1)
+        instead of scanning the record list.
         """
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
+        return self.record_index().get(name)
+
+    def record_index(self) -> Dict[DomainName, NameRecord]:
+        """name -> record, built on first use (do not mutate)."""
         index = self._record_index
         if index is None or len(index) != len(self.records):
             index = {record.name: record for record in self.records}
             self._record_index = index
-        if not isinstance(name, DomainName):
-            name = DomainName(name)
-        return index.get(name)
+        return index
 
     def tcb_index_rows(self):
         """Yield ``(name, resolved, tcb_servers)`` per record.
@@ -262,6 +323,8 @@ class SurveyResults:
 
     def extras_columns(self) -> List[str]:
         """Every pass-contributed column appearing on at least one record."""
+        if self._dirty_index is not None:
+            return self._dirty_index.extras_census(self).columns()
         columns: Set[str] = set()
         for record in self.records:
             columns.update(record.extras)
@@ -280,9 +343,10 @@ class SurveyResults:
     def numeric_extra_count(self, column: str) -> Optional[int]:
         """How many records carry ``column`` when every value is a number
         (bools are not); ``None`` for an empty or non-numeric column."""
+        if self._dirty_index is not None:
+            return self._dirty_index.extras_census(self).numeric_count(column)
         values = self.extra_values(column, resolved_only=False)
-        if values and all(isinstance(value, (int, float)) and
-                          not isinstance(value, bool) for value in values):
+        if values and all(map(is_number, values)):
             return len(values)
         return None
 
@@ -434,12 +498,13 @@ class SurveyColumns:
             values = self.extra_values(column)
             if not values:
                 continue
-            if all(isinstance(value, bool) for value in values):
-                summary[column] = sum(1 for v in values if v) / len(values)
-            elif all(isinstance(value, (int, float)) for value in values):
-                summary[column] = sum(float(v) for v in values) / len(values)
+            kinds = set(map(type, values))
+            if kinds == {bool}:
+                summary[column] = values.count(True) / len(values)
+            elif all(issubclass(kind, (int, float)) for kind in kinds):
+                summary[column] = sum(map(float, values)) / len(values)
             else:
-                texts = [str(value) for value in values]
+                texts = list(map(str, values))
                 for observed in sorted(set(texts)):
                     summary[f"{column}={observed}"] = \
                         texts.count(observed) / len(texts)

@@ -359,7 +359,7 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
     copied from ``previous``, so the drift diff compares only these.
     """
     columns = results.columns()
-    sizes = [float(size) for size in columns.tcb_sizes()]
+    sizes = list(map(float, columns.tcb_sizes()))
     event_kinds: Dict[str, int] = {}
     for event in events:
         event_kinds[event.kind] = event_kinds.get(event.kind, 0) + 1

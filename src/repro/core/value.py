@@ -10,6 +10,7 @@ servers only, and servers operated out of ``.edu`` / ``.org``.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.dns.name import DomainName, NameLike
@@ -56,8 +57,9 @@ class NameserverValueAnalyzer:
         ``AnalysisPass.finalize`` path of the ``value`` pass).
         """
         analyzer = cls(vulnerability_map)
-        analyzer._counts = {DomainName(host): int(count)
-                            for host, count in counts.items()}
+        analyzer._counts = {
+            host if isinstance(host, DomainName) else DomainName(host):
+            int(count) for host, count in counts.items()}
         analyzer._total_names = int(total_names)
         return analyzer
 
@@ -117,6 +119,27 @@ class NameserverValueAnalyzer:
             value.rank = index
         return values
 
+    def top_servers(self, count: int) -> List[ServerValue]:
+        """``ranking()[:count]``, without ranking every server.
+
+        The ``count`` largest name counts are found first; only the
+        servers at or above the smallest of them — the ones kept, plus
+        any tied with the last one kept — are ordered by hostname.
+        """
+        counts = self._counts
+        if count <= 0 or not counts:
+            return []
+        floor = heapq.nlargest(count, counts.values())[-1]
+        kept = [(host, names) for host, names in counts.items()
+                if names >= floor]
+        kept.sort(key=lambda item: (-item[1], str(item[0])))
+        vulnerability_map = self.vulnerability_map
+        return [ServerValue(hostname=host, names_controlled=names,
+                            rank=rank,
+                            vulnerable=vulnerability_map.get(host, False),
+                            operator_tld=host.tld or "")
+                for rank, (host, names) in enumerate(kept[:count], start=1)]
+
     def names_controlled(self, hostname: NameLike) -> int:
         """How many surveyed names depend on ``hostname``."""
         return self._counts.get(DomainName(hostname), 0)
@@ -159,24 +182,31 @@ class NameserverValueAnalyzer:
 
     def summary(self, high_leverage_fraction: float = 0.10
                 ) -> Dict[str, float]:
-        """Headline statistics for reporting.
+        """Headline statistics for reporting, in one pass over the counts.
 
         Every ``high_leverage_*`` key uses the same threshold (the paper's
         10% by default), so the three counts stay mutually consistent for
-        any fraction.
+        any fraction; they are the servers :meth:`high_leverage_servers`
+        lists, counted without ranking them.
         """
-        high = self.high_leverage_servers(high_leverage_fraction)
-        high_hosts = {value.hostname for value in high}
-        vulnerable_high = sum(1 for hostname in high_hosts
-                              if self.vulnerability_map.get(hostname, False))
-        edu_high = sum(1 for hostname in high_hosts
-                       if (hostname.tld or "") == "edu")
+        counts = self._counts
+        high = vulnerable_high = edu_high = 0
+        if self._total_names:
+            threshold = high_leverage_fraction * self._total_names
+            vulnerability_map = self.vulnerability_map
+            for hostname, names in counts.items():
+                if names > threshold:
+                    high += 1
+                    if vulnerability_map.get(hostname, False):
+                        vulnerable_high += 1
+                    if hostname.tld == "edu":
+                        edu_high += 1
         return {
             "servers": float(self.server_count),
             "names": float(self._total_names),
             "mean_names_controlled": self.mean_names_controlled(),
             "median_names_controlled": self.median_names_controlled(),
-            "high_leverage_servers": float(len(high)),
+            "high_leverage_servers": float(high),
             "high_leverage_vulnerable": float(vulnerable_high),
             "high_leverage_edu": float(edu_high),
         }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.dns.name import DomainName, NameLike
+from repro.dns.name import DomainName, NameLike, SubtreeIndex
 from repro.dns.rdtypes import RCode, RRClass, RRType
 from repro.dns.records import ResourceRecord
 
@@ -70,6 +70,10 @@ class ResolverCache:
         self.negative_ttl = negative_ttl
         self.stats = CacheStats()
         self._entries: Dict[Tuple[DomainName, RRType, RRClass], CacheEntry] = {}
+        #: Every key filed under its owner's label suffixes, for
+        #: :meth:`purge`.  Built by the first purge and kept current from
+        #: then on, so a cache that is never purged pays nothing for it.
+        self._owners: Optional[SubtreeIndex] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -88,7 +92,7 @@ class ResolverCache:
             self.stats.misses += 1
             return None
         if entry.is_expired(now):
-            del self._entries[key]
+            self._drop(key)
             self.stats.expirations += 1
             self.stats.misses += 1
             return None
@@ -105,7 +109,10 @@ class ResolverCache:
             ttl = self.negative_ttl
         entry = CacheEntry(records=list(records), rcode=rcode,
                            inserted_at=now, expires_at=now + ttl)
-        self._entries[self._key(name, rtype, rclass)] = entry
+        key = self._key(name, rtype, rclass)
+        self._entries[key] = entry
+        if self._owners is not None:
+            self._owners.add(key[0].labels, key)
         self.stats.insertions += 1
         if len(self._entries) > self.max_entries:
             self._evict(now)
@@ -116,11 +123,16 @@ class ResolverCache:
         expired = [key for key, entry in self._entries.items()
                    if entry.is_expired(now)]
         for key in expired:
-            del self._entries[key]
+            self._drop(key)
             self.stats.expirations += 1
         while len(self._entries) > self.max_entries:
             oldest = min(self._entries, key=lambda k: self._entries[k].inserted_at)
-            del self._entries[oldest]
+            self._drop(oldest)
+
+    def _drop(self, key: Tuple[DomainName, RRType, RRClass]) -> None:
+        del self._entries[key]
+        if self._owners is not None:
+            self._owners.discard(key[0].labels, key)
 
     def clone(self) -> "ResolverCache":
         """An independent snapshot of this cache.
@@ -141,6 +153,7 @@ class ResolverCache:
     def flush(self) -> None:
         """Drop every entry (stats are preserved)."""
         self._entries.clear()
+        self._owners = None
 
     def purge(self, names: Iterable[NameLike] = (),
               subtrees: Iterable[NameLike] = ()) -> int:
@@ -156,11 +169,19 @@ class ResolverCache:
         apexes = [DomainName(apex) for apex in subtrees]
         if not exact and not apexes:
             return 0
-        stale = [key for key in self._entries
-                 if key[0] in exact or
-                 any(key[0].is_subdomain_of(apex) for apex in apexes)]
+        owners = self._owners
+        if owners is None:
+            owners = self._owners = SubtreeIndex()
+            for key in self._entries:
+                owners.add(key[0].labels, key)
+        stale = set()
+        for name in exact:
+            stale.update(key for key in owners.at_or_below(name.labels)
+                         if key[0] == name)
+        for apex in apexes:
+            stale.update(owners.at_or_below(apex.labels))
         for key in stale:
-            del self._entries[key]
+            self._drop(key)
         return len(stale)
 
     def purge_expired(self, now: float) -> int:
@@ -168,6 +189,6 @@ class ResolverCache:
         expired = [key for key, entry in self._entries.items()
                    if entry.is_expired(now)]
         for key in expired:
-            del self._entries[key]
+            self._drop(key)
         self.stats.expirations += len(expired)
         return len(expired)

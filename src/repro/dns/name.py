@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import (Dict, Hashable, Iterable, Iterator, List, Optional, Set,
+                    Tuple, Union)
 
 from repro.dns.errors import NameError_
 
@@ -339,3 +340,44 @@ def name_key(name: NameLike) -> Tuple[str, ...]:
     if not isinstance(name, DomainName):
         name = DomainName(name)
     return name._labels[::-1]
+
+
+class SubtreeIndex:
+    """Keys filed under every label suffix of their owner name.
+
+    :meth:`at_or_below` answers "which keys are owned at or below this
+    name?" with one lookup, where a scan would test every key with
+    :meth:`DomainName.is_subdomain_of`.  Owners are label tuples; a key is
+    filed under each suffix of its owner's labels, the root's ``()``
+    included.
+    """
+
+    __slots__ = ("_under",)
+
+    def __init__(self) -> None:
+        self._under: Dict[Tuple[str, ...], Set[Hashable]] = {}
+
+    def add(self, labels: Tuple[str, ...], key: Hashable) -> None:
+        """File ``key`` under its owner ``labels``."""
+        under = self._under
+        for start in range(len(labels) + 1):
+            bucket = under.get(labels[start:])
+            if bucket is None:
+                under[labels[start:]] = {key}
+            else:
+                bucket.add(key)
+
+    def discard(self, labels: Tuple[str, ...], key: Hashable) -> None:
+        """Unfile ``key`` (owned at ``labels``), if it was filed."""
+        under = self._under
+        for start in range(len(labels) + 1):
+            suffix = labels[start:]
+            bucket = under.get(suffix)
+            if bucket is not None:
+                bucket.discard(key)
+                if not bucket:
+                    del under[suffix]
+
+    def at_or_below(self, labels: Tuple[str, ...]) -> List[Hashable]:
+        """The keys whose owner is ``labels`` or lies below it."""
+        return list(self._under.get(labels, ()))

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.dns.cache import ResolverCache
 from repro.dns.errors import ResolutionError, ServerFailureError
 from repro.dns.message import Message, make_query
-from repro.dns.name import DomainName, NameLike, ROOT_NAME
+from repro.dns.name import DomainName, NameLike, ROOT_NAME, SubtreeIndex
 from repro.dns.rdtypes import RCode, RRType
 from repro.dns.records import ResourceRecord
 
@@ -169,9 +169,11 @@ class IterativeResolver:
         # is deterministic), so the zone-cut walk shares them across names:
         # every chain through "com" would otherwise re-issue the same NS
         # query.  Keyed on the target list as well so a walk arriving with
-        # different candidate servers cannot be served a stale answer.
-        self._apex_ns_cache: Dict[Tuple[DomainName, Tuple[NameLike, ...]],
-                                  List[DomainName]] = {}
+        # different candidate servers cannot be served a stale answer; zone
+        # first, so invalidating a zone drops its answers in one step.
+        self._apex_ns_cache: Dict[DomainName,
+                                  Dict[Tuple[NameLike, ...],
+                                       List[DomainName]]] = {}
         # Zone-cut chain prefixes: for every referral cut discovered by a
         # live walk, the chain from the top down to that cut plus the exact
         # candidate servers the walk would query next.  Later walks for
@@ -183,6 +185,11 @@ class IterativeResolver:
             Tuple[str, ...],
             Tuple[List[ZoneCut],
                   List[Tuple[DomainName, Optional[str]]]]] = {}
+        # The prefixes filed under their label suffixes, which
+        # :meth:`invalidate_zones` looks up instead of scanning every
+        # prefix.  Built by the first invalidation and kept current from
+        # then on, so a cold survey pays nothing for it.
+        self._prefixes: Optional[SubtreeIndex] = None
 
     # -- public API -------------------------------------------------------------
 
@@ -229,21 +236,22 @@ class IterativeResolver:
         apexes = [DomainName(apex) for apex in apexes]
         if not apexes:
             return
+        if self._prefixes is None:
+            self._prefixes = SubtreeIndex()
+            for labels in self._chain_prefix_cache:
+                self._prefixes.add(labels, labels)
         # A prefix is on an edited apex's line when its zone is the apex,
-        # an ancestor of it, or below it: set probes on label suffixes.
-        edited = {apex.labels for apex in apexes}
-        at_or_above = {labels[start:] for labels in edited
-                       for start in range(len(labels) + 1)}
-        self._chain_prefix_cache = {
-            labels: entry
-            for labels, entry in self._chain_prefix_cache.items()
-            if labels not in at_or_above and
-            not any(labels[start:] in edited
-                    for start in range(1, len(labels) + 1))}
-        dropped = set(apexes)
-        self._apex_ns_cache = {
-            key: value for key, value in self._apex_ns_cache.items()
-            if key[0] not in dropped}
+        # an ancestor of it, or below it.
+        stale: Set[Tuple[str, ...]] = set()
+        for apex in apexes:
+            labels = apex.labels
+            stale.update(labels[start:] for start in range(len(labels) + 1))
+            stale.update(self._prefixes.at_or_below(labels))
+        for labels in stale:
+            if self._chain_prefix_cache.pop(labels, None) is not None:
+                self._prefixes.discard(labels, labels)
+        for apex in apexes:
+            self._apex_ns_cache.pop(apex, None)
         self.cache.purge(subtrees=apexes)
 
     def resolve(self, name: NameLike, rtype: RRType = RRType.A) -> ResolutionTrace:
@@ -319,6 +327,8 @@ class IterativeResolver:
                         child.labels not in self._chain_prefix_cache:
                     self._chain_prefix_cache[child.labels] = (
                         list(cuts), list(current_servers))
+                    if self._prefixes is not None:
+                        self._prefixes.add(child.labels, child.labels)
                 continue
             # Authoritative answer, NXDOMAIN, or NODATA: chain is complete.
             break
@@ -562,12 +572,15 @@ class IterativeResolver:
         # Targets mix address text and parsed hostnames; a DomainName
         # hashes and compares like its text, so the memo key is the same
         # either way.
-        key = (zone, tuple(targets))
-        cached = self._apex_ns_cache.get(key)
+        answers = self._apex_ns_cache.get(zone)
+        if answers is None:
+            answers = self._apex_ns_cache[zone] = {}
+        key = tuple(targets)
+        cached = answers.get(key)
         if cached is not None:
             return list(cached)
         nameservers = self._lookup_apex_ns_uncached(zone, targets, budget)
-        self._apex_ns_cache[key] = list(nameservers)
+        answers[key] = list(nameservers)
         return nameservers
 
     def _lookup_apex_ns_uncached(self, zone: DomainName,

@@ -34,8 +34,9 @@ DNSSEC deployment.
 from __future__ import annotations
 
 import dataclasses
-from typing import (AbstractSet, Dict, FrozenSet, List, Optional, Sequence,
-                    Set, Tuple)
+import weakref
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.dns.name import DomainName, NameLike
 from repro.dns.rdtypes import RRType
@@ -198,12 +199,14 @@ def zone_nameserver_union(internet, apex: NameLike) -> List[DomainName]:
     (server-death eligibility), so "which zones does this host serve"
     can never diverge between the two.
     """
-    apex = DomainName(apex)
+    if not isinstance(apex, DomainName):
+        apex = DomainName(apex)
     zones = internet.zones
     zone = zones.get(apex)
     delegation = None
-    for ancestor in apex.ancestors(include_self=False):
-        parent = zones.get(ancestor)
+    labels = apex.labels
+    for start in range(1, len(labels) + 1):  # the parent up to the root
+        parent = zones.get(DomainName._from_labels(labels[start:]))
         if parent is not None:
             delegation = parent.get_delegation(apex)
             break
@@ -222,6 +225,22 @@ def zone_nameserver_union(internet, apex: NameLike) -> List[DomainName]:
     return merged
 
 
+class ServedChanges:
+    """What a :class:`ServedIndex` saw change since its holder last looked.
+
+    ``apexes`` are zones whose NS union changed (or that were created),
+    plus the home zones of organisations whose nameserver list changed;
+    ``hosts`` are hosts whose served zones changed, plus servers brought
+    online.  The holder reads and clears both.
+    """
+
+    __slots__ = ("apexes", "hosts", "__weakref__")
+
+    def __init__(self) -> None:
+        self.apexes: Set[DomainName] = set()
+        self.hosts: Set[DomainName] = set()
+
+
 class ServedIndex:
     """host -> zones whose effective NS union lists it, kept current.
 
@@ -230,7 +249,9 @@ class ServedIndex:
     :class:`ChangeJournal` over that world, which re-derives the union of
     each zone it edits or creates — so a churn epoch costs its own edits,
     not a scan of every zone.  Worlds must then change only through
-    journals, which is the mutation contract anyway.
+    journals, which is the mutation contract anyway.  Each
+    :meth:`watch` handle collects what changed, so a reader of the
+    index can keep its own derived state current the same way.
     """
 
     def __init__(self, internet):
@@ -240,6 +261,8 @@ class ServedIndex:
         self._served: Dict[DomainName, Set[DomainName]] = {}
         #: Each apex's place in ``internet.zones`` (new zones append).
         self._position: Dict[DomainName, int] = {}
+        # Held weakly: a handle lives exactly as long as its holder.
+        self._watchers: "weakref.WeakSet[ServedChanges]" = weakref.WeakSet()
         for apex in internet.zones:
             self.refresh(apex, zone_nameserver_union(internet, apex))
 
@@ -266,6 +289,8 @@ class ServedIndex:
         old = self._unions.get(apex, ())
         new = tuple(union)
         self._unions[apex] = new
+        if self._watchers:
+            self.note(apexes=(apex,), hosts=set(old).symmetric_difference(new))
         served = self._served
         for hostname in old:
             if hostname not in new:
@@ -275,6 +300,20 @@ class ServedIndex:
                     del served[hostname]
         for hostname in new:
             served.setdefault(hostname, set()).add(apex)
+
+    def watch(self) -> ServedChanges:
+        """A new handle that collects every change from now on."""
+        changes = ServedChanges()
+        self._watchers.add(changes)
+        return changes
+
+    def note(self, apexes: Iterable[DomainName] = (),
+             hosts: Iterable[DomainName] = ()) -> None:
+        """Tell every watcher that ``apexes`` and ``hosts`` changed."""
+        apexes, hosts = tuple(apexes), tuple(hosts)
+        for changes in self._watchers:
+            changes.apexes.update(apexes)
+            changes.hosts.update(hosts)
 
     def union(self, apex: DomainName) -> Tuple[DomainName, ...]:
         """The zone's NS union in discovery order."""
@@ -409,12 +448,17 @@ class ChangeJournal:
         internet.servers[hostname] = server
         internet.network.register_server(server)
         organizations = getattr(internet, "organizations", None)
+        home_zones: List[DomainName] = []
         if organizations is not None and organization is not None:
             existing = organizations.by_name(organization)
             if existing is not None:
                 existing.add_nameserver(hostname)
                 organizations.index_nameserver(hostname, existing)
                 server.region = existing.region if region == "us" else region
+                home_zones.append(existing.domain)
+        served = getattr(internet, "served_index", None)
+        if served is not None:
+            served.note(apexes=home_zones, hosts=(hostname,))
         home = self._enclosing_zone(hostname)
         if home is not None:
             home.add(hostname, RRType.A, address)
@@ -458,7 +502,11 @@ class ChangeJournal:
             self.set_zone_nameservers(apex, remaining)
         organizations = getattr(internet, "organizations", None)
         if organizations is not None:
+            operator = organizations.operator_of(hostname)
             organizations.forget_nameserver(hostname)
+            served = getattr(internet, "served_index", None)
+            if served is not None and operator is not None:
+                served.note(apexes=(operator.domain,))
         event = ChangeEvent(kind="server-remove", hosts_before=(hostname,),
                             touched_hosts=frozenset((hostname,)),
                             details={"zones": [str(a) for a in serving]})

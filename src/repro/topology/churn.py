@@ -46,9 +46,11 @@ roughly every fourth epoch):
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import operator
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dns.name import DomainName, name_key
 from repro.topology.changes import ChangeEvent, ChangeJournal, ServedIndex
@@ -192,10 +194,25 @@ class ChurnModel:
         self.dnssec_seed = dnssec_seed
         self.dnssec_sign_tlds = dnssec_sign_tlds
         self._replacement_counter = 0
-        self._infrastructure = tuple(DomainName(s)
-                                     for s in INFRASTRUCTURE_SUFFIXES)
-        #: Infrastructure verdicts, a fact about each name (memoized).
-        self._infrastructure_memo: Dict[DomainName, bool] = {}
+        #: The infrastructure suffixes' labels, and their lengths: a name
+        #: lies under one when its labels end with it.
+        self._infrastructure = frozenset(DomainName(suffix).labels
+                                         for suffix in INFRASTRUCTURE_SUFFIXES)
+        self._infrastructure_depths = sorted(
+            {len(labels) for labels in self._infrastructure})
+        # Candidate pools, built here from the world's served-zones index
+        # (attached now, and kept current by every journal since) and
+        # kept current from its change handle (see _refresh_pools), so
+        # every epoch, the first included, re-checks only what changed.
+        self._watched: Optional[ServedIndex] = None
+        self._changes = None
+        self._backbone_zones: Set[DomainName] = set()
+        self._backbone: Set[DomainName] = set()
+        self._transferable: List[DomainName] = []
+        self._operators: List[Organization] = []
+        self._mortal: List[DomainName] = []
+        self._mutable: List[DomainName] = []
+        self._refresh_pools(ServedIndex.attach(internet))
 
     # -- epoch driver ------------------------------------------------------------------
 
@@ -213,24 +230,18 @@ class ChurnModel:
         # index: events applied later in the same epoch can go slightly
         # stale against them, which only shifts *selection*
         # (deterministically); mutation correctness always checks the
-        # live world (see _kill_and_replace_server).  The index is built
-        # on the first epoch and kept current by the journals since.
-        served = ServedIndex.attach(self.internet)
-        backbone = self._backbone_hosts(served)
-        transferable = self._transferable_zones(served, backbone)
-        operators = self._transfer_operators()
-        mortal = self._mortal_servers(served, backbone)
-        mutable = self._mutable_servers(served, backbone)
+        # live world (see _kill_and_replace_server).
+        self._refresh_pools(ServedIndex.attach(self.internet))
         for _ in range(self._draw_count(self.rates.transfer)):
-            self._transfer_zone(journal, transferable, operators)
+            self._transfer_zone(journal, self._transferable, self._operators)
         for _ in range(self._draw_count(self.rates.death)):
-            self._kill_and_replace_server(journal, mortal)
+            self._kill_and_replace_server(journal, self._mortal)
         for _ in range(self._draw_count(self.rates.upgrade)):
-            self._change_software(journal, UPGRADE_BANNERS, mutable)
+            self._change_software(journal, UPGRADE_BANNERS, self._mutable)
         for _ in range(self._draw_count(self.rates.downgrade)):
-            self._change_software(journal, DOWNGRADE_BANNERS, mutable)
+            self._change_software(journal, DOWNGRADE_BANNERS, self._mutable)
         for _ in range(self._draw_count(self.rates.region)):
-            self._migrate_region(journal, mutable)
+            self._migrate_region(journal, self._mutable)
         self._advance_dnssec(journal)
         return list(journal.events[before:])
 
@@ -245,12 +256,81 @@ class ChurnModel:
     # -- candidate pools ---------------------------------------------------------------
 
     def _is_infrastructure(self, name: DomainName) -> bool:
-        verdict = self._infrastructure_memo.get(name)
-        if verdict is None:
-            verdict = self._infrastructure_memo[name] = any(
-                name.is_subdomain_of(suffix)
-                for suffix in self._infrastructure)
-        return verdict
+        labels = name.labels
+        for depth in self._infrastructure_depths:
+            if labels[-depth:] in self._infrastructure:
+                return True
+        return False
+
+    def _refresh_pools(self, served: ServedIndex) -> None:
+        """Bring the candidate pools up to the world as it is now.
+
+        The first call (from the constructor) builds every pool from a
+        full scan, as does a call with a served index the pools were not
+        built from.  Later calls re-check only what the served index saw
+        change since the last one — the zones whose NS union changed or that were created, the
+        hosts whose served zones changed, servers brought online, and the
+        home zones of operators whose nameserver list changed (which
+        decides pinning) — inserting or removing in sorted position.  A
+        changed backbone moves every pool's eligibility, so it rebuilds
+        them all.
+        """
+        if self._watched is not served:
+            self._watched, self._changes = served, served.watch()
+            self._backbone_zones = {apex for apex in self.internet.zones
+                                    if self._is_backbone_zone(apex)}
+            self._rebuild_pools(served)
+            return
+        apexes, hosts = self._changes.apexes, self._changes.hosts
+        self._changes.apexes, self._changes.hosts = set(), set()
+        grown = {apex for apex in apexes if self._is_backbone_zone(apex)}
+        if grown:
+            self._backbone_zones |= grown
+            if self._backbone_hosts(served) != self._backbone:
+                self._rebuild_pools(served)
+                return
+        zones = self.internet.zones
+        organizations = getattr(self.internet, "organizations", None)
+        for apex in apexes:
+            _place(self._transferable, apex, name_key, apex in zones and
+                   self._is_transferable(served, apex))
+            owner = organizations.by_domain(apex) \
+                if organizations is not None else None
+            if owner is not None:
+                _place(self._operators, owner, _ORG_KEY,
+                       self._is_transfer_operator(owner))
+        servers = self.internet.servers
+        for hostname in hosts:
+            mortal, mutable = self._server_roles(served, hostname) \
+                if hostname in servers else (False, False)
+            _place(self._mortal, hostname, name_key, mortal)
+            _place(self._mutable, hostname, name_key, mutable)
+
+    def _rebuild_pools(self, served: ServedIndex) -> None:
+        """Every candidate pool from a full scan of the world."""
+        self._backbone = self._backbone_hosts(served)
+        self._transferable = sorted(
+            (apex for apex in self.internet.zones
+             if self._is_transferable(served, apex)), key=name_key)
+        organizations = getattr(self.internet, "organizations", None)
+        self._operators = [] if organizations is None else sorted(
+            (org for kind in TRANSFER_TARGET_KINDS
+             for org in organizations.of_kind(kind)
+             if self._is_transfer_operator(org)), key=_ORG_KEY)
+        mortal: List[DomainName] = []
+        mutable: List[DomainName] = []
+        for hostname in self.internet.servers:
+            can_die, can_change = self._server_roles(served, hostname)
+            if can_change:
+                mutable.append(hostname)
+                if can_die:
+                    mortal.append(hostname)
+        self._mortal = sorted(mortal, key=name_key)
+        self._mutable = sorted(mutable, key=name_key)
+
+    def _is_backbone_zone(self, apex: DomainName) -> bool:
+        """The root, a TLD, or an infrastructure zone."""
+        return apex.depth <= 1 or self._is_infrastructure(apex)
 
     def _backbone_hosts(self, served: ServedIndex) -> Set[DomainName]:
         """Hosts carrying root/TLD/registry infrastructure this epoch.
@@ -260,13 +340,12 @@ class ChurnModel:
         e.g. the nstld.com servers backing the gtld-servers.net zone sit
         under an innocuous apex but every com/net chain runs through them.
         """
-        return {hostname for apex in self.internet.zones
-                if apex.depth <= 1 or self._is_infrastructure(apex)
+        return {hostname for apex in self._backbone_zones
                 for hostname in served.union(apex)}
 
-    def _transferable_zones(self, served: ServedIndex,
-                            backbone: Set[DomainName]) -> List[DomainName]:
-        """Second-level-or-deeper zones eligible for a registrar transfer.
+    def _is_transferable(self, served: ServedIndex,
+                         apex: DomainName) -> bool:
+        """A second-level-or-deeper zone eligible for a registrar transfer.
 
         Infrastructure zones, zones on backbone servers (their NS union
         touches root/TLD/registry serving), and the home zones of
@@ -274,72 +353,49 @@ class ChurnModel:
         else — hosted customer sites, enterprises, government and
         non-profit zones, delegated departments — is in play.
         """
+        if apex.depth < 2 or self._is_infrastructure(apex):
+            return False
+        backbone = self._backbone
+        if any(hostname in backbone for hostname in served.union(apex)):
+            return False
         organizations = getattr(self.internet, "organizations", None)
-        eligible: List[DomainName] = []
-        for apex in self.internet.zones:
-            if apex.depth < 2 or self._is_infrastructure(apex):
-                continue
-            if any(hostname in backbone for hostname in served.union(apex)):
-                continue
-            if organizations is not None:
-                owner = organizations.by_domain(apex)
-                if owner is not None and owner.nameservers and \
-                        owner.kind in PINNED_HOME_ZONE_KINDS:
-                    continue
-            eligible.append(apex)
-        return sorted(eligible, key=name_key)
+        if organizations is not None:
+            owner = organizations.by_domain(apex)
+            if owner is not None and owner.nameservers and \
+                    owner.kind in PINNED_HOME_ZONE_KINDS:
+                return False
+        return True
 
-    def _mortal_servers(self, served: ServedIndex,
-                        backbone: Set[DomainName]) -> List[DomainName]:
-        """Servers that can die: long-tail boxes serving a few deep zones.
-
-        Killing a TLD / root server would re-delegate a registry zone and
-        dirty every name beneath it, and killing a hosting provider's
-        workhorse would re-delegate every customer zone it carries; the
-        churn story is about the long tail of operator boxes, so both are
-        immortal here (``death_fanout_limit`` bounds the latter).
-        """
-        mortal: List[DomainName] = []
-        for hostname in self.internet.servers:
-            if hostname in backbone or self._is_infrastructure(hostname):
-                continue
-            zones = served.zones_of(hostname)
-            if zones and len(zones) <= self.death_fanout_limit:
-                mortal.append(hostname)
-        return sorted(mortal, key=name_key)
-
-    def _mutable_servers(self, served: ServedIndex,
-                         backbone: Set[DomainName]) -> List[DomainName]:
-        """Servers whose software / region may churn.
+    def _server_roles(self, served: ServedIndex,
+                      hostname: DomainName) -> Tuple[bool, bool]:
+        """(can die, can churn software / region) for one server.
 
         Registry-grade infrastructure — root / gTLD boxes and any server
-        carrying a TLD zone — is pinned: one banner flip there re-verdicts
-        an entire TLD cohort, which is registry policy, not the long-tail
-        operator churn this models.  (Drive such events explicitly through
-        a :class:`~repro.topology.changes.ChangeJournal` if you want them.)
+        carrying a root, TLD or infrastructure zone — is pinned: one
+        banner flip there re-verdicts an entire TLD cohort, which is
+        registry policy, not the long-tail operator churn this models,
+        and its death would re-delegate a registry zone and dirty every
+        name beneath it.  (Drive such events explicitly through a
+        :class:`~repro.topology.changes.ChangeJournal` if you want them.)
         Boxes serving nothing — decommissioned by an earlier death event
         (``remove_server`` keeps them registered), or added but never
         delegated to — absorb no event slots: nothing depends on them.
+        A hosting provider's workhorse is immortal too: its death would
+        re-delegate every customer zone it carries, so only boxes serving
+        at most ``death_fanout_limit`` zones can die.
         """
-        mutable: List[DomainName] = []
-        for hostname in self.internet.servers:
-            if not served.zones_of(hostname):
-                continue
-            if hostname in backbone or self._is_infrastructure(hostname):
-                continue
-            mutable.append(hostname)
-        return sorted(mutable, key=name_key)
+        zones = served.zones_of(hostname)
+        if not zones or hostname in self._backbone or \
+                self._is_infrastructure(hostname):
+            return False, False
+        return len(zones) <= self.death_fanout_limit, True
 
-    def _transfer_operators(self) -> List[Organization]:
-        """Operators that take transfers, stable order."""
-        organizations = getattr(self.internet, "organizations", None)
-        if organizations is None:
-            return []
-        pool: List[Organization] = []
-        for kind in TRANSFER_TARGET_KINDS:
-            pool.extend(org for org in organizations.of_kind(kind)
-                        if org.nameservers)
-        return sorted(pool, key=lambda org: org.name)
+    @staticmethod
+    def _is_transfer_operator(organization: Organization) -> bool:
+        """An operator that takes transfers: a hosting provider or ISP
+        running at least one nameserver."""
+        return organization.kind in TRANSFER_TARGET_KINDS and \
+            bool(organization.nameservers)
 
     # -- event classes -----------------------------------------------------------------
 
@@ -432,3 +488,19 @@ class ChurnModel:
         return journal.deploy_dnssec(fraction=self.dnssec_fraction,
                                      always_sign_tlds=self.dnssec_sign_tlds,
                                      seed=self.dnssec_seed)
+
+
+#: Sort key of the transfer-operator pool.
+_ORG_KEY: Callable[[Organization], str] = operator.attrgetter("name")
+
+
+def _place(pool: list, item, key: Callable, member: bool) -> None:
+    """Insert ``item`` into, or remove it from, the ``key``-sorted
+    ``pool`` so that its membership is ``member``."""
+    wanted = key(item)
+    at = bisect.bisect_left(pool, wanted, key=key)
+    present = at < len(pool) and key(pool[at]) == wanted
+    if member and not present:
+        pool.insert(at, item)
+    elif present and not member:
+        del pool[at]

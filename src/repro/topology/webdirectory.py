@@ -38,6 +38,8 @@ class WebDirectory:
     def __init__(self, entries: Optional[Iterable[DirectoryEntry]] = None):
         self._entries: List[DirectoryEntry] = []
         self._by_name: Dict[DomainName, DirectoryEntry] = {}
+        #: Entries by falling popularity, ranked on first use (add() resets).
+        self._ranked: Optional[List[DirectoryEntry]] = None
         for entry in entries or ():
             self.add(entry)
 
@@ -52,6 +54,7 @@ class WebDirectory:
             return False
         self._entries.append(entry)
         self._by_name[entry.name] = entry
+        self._ranked = None
         return True
 
     def add_name(self, name: NameLike, tld: Optional[str] = None,
@@ -110,8 +113,9 @@ class WebDirectory:
 
     def alexa_top(self, count: int = 500) -> List[DirectoryEntry]:
         """The ``count`` most popular entries (the Alexa-top-500 stand-in)."""
-        ranked = sorted(self._entries, key=lambda e: -e.popularity)
-        return ranked[:count]
+        if self._ranked is None:
+            self._ranked = sorted(self._entries, key=lambda e: -e.popularity)
+        return self._ranked[:count]
 
     def sample(self, count: int, rng: Optional[random.Random] = None
                ) -> List[DirectoryEntry]:

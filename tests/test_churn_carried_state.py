@@ -17,6 +17,7 @@ import weakref
 import pytest
 
 from repro.core import delta as delta_module
+from repro.core.delegation import _ChainIndex
 from repro.core.delta import DirtyIndex
 from repro.core.engine import EngineConfig, SurveyEngine
 from repro.core.passes import build_passes
@@ -27,7 +28,16 @@ from repro.topology.changes import (
     ServedIndex,
     zone_nameserver_union,
 )
-from repro.topology.churn import ChurnModel, ChurnRates
+from repro.dns.cache import ResolverCache
+from repro.dns.name import DomainName, name_key
+from repro.dns.resolver import IterativeResolver
+from repro.topology.churn import (
+    INFRASTRUCTURE_SUFFIXES,
+    PINNED_HOME_ZONE_KINDS,
+    TRANSFER_TARGET_KINDS,
+    ChurnModel,
+    ChurnRates,
+)
 from repro.topology.generator import GeneratorConfig, InternetGenerator
 
 TINY = GeneratorConfig(seed=42, sld_count=60, directory_name_count=90,
@@ -208,3 +218,219 @@ def test_result_sets_run_delta_did_not_produce_rebuild(reload, tmp_path,
         cold = cold_engine.run()
     assert _snapshot_bytes(third.results, tmp_path / "delta.rsnap") == \
         _snapshot_bytes(cold, tmp_path / "cold.rsnap")
+
+
+# -- kept indexes against the full scans they replace ----------------------------------
+
+#: Deaths and transfers every epoch; the test adds a new cut per epoch and
+#: empties, then refills, one operator's nameserver list.
+BUSY_RATES = ChurnRates(transfer=2.0, death=2.0, upgrade=1.0, downgrade=1.0,
+                        region=1.0)
+
+
+def _scanned_pools(model, world):
+    """The candidate pools as a full scan of the world finds them."""
+    served = world.served_index
+
+    def infrastructure(name):
+        return any(name.is_subdomain_of(suffix)
+                   for suffix in INFRASTRUCTURE_SUFFIXES)
+
+    backbone = {host for apex in world.zones
+                if apex.depth <= 1 or infrastructure(apex)
+                for host in served.union(apex)}
+    organizations = world.organizations
+    transferable = []
+    for apex in world.zones:
+        if apex.depth < 2 or infrastructure(apex):
+            continue
+        if any(host in backbone for host in served.union(apex)):
+            continue
+        owner = organizations.by_domain(apex)
+        if owner is not None and owner.nameservers and \
+                owner.kind in PINNED_HOME_ZONE_KINDS:
+            continue
+        transferable.append(apex)
+    operators = [org for kind in TRANSFER_TARGET_KINDS
+                 for org in organizations.of_kind(kind) if org.nameservers]
+    mortal, mutable = [], []
+    for host in world.servers:
+        zones = served.zones_of(host)
+        if not zones or host in backbone or infrastructure(host):
+            continue
+        mutable.append(host)
+        if len(zones) <= model.death_fanout_limit:
+            mortal.append(host)
+    return (backbone, sorted(transferable, key=name_key),
+            sorted(operators, key=lambda org: org.name),
+            sorted(mortal, key=name_key), sorted(mutable, key=name_key))
+
+
+def _kept_pools(model):
+    return (model._backbone, model._transferable, model._operators,
+            model._mortal, model._mutable)
+
+
+def _scanned_stale_chains(chains, changes):
+    """The chains a full scan of the chain cache finds stale, in order."""
+    edited, created = changes.edited_zones, changes.created_zones
+    return [name for name, cuts in chains.items()
+            if any(cut.zone in edited for cut in cuts)
+            or any(name.is_subdomain_of(apex) for apex in created)]
+
+
+def _scanned_prefix_drops(prefixes, apexes):
+    edited = {apex.labels for apex in apexes}
+    at_or_above = {labels[start:] for labels in edited
+                   for start in range(len(labels) + 1)}
+    return {labels for labels in prefixes
+            if labels in at_or_above or
+            any(labels[start:] in edited
+                for start in range(1, len(labels) + 1))}
+
+
+def _scanned_purge(entries, names, subtrees):
+    exact = {DomainName(name) for name in names}
+    apexes = [DomainName(apex) for apex in subtrees]
+    return {key for key in entries if key[0] in exact or
+            any(key[0].is_subdomain_of(apex) for apex in apexes)}
+
+
+def _apex_ns_keys(resolver):
+    """The apex-NS memo's (zone, targets) keys."""
+    return {(zone, targets)
+            for zone, answers in resolver._apex_ns_cache.items()
+            for targets in answers}
+
+
+def _record_drops(monkeypatch):
+    """Wrap the indexed invalidations; each call's drops are checked
+    against the full scan over the state it started from."""
+    calls = {"stale": [], "invalidate": 0, "purge": 0}
+
+    stale = _ChainIndex.stale
+
+    def recording_stale(self, edited, created):
+        found = stale(self, edited, created)
+        calls["stale"].append(found)
+        return found
+
+    invalidate = IterativeResolver.invalidate_zones
+
+    def checked_invalidate(self, apexes):
+        apexes = [DomainName(apex) for apex in apexes]
+        prefixes = dict(self._chain_prefix_cache)
+        memo = _apex_ns_keys(self)
+        invalidate(self, apexes)
+        assert prefixes.keys() - self._chain_prefix_cache.keys() == \
+            _scanned_prefix_drops(prefixes, apexes)
+        assert memo - _apex_ns_keys(self) == \
+            {key for key in memo if key[0] in set(apexes)}
+        calls["invalidate"] += 1
+
+    purge = ResolverCache.purge
+
+    def checked_purge(self, names=(), subtrees=()):
+        names, subtrees = list(names), list(subtrees)
+        entries = dict(self._entries)
+        removed = purge(self, names, subtrees)
+        assert entries.keys() - self._entries.keys() == \
+            _scanned_purge(entries, names, subtrees)
+        calls["purge"] += 1
+        return removed
+
+    monkeypatch.setattr(_ChainIndex, "stale", recording_stale)
+    monkeypatch.setattr(IterativeResolver, "invalidate_zones",
+                        checked_invalidate)
+    monkeypatch.setattr(ResolverCache, "purge", checked_purge)
+    return calls
+
+
+def _cut_below(world, journal, epoch):
+    """Cut a new zone at a surveyed name that sits in a second-level zone."""
+    names = sorted((entry.name for entry in world.directory.entries()
+                    if entry.name.depth > 2 and
+                    entry.name.parent() in world.zones and
+                    entry.name.parent().depth == 2 and
+                    entry.name not in world.zones), key=name_key)
+    apex = names[(epoch * 7) % len(names)]
+    servers = world.served_index.union(apex.parent())
+    journal.set_zone_nameservers(apex, list(servers[:2]))
+    return apex
+
+
+def _empty_operator(world, journal, operator, donor):
+    """Move every zone off ``operator``'s servers and retire them."""
+    for index, host in enumerate(list(operator.nameservers)):
+        spare = host.parent().child(f"ns-spare{index}")
+        journal.add_server(spare, organization=donor.name)
+        for apex in world.served_index.serving(host):
+            journal.add_zone_nameserver(apex, spare)
+        journal.remove_server(host)
+
+
+@pytest.mark.parametrize("churn_seed", [3, 8])
+def test_kept_indexes_drop_what_a_full_scan_drops(churn_seed, tmp_path,
+                                                  monkeypatch):
+    world = InternetGenerator(TINY).generate()
+    model = ChurnModel(world, BUSY_RATES, seed=churn_seed)
+    served = ServedIndex.attach(world)
+    backbone = _scanned_pools(model, world)[0]
+    # An operator that takes transfers, and whose home zone only its
+    # pinning keeps from being transferred itself.
+    operators = sorted((org for kind in TRANSFER_TARGET_KINDS
+                        for org in world.organizations.of_kind(kind)),
+                       key=lambda org: org.name)
+    operator = next(org for org in operators
+                    if org.domain.depth >= 2 and served.union(org.domain)
+                    and not backbone.intersection(served.union(org.domain)))
+    donor = next(org for org in operators if org is not operator
+                 and org.nameservers
+                 and not backbone.intersection(org.nameservers))
+    calls = _record_drops(monkeypatch)
+    deaths = cuts = stale = 0
+    with _engine(world) as engine:
+        results = engine.run()
+        for epoch in range(1, EPOCHS + 1):
+            journal = ChangeJournal(world)
+            events = model.advance(journal)
+            deaths += sum(event.kind == "server-remove" for event in events)
+            _cut_below(world, journal, epoch)
+            if epoch == 1:
+                # Off its own servers first, so that emptying them later
+                # changes the home zone's pinning and nothing else.
+                journal.set_zone_nameservers(operator.domain,
+                                             donor.nameservers[:2])
+            elif epoch == 2:
+                _empty_operator(world, journal, operator, donor)
+                assert not operator.nameservers
+            elif epoch == 3:
+                journal.add_server(operator.domain.child("ns-back"),
+                                   organization=operator.name)
+            else:
+                # A long-tail box starts serving a TLD: the backbone grows.
+                tld = next(apex for apex in world.zones if apex.depth == 1)
+                journal.add_zone_nameserver(tld, model._mortal[0])
+            # The pools the next epoch starts from, brought up to date.
+            model._refresh_pools(world.served_index)
+            assert _kept_pools(model) == _scanned_pools(model, world)
+            assert (operator.domain in model._transferable) == (epoch == 2)
+            assert (operator in model._operators) == (epoch != 2)
+
+            changes = journal.changes()
+            cuts += len(changes.created_zones)
+            expected = _scanned_stale_chains(engine.builder._chain_cache,
+                                             changes)
+            del calls["stale"][:]
+            outcome = engine.run_delta(results, journal)
+            assert calls["stale"] == [expected]
+            stale += len(expected)
+            results = outcome.results
+
+    assert calls["invalidate"] == EPOCHS and calls["purge"] >= EPOCHS
+    assert deaths >= 2 and cuts == EPOCHS and stale >= EPOCHS
+    with _engine(world) as cold_engine:
+        cold = cold_engine.run()
+    assert _snapshot_bytes(results, tmp_path / "delta.rsnap") == \
+        _snapshot_bytes(cold, tmp_path / "cold.rsnap")
+

@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.core.value`."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.dns.name import DomainName
 from repro.core.value import NameserverValueAnalyzer
 
@@ -121,3 +123,70 @@ def test_from_counts_matches_incremental_accumulation():
     assert rebuilt.summary() == incremental.summary()
     assert [value.to_dict() for value in rebuilt.ranking()] == \
         [value.to_dict() for value in incremental.ranking()]
+
+
+# -- summary and top servers against a plain reference ---------------------------------
+
+#: Few hosts over few TLDs, and counts from a narrow range, so ties at the
+#: top-n boundary and at the high-leverage threshold are the rule.
+HOSTS = st.builds(lambda label, domain, tld: DomainName(
+    f"{label}.{domain}.{tld}"), st.sampled_from(["ns1", "ns2", "dns"]),
+    st.sampled_from(["alpha", "beta", "gamma", "delta"]),
+    st.sampled_from(["edu", "com", "org"]))
+
+
+def _reference(counts, total, vulnerable, top, fraction):
+    """Everything sorted by (-count, hostname) first, then counted."""
+    ordered = sorted(counts.items(), key=lambda item: (-item[1],
+                                                       str(item[0])))
+    values = sorted(counts.values())
+    middle = len(values) // 2
+    if not values:
+        median = 0.0
+    elif len(values) % 2:
+        median = float(values[middle])
+    else:
+        median = (values[middle - 1] + values[middle]) / 2.0
+    high = [host for host, count in ordered
+            if total and count > fraction * total]
+    summary = {
+        "servers": float(len(counts)),
+        "names": float(total),
+        "mean_names_controlled":
+            sum(values) / len(values) if values else 0.0,
+        "median_names_controlled": median,
+        "high_leverage_servers": float(len(high)),
+        "high_leverage_vulnerable": float(sum(
+            1 for host in high if vulnerable.get(host, False))),
+        "high_leverage_edu": float(sum(
+            1 for host in high if host.tld == "edu")),
+    }
+    top_servers = [{"hostname": str(host), "names_controlled": count,
+                    "rank": rank, "vulnerable": vulnerable.get(host, False),
+                    "operator_tld": host.tld or ""}
+                   for rank, (host, count) in enumerate(ordered[:top], 1)]
+    return summary, top_servers
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.dictionaries(HOSTS, st.integers(1, 4), max_size=24),
+       total=st.integers(0, 40),
+       flagged=st.sets(HOSTS),
+       top=st.integers(0, 14),
+       fraction=st.one_of(st.sampled_from([0.0, 0.1, 1.0]),
+                          st.floats(0.0, 1.0)))
+def test_summary_and_top_servers_match_a_full_sort(counts, total, flagged,
+                                                   top, fraction):
+    vulnerable = {host: host in flagged for host in counts}
+    analyzer = NameserverValueAnalyzer.from_counts(
+        {str(host) if index % 2 else host: count
+         for index, (host, count) in enumerate(counts.items())},
+        total, vulnerable)
+    summary, top_servers = _reference(counts, total, vulnerable, top,
+                                      fraction)
+    assert analyzer.summary(fraction) == summary
+    assert [value.to_dict() for value in analyzer.top_servers(top)] == \
+        top_servers
+    assert [value.to_dict() for value in analyzer.ranking()[:top]] == \
+        top_servers
+

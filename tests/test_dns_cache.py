@@ -1,8 +1,9 @@
 """Tests for :mod:`repro.dns.cache`."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dns.cache import CacheEntry, ResolverCache
+from repro.dns.name import DomainName
 from repro.dns.rdtypes import RCode, RRType
 from repro.dns.records import ResourceRecord
 
@@ -128,3 +129,47 @@ def test_cache_clone_snapshots_entries():
     assert len(twin) == 2
     assert len(cache) == 1
     assert twin.stats.insertions == 1
+
+
+# -- purge by index against a scan of every entry ---------------------------------------
+
+OWNERS = st.sampled_from(["example.com", "www.example.com", "a.b.example.com",
+                          "b.example.com", "example.org", "ns1.example.org",
+                          "com", "org"])
+OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("put"), OWNERS, st.sampled_from([RRType.A, RRType.NS]),
+              st.integers(1, 50), st.integers(0, 100)),
+    st.tuples(st.just("get"), OWNERS, st.integers(0, 150)),
+    st.tuples(st.just("purge"), st.lists(OWNERS, max_size=2),
+              st.lists(OWNERS, max_size=2)),
+    st.tuples(st.just("expire"), st.integers(0, 150)),
+    st.tuples(st.just("flush"))), max_size=30)
+
+
+@settings(max_examples=400)
+@given(operations=OPERATIONS)
+def test_purge_drops_what_a_scan_of_every_entry_drops(operations):
+    """The owner index behind purge() stays current through inserts,
+    expiry, eviction, purges and flushes."""
+    cache = ResolverCache(max_entries=6)
+    for operation in operations:
+        kind = operation[0]
+        if kind == "put":
+            _, owner, rtype, ttl, now = operation
+            cache.put(owner, rtype, [_a_record(owner, ttl=ttl)]
+                      if rtype is RRType.A else [], now=float(now))
+        elif kind == "get":
+            cache.get(operation[1], now=float(operation[2]))
+        elif kind == "expire":
+            cache.purge_expired(float(operation[1]))
+        elif kind == "flush":
+            cache.flush()
+        else:
+            names = [DomainName(name) for name in operation[1]]
+            apexes = [DomainName(apex) for apex in operation[2]]
+            expected = {key for key in cache._entries
+                        if key[0] in names or
+                        any(key[0].is_subdomain_of(apex) for apex in apexes)}
+            before = set(cache._entries)
+            assert cache.purge(names=names, subtrees=apexes) == len(expected)
+            assert before - set(cache._entries) == expected
