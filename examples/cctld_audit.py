@@ -20,7 +20,7 @@ Run with::
 
     python examples/cctld_audit.py                      # audits .ua
     python examples/cctld_audit.py --tld by             # another ccTLD
-    python examples/cctld_audit.py --backend thread --workers 4
+    python examples/cctld_audit.py --backend process --workers 4
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--backend", default="serial", choices=BACKENDS,
                         help="survey execution backend")
     parser.add_argument("--workers", type=int, default=2,
-                        help="shard count for the partitioned backends")
+                        help="shard count for the process backend")
     return parser.parse_args()
 
 

@@ -13,11 +13,15 @@ Subcommands
 -----------
 ``survey``
     Generate a synthetic Internet, run the full survey (optionally with
-    extra analysis passes on any execution backend), print the headline
-    statistics, and optionally write a snapshot — JSON by default
-    (``--compress`` for zlib), or the columnar binary REPRO-SNAP store
-    with ``--format binary``.  Every command that reads a snapshot sniffs
-    the codec from the file's leading bytes, so formats mix freely.
+    extra analysis passes), print the headline statistics, and optionally
+    write a snapshot.  ``--backend`` picks where the names are surveyed:
+    ``serial`` (the reference), ``process`` (``--workers`` forked
+    children, one stripe of the names each) or ``socket`` (see
+    ``worker``); all three give byte-identical results.  Snapshots are
+    JSON by default (``--compress`` for zlib), or the columnar binary
+    REPRO-SNAP store with ``--format binary``.  Every command that reads
+    a snapshot sniffs the codec from the file's leading bytes, so formats
+    mix freely.
 ``report``
     Re-print the headline statistics and per-figure summaries from a snapshot
     produced by ``survey``.
@@ -64,7 +68,7 @@ Subcommands
 
         repro-dns worker --listen 0.0.0.0:8053        # on each host
         repro-dns survey --backend socket \\
-            --worker-addrs hostA:8053,hostB:8053 --output sharded.json
+            --worker-addrs hostA:8053,hostB:8053 --output socket.json
 ``merge``
     Union shard snapshot files written by ``survey --shard i/n`` into
     one results snapshot, operating on the binary columns without
@@ -119,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="survey execution backend (all backends "
                              "produce identical results)")
     survey.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker/shard count for the thread, sharded, "
-                             "and process backends")
+                        help="worker/shard count for the process and "
+                             "socket backends")
     survey.add_argument("--passes", type=str, default=None,
                         help="comma-separated analysis passes, e.g. "
                              "'availability,dnssec' or "
@@ -608,7 +612,7 @@ def _command_survey(args: argparse.Namespace) -> int:
 
 def _command_survey_shard(args: argparse.Namespace) -> int:
     """Survey one stripe of the directory into a binary shard file."""
-    from repro.core.engine import EngineConfig, SurveyAggregator, SurveyEngine
+    from repro.core.engine import EngineConfig, SurveyEngine, stripes
     from repro.core.passes import build_passes
     from repro.core.snapstore import pack_shard_result
     from repro.distrib.wire import DistribError
@@ -625,26 +629,20 @@ def _command_survey_shard(args: argparse.Namespace) -> int:
         backend="serial", include_bottleneck=not args.no_bottleneck,
         passes=build_passes(args.passes)))
     entries = engine._select_entries(None, args.max_names)
-    indexed = list(enumerate(entries))[index::count]
+    # Fewer names than shards leaves the shards past the last name empty.
+    shards = stripes(list(enumerate(entries)), count)
+    indexed = shards[index] if index < len(shards) else []
     popular = {entry.name for entry in
                internet.directory.alexa_top(engine.config.popular_count)}
-    aggregator = SurveyAggregator(
-        total=len(indexed),
+    shard = engine.survey_stripe(
+        engine._root, indexed, popular,
         progress=ProgressPrinter() if args.progress else None)
-    engine._run_shard(engine._root, indexed, popular, aggregator)
-    rows_records = aggregator.indexed_records()
-    fingerprints, vulnerability_map, compromisable_map = \
-        aggregator.shard_maps()
-    path = pack_shard_result(
-        [row for row, _record in rows_records],
-        [record for _row, record in rows_records],
-        fingerprints, vulnerability_map, compromisable_map,
-        popular=popular,
-        meta={"shard": f"{index}/{count}",
-              "popular_count": engine.config.popular_count,
-              "include_bottleneck": engine.config.include_bottleneck,
-              "names_requested": len(entries),
-              "passes": [pass_.name for pass_ in engine.passes]},
+    path = pack_shard_result(*shard._replace(popular=popular, meta={
+        "shard": f"{index}/{count}",
+        "popular_count": engine.config.popular_count,
+        "include_bottleneck": engine.config.include_bottleneck,
+        "names_requested": len(entries),
+        "passes": [pass_.name for pass_ in engine.passes]}),
         path=args.output)
     print(f"shard {index}/{count}: {len(indexed)} of {len(entries)} names "
           f"surveyed, written to {path}")

@@ -206,11 +206,10 @@ class ClosureIndex:
         graph = self._graph
         out = graph.out
         ns_slots = graph.ns_slots
-        # When the universe has stopped growing (post-run inspection,
-        # recomputation after a sharded merge) the frozen CSR snapshot is
-        # still valid and the walk reads it; during discovery the snapshot
-        # is stale and the growable rows are iterated directly.  Row order
-        # is identical either way.
+        # When the universe has stopped growing since a CSR snapshot was
+        # taken, the frozen snapshot is still valid and the walk reads it;
+        # during discovery the snapshot is stale and the growable rows are
+        # iterated directly.  Row order is identical either way.
         csr = graph.csr_if_fresh()
         offsets = targets = None
         if csr is not None:
@@ -309,18 +308,6 @@ class ClosureIndex:
         return split
 
     # -- invalidation -------------------------------------------------------------------
-
-    def clear(self) -> None:
-        """Drop every memoized closure (companion memos included)."""
-        self._memo.clear()
-        self._split.clear()
-        for companion in self._companions:
-            companion.clear()
-        self.version += 1
-        # A full clear happens when a shard universe was just absorbed; the
-        # merged graph is typically final, so freeze the CSR snapshot now
-        # and the recomputation walks the arrays instead of the rows.
-        self._graph.csr()
 
     def reset_companions(self) -> None:
         """Clear every companion memo and bump the version, keeping closures.
@@ -657,9 +644,8 @@ class _ChainIndex:
             else:
                 bucket.add(place)
 
-    def remove(self, name: DomainName, cuts: Sequence[ZoneCut],
-               keep_place: bool = False) -> None:
-        """Unfile ``name``'s chain ``cuts`` (and its place, unless kept)."""
+    def remove(self, name: DomainName, cuts: Sequence[ZoneCut]) -> None:
+        """Unfile ``name``'s chain ``cuts`` and its place."""
         place = self.order[name]
         for cut in cuts:
             bucket = self.through.get(cut.zone)
@@ -667,11 +653,10 @@ class _ChainIndex:
                 bucket.discard(place)
                 if not bucket:
                     del self.through[cut.zone]
-        if not keep_place:
-            del self.order[name]
-            self.names[place] = None
-            if self.below is not None:
-                self.below.discard(name.labels, place)
+        del self.order[name]
+        self.names[place] = None
+        if self.below is not None:
+            self.below.discard(name.labels, place)
 
     def stale(self, edited: Iterable[DomainName],
               created: Sequence[DomainName]) -> List[DomainName]:
@@ -759,28 +744,6 @@ class DelegationGraphBuilder:
         source_id = self._ensure_name(target)
         return self._closures.mask_set(
             self._closures.closure_mask_id(source_id))
-
-    def absorb(self, other: "DelegationGraphBuilder") -> None:
-        """Fold another builder's discovered universe into this one.
-
-        Used by the sharded survey backends to merge per-shard universes
-        back into the primary builder: nodes, edges, chain caches, and
-        expansion markers are adopted (re-interned — integer ids are
-        builder-local), and the closure memo is reset because merged edges
-        may extend existing closures.
-        """
-        self._universe.merge(other._universe)
-        index = self._chain_index
-        for name, cuts in other._chain_cache.items():
-            if index is not None:
-                replaced = self._chain_cache.get(name)
-                if replaced is not None:
-                    index.remove(name, replaced, keep_place=True)
-                index.add(name, cuts)
-            self._chain_cache[name] = cuts
-        self._expanded_hosts |= other._expanded_hosts
-        self._expanded_names |= other._expanded_names
-        self._closures.clear()
 
     def apply_changes(self, changes, dirty_names: Iterable[NameLike] = ()
                       ) -> None:

@@ -29,28 +29,24 @@ Execution backends
 ``serial``
     One worker context, names processed in directory order.  This is the
     reference backend: every other backend must produce identical results.
-``thread``
-    The directory is striped over ``workers`` shards, each with its own
-    resolver (cloned cache), builder, fingerprinter, and analysis memos, and
-    the shards run concurrently on a thread pool.
-``sharded``
-    Same partitioning, but shards run sequentially — a deterministic batch
-    mode that bounds per-shard memory and mirrors how a multi-process or
-    multi-host deployment would split the directory.
 ``process``
-    Same partitioning, shards run in forked child processes — true
-    parallelism with no GIL contention.  Worker contexts are constructed
-    *inside* each child; only shard outputs (records by directory index,
-    fingerprints, vulnerability maps) return over the pipe.  Requires an OS
-    with the ``fork`` start method (the synthetic Internet is shared by
-    inheritance, not by pickling).
+    The names are dealt round-robin over ``workers`` shards
+    (:func:`stripes`), and each shard runs in a forked child process on a
+    worker context of its own (resolver with a cloned cache, builder,
+    fingerprinter, memos), constructed *inside* the child.  Only the
+    shard's output — records by directory index, fingerprints and verdict
+    maps (:meth:`SurveyEngine.survey_stripe`) — returns over the pipe.
+    Requires an OS with the ``fork`` start method (the synthetic Internet
+    is shared by inheritance, not by pickling).
+``socket``
+    The same striping over ``repro-dns worker`` processes driven over TCP
+    by :class:`~repro.distrib.coordinator.ShardCoordinator`; each worker
+    surveys its stripe on a warm serial engine.
 
-Shard outputs (universes, chain caches, fingerprint maps, vulnerability
-maps) are merged back deterministically in shard order, and records are
+Both partitioned backends fold shard outputs back through one fold
+(:meth:`SurveyEngine.fold_shard`) in shard order, and records are
 reassembled in directory order, so **the same seed yields byte-identical
-results on every backend** (query answers are time-independent, so thread
-interleaving cannot change them; only the netsim transport accounting —
-simulated clock and query counters — is interleaving-ordered).
+results on every backend**.
 """
 
 from __future__ import annotations
@@ -59,12 +55,12 @@ import dataclasses
 import multiprocessing
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Callable,
+    Container,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -89,7 +85,22 @@ from repro.vulns.database import VulnerabilityDatabase, default_database
 from repro.vulns.fingerprint import Fingerprinter, FingerprintResult
 from repro.topology.webdirectory import DirectoryEntry
 
+if TYPE_CHECKING:
+    from repro.core.snapstore import ShardPayload
+
 ProgressCallback = Callable[[int, int], None]
+
+
+def stripes(indexed: Sequence, count: int) -> List[Sequence]:
+    """Deal ``indexed`` round-robin into at most ``count`` stripes.
+
+    Stripe ``k`` holds entries ``k, k + count, k + 2 * count, ...``, the
+    partitioning every sharded survey uses.  There are never more stripes
+    than entries, so no shard runs empty (an empty input still gives one
+    empty stripe).
+    """
+    count = min(count, max(len(indexed), 1))
+    return [indexed[offset::count] for offset in range(count)]
 
 
 @dataclasses.dataclass
@@ -98,7 +109,6 @@ class EngineConfig:
 
     backend: str = "serial"
     workers: int = 1
-    shard_count: Optional[int] = None
     popular_count: int = 500
     include_bottleneck: bool = True
     use_glue: bool = True
@@ -138,14 +148,12 @@ class EngineConfig:
             raise ValueError(
                 "the process backend requires the fork start method "
                 "(the synthetic Internet is shared by inheritance); "
-                "use thread or sharded on this platform")
+                "use serial or socket on this platform")
         if self.backend == "socket" and not self.worker_addrs:
             raise ValueError("the socket backend needs worker_addrs "
                              "(host:port of each repro-dns worker)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.shard_count is not None and self.shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.retry_backoff < 0:
@@ -162,16 +170,15 @@ class EngineConfig:
         """How many shards a partitioned backend should use."""
         if self.backend == "socket":
             return len(self.worker_addrs)
-        if self.shard_count is not None:
-            return self.shard_count
         return max(self.workers, 1)
 
 
 class WorkerContext:
     """Per-shard execution state: resolver, builder, fingerprinter, memos.
 
-    The serial backend uses a single context; the partitioned backends give
-    every shard its own so no mutable state crosses shard boundaries.  The
+    The serial backend uses a single context; the process backend builds
+    one per shard inside each child, so no mutable state crosses shard
+    boundaries.  The
     bottleneck memo is registered as a companion of the builder's closure
     index, so universe growth invalidates both in one pass.
     """
@@ -242,9 +249,8 @@ def _flags(hosts: Iterable[DomainName],
 class SurveyAggregator:
     """Streams per-name records into aggregate survey state.
 
-    Thread-safe: the partitioned backends fold records from several shards
-    concurrently.  Records are keyed by their directory index so the final
-    record list is in directory order regardless of completion order.
+    Records are keyed by their directory index, so the final record list
+    is in directory order whatever order the shards fold in.
     """
 
     def __init__(self, total: int,
@@ -256,7 +262,6 @@ class SurveyAggregator:
         self._compromisable_map: Dict[DomainName, bool] = {}
         self._total = total
         self._progress = progress
-        self._lock = threading.Lock()
         self.completed = 0
         self.resolved_count = 0
         #: A delta's previous results, whose server maps restrict_hosts()
@@ -268,17 +273,15 @@ class SurveyAggregator:
 
     def add_record(self, index: int, record: NameRecord) -> None:
         """Fold one name's record into the aggregate state."""
-        with self._lock:
-            self._records[index] = record
-            if record.resolved:
-                self.resolved_count += 1
-                counts = self._counts
-                for host in record.tcb_servers:
-                    counts[host] = counts.get(host, 0) + 1
-            self.completed += 1
-            done = self.completed
+        self._records[index] = record
+        if record.resolved:
+            self.resolved_count += 1
+            counts = self._counts
+            for host in record.tcb_servers:
+                counts[host] = counts.get(host, 0) + 1
+        self.completed += 1
         if self._progress is not None:
-            self._progress(done, self._total)
+            self._progress(self.completed, self._total)
 
     def patch(self, records: Dict[int, NameRecord],
               counts: Dict[DomainName, int], resolved: int) -> None:
@@ -289,52 +292,29 @@ class SurveyAggregator:
         previous epoch's fold less the rows leaving it, so the clean
         records are placed without being re-counted.
         """
-        with self._lock:
-            self._records.update(records)
-            self._counts = counts
-            self.resolved_count = resolved
-            self.completed += len(records)
-            done = self.completed
+        self._records.update(records)
+        self._counts = counts
+        self.resolved_count = resolved
+        self.completed += len(records)
         if self._progress is not None and records:
-            self._progress(done, self._total)
+            self._progress(self.completed, self._total)
 
     # -- accessors for pass finalizers ---------------------------------------------
 
     def server_counts(self) -> Dict[DomainName, int]:
         """Per-server "appears in this many resolved TCBs" counts (a copy)."""
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def record(self, index: int) -> NameRecord:
         """The record folded at directory index ``index``."""
-        with self._lock:
-            return self._records[index]
+        return self._records[index]
 
     def vulnerability_flags(self) -> Dict[DomainName, bool]:
         """Per-host vulnerability flags merged from every shard (a copy)."""
-        with self._lock:
-            if self._carried is None:
-                return dict(self._vulnerability_map)
-            fingerprints, vulnerable, _ = self._server_maps()
+        if self._carried is None:
+            return dict(self._vulnerability_map)
+        fingerprints, vulnerable, _ = self._server_maps()
         return _flags(fingerprints, vulnerable)
-
-    def indexed_records(self) -> List[Tuple[int, NameRecord]]:
-        """(directory index, record) pairs in index order (a copy)."""
-        with self._lock:
-            return sorted(self._records.items())
-
-    def shard_maps(self) -> Tuple[Dict[DomainName, FingerprintResult],
-                                  Dict[DomainName, bool],
-                                  Dict[DomainName, bool]]:
-        """Copies of the merged fingerprint/vulnerability/compromisable maps."""
-        with self._lock:
-            if self._carried is None:
-                return (dict(self._fingerprints),
-                        dict(self._vulnerability_map),
-                        dict(self._compromisable_map))
-            fingerprints, vulnerable, compromisable = self._server_maps()
-        return (fingerprints, _flags(fingerprints, vulnerable),
-                _flags(fingerprints, compromisable))
 
     def merge_context(self, context: WorkerContext) -> None:
         """Adopt a worker context's fingerprints and vulnerability maps."""
@@ -345,11 +325,10 @@ class SurveyAggregator:
     def merge_maps(self, fingerprints: Dict[DomainName, FingerprintResult],
                    vulnerability_map: Dict[DomainName, bool],
                    compromisable_map: Dict[DomainName, bool]) -> None:
-        """Adopt already-extracted shard maps (the process backend's path)."""
-        with self._lock:
-            self._fingerprints.update(fingerprints)
-            self._vulnerability_map.update(vulnerability_map)
-            self._compromisable_map.update(compromisable_map)
+        """Adopt already-extracted shard maps (the partitioned backends')."""
+        self._fingerprints.update(fingerprints)
+        self._vulnerability_map.update(vulnerability_map)
+        self._compromisable_map.update(compromisable_map)
 
     def tcb_host_union(self) -> Set[DomainName]:
         """Every host appearing in at least one aggregated record's TCB.
@@ -359,11 +338,10 @@ class SurveyAggregator:
         same set off its carried :class:`~repro.core.delta.DirtyIndex`
         instead of walking every record.
         """
-        with self._lock:
-            union: Set[DomainName] = set()
-            for record in self._records.values():
-                union.update(record.tcb_servers)
-            return union
+        union: Set[DomainName] = set()
+        for record in self._records.values():
+            union.update(record.tcb_servers)
+        return union
 
     def carry_maps(self, previous: SurveyResults) -> None:
         """Start from ``previous``'s fingerprint and verdict maps.
@@ -373,8 +351,7 @@ class SurveyAggregator:
         :meth:`restrict_hosts` then copies them once and re-decides just
         the hosts whose rows moved, from the overlays.
         """
-        with self._lock:
-            self._carried = previous
+        self._carried = previous
 
     def restrict_hosts(self, hosts: AbstractSet[DomainName],
                        moved: Iterable[DomainName] = ()) -> None:
@@ -386,35 +363,34 @@ class SurveyAggregator:
         or came in); only those are decided, as a full merge would: the
         latest overlay wins, and hosts outside ``hosts`` go.
         """
-        with self._lock:
-            if self._carried is None:
-                for mapping in (self._fingerprints, self._vulnerability_map,
-                                self._compromisable_map):
-                    for host in [h for h in mapping if h not in hosts]:
-                        del mapping[host]
-                return
-            carried = self._carried
-            fingerprints = dict(carried.fingerprints)
-            vulnerable = set(carried.vulnerable_servers)
-            compromisable = set(carried.compromisable_servers)
-            for host in sorted(moved, key=name_key):
-                if host not in hosts:
-                    fingerprints.pop(host, None)
-                    vulnerable.discard(host)
-                    compromisable.discard(host)
-                    continue
-                result = self._fingerprints.get(host)
-                if result is not None:
-                    fingerprints[host] = result
-                for flags, flagged in (
-                        (self._vulnerability_map, vulnerable),
-                        (self._compromisable_map, compromisable)):
-                    flag = flags.get(host)
-                    if flag:
-                        flagged.add(host)
-                    elif flag is not None:
-                        flagged.discard(host)
-            self._settled = (fingerprints, vulnerable, compromisable)
+        if self._carried is None:
+            for mapping in (self._fingerprints, self._vulnerability_map,
+                            self._compromisable_map):
+                for host in [h for h in mapping if h not in hosts]:
+                    del mapping[host]
+            return
+        carried = self._carried
+        fingerprints = dict(carried.fingerprints)
+        vulnerable = set(carried.vulnerable_servers)
+        compromisable = set(carried.compromisable_servers)
+        for host in sorted(moved, key=name_key):
+            if host not in hosts:
+                fingerprints.pop(host, None)
+                vulnerable.discard(host)
+                compromisable.discard(host)
+                continue
+            result = self._fingerprints.get(host)
+            if result is not None:
+                fingerprints[host] = result
+            for flags, flagged in (
+                    (self._vulnerability_map, vulnerable),
+                    (self._compromisable_map, compromisable)):
+                flag = flags.get(host)
+                if flag:
+                    flagged.add(host)
+                elif flag is not None:
+                    flagged.discard(host)
+        self._settled = (fingerprints, vulnerable, compromisable)
 
     def _server_maps(self) -> Tuple[Dict[DomainName, FingerprintResult],
                                     Set[DomainName], Set[DomainName]]:
@@ -435,8 +411,7 @@ class SurveyAggregator:
                 metadata: Dict[str, object]) -> SurveyResults:
         """Assemble the final :class:`SurveyResults`."""
         records = [self._records[index] for index in sorted(self._records)]
-        with self._lock:
-            fingerprints, vulnerable, compromisable = self._server_maps()
+        fingerprints, vulnerable, compromisable = self._server_maps()
         return SurveyResults(
             records=records,
             server_names_controlled=dict(self._counts),
@@ -590,16 +565,21 @@ class SurveyEngine:
         between the cold and incremental paths.
         """
         backend = self.config.backend
-        if backend == "socket":
+        if backend == "serial":
+            context = self._root
+            for index, entry in indexed:
+                aggregator.add_record(index, self._survey_entry(
+                    context, entry, entry.name in popular))
+            aggregator.merge_context(context)
+        elif backend == "process":
+            self._run_process_shards(
+                stripes(indexed, self.config.effective_shards()), popular,
+                aggregator)
+        else:
             # Even a single socket worker goes over the wire: the point
             # of the backend is *where* the survey runs, not parallelism.
             self._ensure_coordinator().run_shards(
                 indexed, popular, aggregator, dirty=self._dispatch_dirty)
-        elif backend == "serial" or \
-                (backend != "process" and self.config.effective_shards() == 1):
-            self._run_shard(self._root, indexed, popular, aggregator)
-        else:
-            self._run_partitioned(indexed, popular, aggregator, backend)
 
     def _final_metadata(self, requested: int,
                         aggregator: SurveyAggregator) -> Dict[str, object]:
@@ -673,15 +653,6 @@ class SurveyEngine:
             # precise error on a pre-folded ChangeSet).
             self._ensure_coordinator().sync_journal(journal)
 
-        # A journalled deployment extends the signed world; deployment-
-        # tracking passes adopt it so their metadata matches a cold engine
-        # configured for the extended deployment.
-        for deployment in changes.dnssec_deployments:
-            for pass_ in self.passes:
-                adopt = getattr(pass_, "adopt_deployment", None)
-                if adopt is not None:
-                    adopt(deployment)
-
         index = DirtyIndex.of(previous)
         carried = index is getattr(previous, "_dirty_index", None)
         dirty = set(index.dirty_names(changes))
@@ -717,7 +688,7 @@ class SurveyEngine:
             leaving = index.names() - {record.name for record
                                        in clean_records.values()}
 
-        self._invalidate_for_changes(changes, dirty)
+        self.apply_changes(changes, dirty)
 
         popular = {entry.name for entry in
                    self.internet.directory.alexa_top(self.config.popular_count)}
@@ -798,20 +769,30 @@ class SurveyEngine:
         return DeltaOutcome(results=results, stats=stats,
                             dirty=frozenset(dirty))
 
-    def _invalidate_for_changes(self, changes,
-                                dirty: Set[DomainName]) -> None:
-        """Surgically invalidate the primary context for a world change.
+    def apply_changes(self, changes, dirty: Set[DomainName]) -> None:
+        """Bring the primary context up to a journalled world change.
 
-        The builder rewires the warm universe (see
+        A journalled DNSSEC deployment extends the signed world, so
+        deployment-tracking passes adopt it first: their metadata then
+        matches a cold engine configured for the extended deployment.
+        The warm state is then surgically invalidated: the builder
+        rewires the warm universe (see
         :meth:`~repro.core.delegation.DelegationGraphBuilder.apply_changes`);
         banner changes additionally retire the affected fingerprint and
         vulnerability verdicts, and any verdict-sensitive memo (mincut
         companions, per-chain analyses, validator zone caches) when
-        verdicts or signatures may have changed.  Partitioned backends
-        build their shard contexts *after* this, by cloning the
+        verdicts or signatures may have changed.  The process backend
+        builds its shard contexts *after* this, by cloning the
         invalidated primary resolver, so every backend sees the same
-        post-change world.
+        post-change world.  ``run_delta``, a socket worker replaying the
+        coordinator's mutation specs, and a resumed churn run all call
+        this.
         """
+        for deployment in changes.dnssec_deployments:
+            for pass_ in self.passes:
+                adopt = getattr(pass_, "adopt_deployment", None)
+                if adopt is not None:
+                    adopt(deployment)
         context = self._root
         context.builder.apply_changes(changes, dirty)
         for host in changes.refingerprint_hosts:
@@ -827,69 +808,69 @@ class SurveyEngine:
 
     # -- backends -----------------------------------------------------------------------
 
-    def _run_shard(self, context: WorkerContext,
-                   indexed_entries: List[Tuple[int, DirectoryEntry]],
-                   popular: Set[DomainName],
-                   aggregator: SurveyAggregator) -> None:
-        """Survey one shard's entries on one worker context."""
-        for index, entry in indexed_entries:
-            record = self._survey_entry(context, entry, entry.name in popular)
-            aggregator.add_record(index, record)
-        aggregator.merge_context(context)
+    def survey_stripe(self, context: WorkerContext,
+                      indexed: Sequence[Tuple[int, DirectoryEntry]],
+                      popular: Container[DomainName],
+                      progress: Optional[ProgressCallback] = None
+                      ) -> "ShardPayload":
+        """Survey one stripe of indexed entries on ``context``.
 
-    def _run_partitioned(self, indexed: List[Tuple[int, DirectoryEntry]],
-                         popular: Set[DomainName],
-                         aggregator: SurveyAggregator,
-                         backend: str) -> None:
-        """Stripe the indexed entries over shards and run them on ``backend``.
-
-        Entries arrive pre-indexed with their directory positions so the
-        delta path can stripe just the dirty subset while records still
-        land at their full-directory indices.
+        Returns the shard's output as a
+        :class:`~repro.core.snapstore.ShardPayload`: the records with
+        their directory indices, and copies of the context's fingerprint
+        and verdict maps.  ``popular`` and ``meta`` are left empty for a
+        shard file's writer to fill.  ``progress`` is called after every
+        name.  The process backend's children, socket workers and
+        ``survey --shard`` all survey through here; :meth:`fold_shard`
+        folds the result back.
         """
-        shard_count = min(self.config.effective_shards(), max(len(indexed), 1))
-        shards = [indexed[offset::shard_count] for offset in range(shard_count)]
-        if backend == "process":
-            self._run_process_shards(shards, popular, aggregator)
-            return
-        contexts = [self._make_worker_context() for _ in shards]
-        if backend == "thread":
-            with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-                futures = [
-                    pool.submit(self._run_shard, context, shard, popular,
-                                aggregator)
-                    for context, shard in zip(contexts, shards)]
-                for future in futures:
-                    future.result()
-        else:
-            for context, shard in zip(contexts, shards):
-                self._run_shard(context, shard, popular, aggregator)
-        # Deterministic merge in shard order: the primary builder adopts
-        # every shard universe so post-run inspection (`engine.builder`)
-        # sees the complete dependency graph.
-        for context in contexts:
-            self._root.builder.absorb(context.builder)
-            self._root.fingerprinter.absorb(context.fingerprinter)
-            self._root.vulnerability_map.update(context.vulnerability_map)
-            self._root.compromisable_map.update(context.compromisable_map)
+        from repro.core.snapstore import ShardPayload
 
-    def _run_process_shards(self, shards: List[List[Tuple[int,
-                                                          DirectoryEntry]]],
-                            popular: Set[DomainName],
-                            aggregator: SurveyAggregator) -> None:
+        records = []
+        for done, (_index, entry) in enumerate(indexed, 1):
+            records.append(self._survey_entry(context, entry,
+                                              entry.name in popular))
+            if progress is not None:
+                progress(done, len(indexed))
+        return ShardPayload(
+            rows=[index for index, _entry in indexed], records=records,
+            fingerprints=context.fingerprinter.results(),
+            vulnerability_map=dict(context.vulnerability_map),
+            compromisable_map=dict(context.compromisable_map),
+            popular=set(), meta={})
+
+    def fold_shard(self, aggregator: SurveyAggregator,
+                   shard: "ShardPayload") -> None:
+        """Fold one shard's output into ``aggregator`` and the primary context.
+
+        Records land at their directory indices, then the shard's server
+        maps overlay the aggregate's and the primary context's, so a later
+        delta epoch starts from every verdict the shards reached.  Callers
+        fold shards in shard order, which keeps every backend's results
+        byte-identical to the serial backend's.
+        """
+        for index, record in zip(shard.rows, shard.records):
+            aggregator.add_record(index, record)
+        aggregator.merge_maps(shard.fingerprints, shard.vulnerability_map,
+                              shard.compromisable_map)
+        root = self._root
+        root.fingerprinter.adopt(shard.fingerprints)
+        root.vulnerability_map.update(shard.vulnerability_map)
+        root.compromisable_map.update(shard.compromisable_map)
+
+    def _run_process_shards(
+            self, shards: List[Sequence[Tuple[int, DirectoryEntry]]],
+            popular: Set[DomainName], aggregator: SurveyAggregator) -> None:
         """Run shards in forked children; fold their outputs in shard order.
 
         The engine (and the synthetic Internet it closes over) reaches each
         child by fork inheritance through a module global — nothing about
-        the world is pickled.  Each child builds its own
-        :class:`WorkerContext` and returns ``(records-by-index,
-        fingerprints, vulnerability map, compromisable map)``; the merge is
-        the exact shard-order fold the ``sharded`` backend performs, so
-        results are byte-identical.  Unlike the in-process backends the
-        child universes are not absorbed back into the primary builder
-        (shipping whole shard graphs over the pipe would dwarf the survey
-        itself), so post-run ``engine.builder`` inspection only sees the
-        primary context's discoveries.
+        the world is pickled.  Each child surveys its stripe on a fresh
+        :class:`WorkerContext`.  Ordered ``imap`` folds each shard as soon
+        as every earlier shard has, so progress advances shard by shard.
+        The child universes are not shipped back (they would dwarf the
+        survey itself), so post-run ``engine.builder`` inspection only
+        sees the primary context's discoveries.
         """
         global _FORK_STATE
         context = multiprocessing.get_context("fork")
@@ -900,34 +881,12 @@ class SurveyEngine:
         with _FORK_LOCK:
             _FORK_STATE = (self, shards, popular)
             try:
-                self._consume_process_pool(context, processes, shards,
-                                           popular, aggregator)
+                with context.Pool(processes=processes) as pool:
+                    for shard in pool.imap(_process_shard_main,
+                                           range(len(shards)), chunksize=1):
+                        self.fold_shard(aggregator, shard)
             finally:
                 _FORK_STATE = None
-
-    def _consume_process_pool(self, context, processes: int,
-                              shards: List[List[Tuple[int, DirectoryEntry]]],
-                              popular: Set[DomainName],
-                              aggregator: SurveyAggregator) -> None:
-        """Fork the pool and fold shard outputs as they complete, in order.
-
-        Ordered ``imap`` keeps the merge in shard order while letting each
-        completed shard fold (and report progress) as soon as every earlier
-        shard has: progress is per-shard granular on this backend, not
-        per-name.
-        """
-        with context.Pool(processes=processes) as pool:
-            for records, fingerprints, vulnerability_map, \
-                    compromisable_map in pool.imap(
-                        _process_shard_main, range(len(shards)),
-                        chunksize=1):
-                for index, record in records:
-                    aggregator.add_record(index, record)
-                aggregator.merge_maps(fingerprints, vulnerability_map,
-                                      compromisable_map)
-                self._root.fingerprinter.adopt(fingerprints)
-                self._root.vulnerability_map.update(vulnerability_map)
-                self._root.compromisable_map.update(compromisable_map)
 
     # -- stages -------------------------------------------------------------------------
 
@@ -1041,12 +1000,10 @@ class SurveyEngine:
         analysis["extras"] = extras
         return analysis
 
-    # -- process backend fork entry ------------------------------------------------------
-
 
 #: Fork-inherited state for the process backend: (engine, shards, popular).
-_FORK_STATE: Optional[Tuple["SurveyEngine", List[List[Tuple[int,
-                                                            DirectoryEntry]]],
+_FORK_STATE: Optional[Tuple["SurveyEngine",
+                            List[Sequence[Tuple[int, DirectoryEntry]]],
                             Set[DomainName]]] = None
 
 #: Serialises process-backend runs within one interpreter (see
@@ -1054,20 +1011,12 @@ _FORK_STATE: Optional[Tuple["SurveyEngine", List[List[Tuple[int,
 _FORK_LOCK = threading.Lock()
 
 
-def _process_shard_main(shard_index: int):
-    """Survey one shard inside a forked child.
+def _process_shard_main(shard_index: int) -> "ShardPayload":
+    """Survey one stripe inside a forked child, on a fresh worker context.
 
-    Builds a fresh worker context from the fork-inherited engine (cloned
-    resolver cache, own builder/fingerprinter/memos/pass state — exactly
-    what the in-process partitioned backends give each shard) and returns
-    the shard's outputs by directory index.
+    The context clones the fork-inherited primary resolver's cache and
+    owns its builder, fingerprinter, memos and pass state.
     """
     engine, shards, popular = _FORK_STATE
-    context = engine._make_worker_context()
-    records = []
-    for index, entry in shards[shard_index]:
-        record = engine._survey_entry(context, entry, entry.name in popular)
-        records.append((index, record))
-    return (records, context.fingerprinter.results(),
-            dict(context.vulnerability_map),
-            dict(context.compromisable_map))
+    return engine.survey_stripe(engine._make_worker_context(),
+                                shards[shard_index], popular)

@@ -250,8 +250,7 @@ class DependencyUniverse:
         snapshot (one linear pass).  During discovery the graph grows
         between closure queries, so the hot loops iterate the growable
         ``out`` rows and only pick the frozen arrays up via
-        :meth:`csr_if_fresh`; once the universe stops changing (post-run
-        inspection, sharded-merge recomputation, equivalence tooling) the
+        :meth:`csr_if_fresh`; once the universe stops changing the
         snapshot stays valid and the closure Tarjan walks it instead.
         """
         if self._csr is None or self._csr_mutations != self.mutations:
@@ -374,18 +373,6 @@ class DependencyUniverse:
                 if target in keep:
                     graph.add_edge(source_key, self.key_of(target))
         return graph
-
-    def merge(self, other: "DependencyUniverse") -> None:
-        """Adopt every node and edge of ``other`` (ids are re-interned)."""
-        translation = array("l", bytes(8 * len(other.kinds)))
-        for node_id in range(len(other.kinds)):
-            translation[node_id] = self.ensure_id(
-                other.kinds[node_id],
-                other.names.name_of(other.name_ids[node_id]))
-        for source in range(len(other.kinds)):
-            mapped = translation[source]
-            for target in other.out[source]:
-                self.add_edge_ids(mapped, translation[target])
 
 
 class KeyGraph:

@@ -111,7 +111,11 @@ def _percentile(ordered: Sequence[float], percentile: float) -> float:
     if lower == upper:
         return ordered[lower]
     weight = rank - lower
-    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
+    low, high = ordered[lower], ordered[upper]
+    # Clamped: on subnormal samples the weighted sum can round below both
+    # neighbours (0.5 * 5e-324 is 0.0).  Integer samples never leave the
+    # bracket, so their percentiles are unchanged.
+    return min(max(low * (1.0 - weight) + high * weight, low), high)
 
 
 def delta_stats(before: Sequence[float], after: Sequence[float],

@@ -1396,7 +1396,11 @@ def _read_flag_map(reader: _SectionReader, prefix: str,
 
 
 class ShardPayload(NamedTuple):
-    """One shard's decoded survey output (the coordinator's fold input)."""
+    """One shard's survey output, as surveyed or decoded (the fold input).
+
+    The fields follow :func:`pack_shard_result`'s parameters, so
+    ``pack_shard_result(*payload)`` encodes one.
+    """
 
     rows: List[int]
     records: List[NameRecord]

@@ -39,8 +39,7 @@ if TYPE_CHECKING:
     from repro.vulns.database import VulnerabilityDatabase
 
 #: Execution backends a :class:`Survey` (its engine) runs on.
-BACKENDS: Tuple[str, ...] = ("serial", "thread", "sharded", "process",
-                             "socket")
+BACKENDS: Tuple[str, ...] = ("serial", "process", "socket")
 
 #: An extras cell of a record that lacks the column.
 ABSENT = object()
@@ -551,8 +550,8 @@ class Survey:
     separates discovery, closure, fingerprinting, and analysis, with
     memoized dependency closures and pluggable execution backends.  Code
     that only needs "survey this Internet" keeps using this class; code
-    that wants to tune the execution (shard counts, custom aggregation)
-    should use the engine directly.
+    that wants to tune the execution (socket timeouts and retries, custom
+    aggregation) should use the engine directly.
 
     Parameters
     ----------
@@ -566,11 +565,12 @@ class Survey:
     include_bottleneck:
         Whether to run the (slightly more expensive) min-cut analysis.
     backend:
-        Execution backend: ``"serial"`` (default), ``"thread"``,
-        ``"sharded"``, or ``"process"``.  All backends produce identical
+        Execution backend: ``"serial"`` (default), ``"process"`` (forked
+        children, one per shard), or ``"socket"`` (``repro-dns worker``
+        processes at ``worker_addrs``).  All backends produce identical
         results for the same seed.
     workers:
-        Worker/shard count for the partitioned backends.
+        Shard count (and child processes) for the process backend.
     passes:
         Extra analysis passes to run per name — pass instances or spec
         strings such as ``"availability"`` (see :mod:`repro.core.passes`).

@@ -633,11 +633,6 @@ def _replay_committed_epochs(internet, model, engine, engine_config,
             # The coordinator's spec history must replay completely: a
             # (re)built worker receives every mutation since epoch 0.
             engine._ensure_coordinator().sync_journal(journal)
-        for deployment in changes.dnssec_deployments:
-            for pass_ in engine.passes:
-                adopt = getattr(pass_, "adopt_deployment", None)
-                if adopt is not None:
-                    adopt(deployment)
         previous = results
         entries = engine._select_entries(None, max_names)
         # Mirror run_delta's dirty bookkeeping so the replayed stats row
@@ -651,7 +646,7 @@ def _replay_committed_epochs(internet, model, engine, engine_config,
             else:
                 dirty.add(entry.name)
                 dirty_count += 1
-        engine._invalidate_for_changes(changes, dirty)
+        engine.apply_changes(changes, dirty)
         results = epoch_store.load_epoch(epoch)
         elapsed = time.perf_counter() - epoch_started
         stats = DeltaStats(

@@ -4,11 +4,11 @@
 creation it ships a BUILD frame describing the world (the seeded
 ``GeneratorConfig``) and the engine options, so each worker regenerates
 the identical synthetic Internet and holds a warm serial engine.  Each
-:meth:`run_shards` call stripes the indexed entries exactly like
-``SurveyEngine._run_partitioned`` (``indexed[offset::shard_count]``),
-ships one ``KIND_ORDER`` frame per shard in parallel, then folds the
-returned ``KIND_SHARD`` columns **in shard order** — the same fold
-``_consume_process_pool`` performs — so the merged
+:meth:`run_shards` call stripes the indexed entries with the process
+backend's :func:`~repro.core.engine.stripes`, ships one ``KIND_ORDER``
+frame per shard in parallel, then folds the returned ``KIND_SHARD``
+columns **in shard order** through the process backend's fold
+(:meth:`~repro.core.engine.SurveyEngine.fold_shard`), so the merged
 :class:`~repro.core.survey.SurveyResults` is byte-identical to the
 serial backend's.
 
@@ -70,8 +70,8 @@ import random
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.snapstore import (ShardPayload, SnapshotFormatError,
-                                  unpack_shard_result)
+from repro.core.engine import stripes
+from repro.core.snapstore import SnapshotFormatError, unpack_shard_result
 from repro.distrib.wire import (ENV_AUTH_TOKEN, FRAME_BUILD, FRAME_ERROR,
                                 FRAME_HEADER_SIZE, FRAME_HELLO, FRAME_NAMES,
                                 FRAME_OK, FRAME_PING, FRAME_RESULT,
@@ -561,15 +561,13 @@ class ShardCoordinator:
                    dirty: Sequence = ()) -> None:
         """Survey ``indexed`` entries across the workers and fold results.
 
-        Mirrors ``_run_partitioned`` striping and the process backend's
-        shard-order fold exactly, so results are byte-identical to the
-        serial engine over the same (possibly delta-invalidated) world.
+        Stripes and folds exactly as the process backend does, so results
+        are byte-identical to the serial engine over the same (possibly
+        delta-invalidated) world.
         """
         if self._closed:
             raise DistribError("coordinator already closed")
-        shard_count = min(len(self._labels), max(len(indexed), 1))
-        shards = [indexed[offset::shard_count]
-                  for offset in range(shard_count)]
+        shards = stripes(indexed, len(self._labels))
         dirty_names = sorted(str(name) for name in dirty)
         orders = []
         for shard in shards:
@@ -583,25 +581,17 @@ class ShardCoordinator:
         else:
             payloads = self._broadcast(FRAME_SURVEY, orders, FRAME_RESULT)
 
-        engine = self._engine
         for position, payload in enumerate(payloads):
             label = self._labels[position]
             try:
-                shard: ShardPayload = unpack_shard_result(
+                shard = unpack_shard_result(
                     payload, label=f"worker {label} result")
             except SnapshotFormatError as error:
                 self._abort()
                 raise DistribError(
                     f"worker {label} returned an undecodable shard: "
                     f"{error}") from error
-            for index, record in zip(shard.rows, shard.records):
-                aggregator.add_record(index, record)
-            aggregator.merge_maps(shard.fingerprints,
-                                  shard.vulnerability_map,
-                                  shard.compromisable_map)
-            engine._root.fingerprinter.adopt(shard.fingerprints)
-            engine._root.vulnerability_map.update(shard.vulnerability_map)
-            engine._root.compromisable_map.update(shard.compromisable_map)
+            self._engine.fold_shard(aggregator, shard)
 
     # -- wire accounting / lifecycle -----------------------------------------------------
 

@@ -14,10 +14,11 @@ coordinator connects and drives it with frames (:mod:`repro.distrib.wire`):
   indices + names + popular flags, the full mutation-spec history, and
   the epoch's global dirty-name set.  The worker applies only the spec
   tail it has not seen (keeping its warm universe exactly as stale as a
-  serial delta engine's), invalidates like
-  :meth:`SurveyEngine._invalidate_for_changes`, surveys its names, and
-  replies with a **RESULT** frame whose payload is a ``KIND_SHARD``
-  column container (records by global index, fingerprints, verdict maps).
+  serial delta engine's), brings its engine up to them with
+  :meth:`SurveyEngine.apply_changes`, surveys its names with
+  :meth:`SurveyEngine.survey_stripe`, and replies with a **RESULT** frame
+  whose payload is a ``KIND_SHARD`` column container (records by global
+  index, fingerprints, verdict maps).
 * **PING** — liveness heartbeat, acked with OK (no payload, no state).
 * **HELLO** — shared-secret auth handshake.  A worker started with an
   auth token (``--auth-token`` / ``REPRO_AUTH_TOKEN``) rejects every
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.core.engine import EngineConfig, SurveyEngine
 from repro.core.snapstore import pack_shard_result
@@ -54,7 +55,6 @@ from repro.distrib.wire import (FRAME_BUILD, FRAME_ERROR, FRAME_HELLO,
                                 unpack_work_order, verify_hello)
 from repro.topology.changes import ChangeJournal, apply_mutation_spec
 from repro.topology.generator import GeneratorConfig, InternetGenerator
-from repro.topology.webdirectory import DirectoryEntry
 
 
 def _engine_from_build(payload: bytes) -> SurveyEngine:
@@ -237,16 +237,9 @@ class WorkerServer:
                 for spec in tail:
                     apply_mutation_spec(journal, spec)
                 self._applied_specs = len(specs)
-                changes = journal.changes(since=events_before)
-                # Mirror run_delta: deployment-tracking passes adopt the
-                # journalled DNSSEC extension before any invalidation.
-                for deployment in changes.dnssec_deployments:
-                    for pass_ in engine.passes:
-                        adopt = getattr(pass_, "adopt_deployment", None)
-                        if adopt is not None:
-                            adopt(deployment)
-                engine._invalidate_for_changes(
-                    changes, {DomainName(name) for name in dirty_names})
+                engine.apply_changes(
+                    journal.changes(since=events_before),
+                    {DomainName(name) for name in dirty_names})
             except Exception as error:
                 # A failure mid-replay leaves the warm world half-mutated.
                 # Surveying it would produce silently wrong records, so
@@ -259,19 +252,11 @@ class WorkerServer:
                     f"{error}); worker state discarded, re-BUILD "
                     f"required") from error
 
-        directory = engine.internet.directory
-        context = engine._root
-        records = []
-        for name, is_popular in zip(names, popular_flags):
-            entry = directory.entry(name)
-            if entry is None:
-                entry = DirectoryEntry(name=DomainName(name),
-                                       tld=DomainName(name).tld or "",
-                                       category="adhoc", popularity=1.0)
-            records.append(engine._survey_entry(context, entry, is_popular))
-        return pack_shard_result(
-            indices, records, context.fingerprinter.results(),
-            dict(context.vulnerability_map),
-            dict(context.compromisable_map),
-            meta={"worker": self.address, "names": len(indices),
-                  "specs_applied": self._applied_specs})
+        entries = engine._select_entries(names, None)
+        popular = {entry.name for entry, is_popular
+                   in zip(entries, popular_flags) if is_popular}
+        shard = engine.survey_stripe(engine._root,
+                                     list(zip(indices, entries)), popular)
+        return pack_shard_result(*shard._replace(meta={
+            "worker": self.address, "names": len(indices),
+            "specs_applied": self._applied_specs}))

@@ -193,25 +193,22 @@ class IterativeResolver:
 
     # -- public API -------------------------------------------------------------
 
-    def clone(self, cache: Optional[ResolverCache] = None,
-              share_cache: bool = False) -> "IterativeResolver":
-        """A new resolver with the same configuration.
+    def clone(self) -> "IterativeResolver":
+        """A new resolver with the same configuration and a warm cache.
 
-        By default the clone receives an independent snapshot of this
-        resolver's cache (warm, but safe to use from another survey shard);
-        pass ``share_cache=True`` to share the live cache object instead, or
-        supply an explicit ``cache``.  The RNG state is copied so a cloned
-        ``selection="random"`` resolver replays the same choices.
+        The clone's cache is an independent snapshot of this resolver's,
+        so a survey shard can use it without touching the original.  The
+        RNG state is copied so a cloned ``selection="random"`` resolver
+        replays the same choices.
         """
-        if cache is None:
-            cache = self.cache if share_cache else self.cache.clone()
         rng = random.Random()
         rng.setstate(self._rng.getstate())
         return IterativeResolver(
             self.network,
             {name: list(addresses)
              for name, addresses in self.root_hints.items()},
-            cache=cache, use_glue=self.use_glue, selection=self.selection,
+            cache=self.cache.clone(), use_glue=self.use_glue,
+            selection=self.selection,
             max_queries=self.max_queries, max_depth=self.max_depth, rng=rng)
 
     def invalidate_zones(self, apexes: Sequence[NameLike]) -> None:

@@ -16,7 +16,6 @@ registered here.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.dns.errors import NameError_, ServerFailureError
@@ -60,12 +59,6 @@ class SimulatedNetwork:
         self.client_region = client_region
         self.clock_ms: float = 0.0
         self.stats = NetworkStats()
-        # Guards clock/stats/latency-RNG mutation: the survey engine's
-        # thread backend issues queries from several shards concurrently,
-        # and unsynchronised float/int read-modify-writes would lose
-        # updates.  Query *answers* are time-independent, so results stay
-        # deterministic; this keeps the transport accounting consistent.
-        self._transport_lock = threading.Lock()
         self._servers_by_name: Dict[DomainName, AuthoritativeServer] = {}
         self._servers_by_address: Dict[str, AuthoritativeServer] = {}
 
@@ -144,24 +137,17 @@ class SimulatedNetwork:
         """
         server = self.find_server(target)
         if server is None:
-            with self._transport_lock:
-                self.stats.queries_failed += 1
+            self.stats.queries_failed += 1
             raise ServerFailureError(str(target), f"no route to host {target}")
-        with self._transport_lock:
-            if charge_latency:
-                rtt = self.latency.sample_rtt(self.client_region,
-                                              server.region)
-                self.clock_ms += rtt
-                self.stats.total_latency_ms += rtt
-            if server.is_up:
-                delivered = True
-                self.stats.queries_delivered += 1
-            else:
-                delivered = False
-                self.stats.queries_failed += 1
-        if not delivered:
+        if charge_latency:
+            rtt = self.latency.sample_rtt(self.client_region, server.region)
+            self.clock_ms += rtt
+            self.stats.total_latency_ms += rtt
+        if not server.is_up:
+            self.stats.queries_failed += 1
             raise ServerFailureError(
                 str(server.hostname), f"query to {server.hostname} timed out")
+        self.stats.queries_delivered += 1
         return server.handle_query(query)
 
     # -- convenience views used by the survey ----------------------------------------

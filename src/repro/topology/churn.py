@@ -379,7 +379,7 @@ class ChurnModel:
         :class:`~repro.topology.changes.ChangeJournal` if you want them.)
         Boxes serving nothing — decommissioned by an earlier death event
         (``remove_server`` keeps them registered), or added but never
-        delegated to — absorb no event slots: nothing depends on them.
+        delegated to — take no event slots: nothing depends on them.
         A hosting provider's workhorse is immortal too: its death would
         re-delegate every customer zone it carries, so only boxes serving
         at most ``death_fanout_limit`` zones can die.

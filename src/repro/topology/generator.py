@@ -586,7 +586,7 @@ class InternetGenerator:
         # ccTLDs that do not themselves lean on off-site secondaries).  This
         # keeps each secondary-exchange web's closure bounded by the web
         # itself: if universities also sat under heavily-dependent ccTLDs,
-        # every web would transitively absorb every other web through the
+        # every web would transitively pull in every other web through the
         # TLD zones and the whole survey would collapse into one giant
         # component, which the 2004 measurements do not show.
         foreign_cctlds = [label for label, profile in

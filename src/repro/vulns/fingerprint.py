@@ -84,12 +84,8 @@ class Fingerprinter:
         """
         return self._results.pop(DomainName(hostname), None) is not None
 
-    def absorb(self, other: "Fingerprinter") -> None:
-        """Adopt another fingerprinter's cached results (shard merging)."""
-        self._results.update(other._results)
-
     def adopt(self, results: Dict[DomainName, FingerprintResult]) -> None:
-        """Adopt an already-collected result map (process-shard merging)."""
+        """Adopt an already-collected result map (shard folding)."""
         self._results.update(results)
 
     def results(self) -> Dict[DomainName, FingerprintResult]:

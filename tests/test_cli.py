@@ -79,19 +79,29 @@ def test_inspect_unknown_name(capsys):
 
 
 def test_survey_backend_and_workers_flags(capsys):
-    exit_code = main(["survey", "--max-names", "25", "--backend", "thread",
+    exit_code = main(["survey", "--max-names", "25", "--backend", "process",
                       "--workers", "2", *TINY])
     assert exit_code == 0
     assert "mean_tcb_size" in capsys.readouterr().out
 
 
+def test_survey_rejects_deleted_backend(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["survey", "--backend", "thread", *TINY])
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err
+    assert "argument --backend: invalid choice: 'thread'" in error
+    assert all(backend in error for backend in ("serial", "process",
+                                                "socket"))
+
+
 def test_survey_backends_agree_on_headline(capsys):
     outputs = {}
-    for backend in ("serial", "sharded"):
+    for backend in ("serial", "process"):
         main(["survey", "--max-names", "30", "--backend", backend,
               "--workers", "3", *TINY])
         outputs[backend] = capsys.readouterr().out
-    assert outputs["serial"] == outputs["sharded"]
+    assert outputs["serial"] == outputs["process"]
 
 
 def test_survey_progress_flag_prints_to_stderr(capsys):

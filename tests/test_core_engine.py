@@ -255,7 +255,7 @@ def test_engine_records_match_fresh_per_name_analysis(small_internet):
 
 def test_engine_snapshot_round_trip(small_internet, tmp_path):
     engine = SurveyEngine(small_internet,
-                          config=EngineConfig(backend="sharded", workers=2,
+                          config=EngineConfig(backend="process", workers=2,
                                               popular_count=10))
     results = engine.run(max_names=40)
     path = save_results(results, tmp_path / "engine.json")
@@ -265,25 +265,18 @@ def test_engine_snapshot_round_trip(small_internet, tmp_path):
         [r.to_dict() for r in results.records]
 
 
-def test_thread_backend_progress_is_monotonic(small_internet):
-    calls = []
-    survey = Survey(small_internet, popular_count=5, backend="thread",
-                    workers=3)
-    survey.run(max_names=30,
-               progress=lambda done, total: calls.append((done, total)))
-    assert [done for done, _ in calls] == list(range(1, 31))
-    assert all(total == 30 for _, total in calls)
-
-
 # -- engine configuration ----------------------------------------------------------------
 
 def test_engine_config_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        EngineConfig(backend="gpu").validate()
+    assert BACKENDS == ("serial", "process", "socket")
+    for backend in ("gpu", "thread", "sharded"):
+        with pytest.raises(ValueError, match=r"expected one of "
+                           r"\('serial', 'process', 'socket'\)"):
+            EngineConfig(backend=backend).validate()
     with pytest.raises(ValueError):
         EngineConfig(workers=0).validate()
-    with pytest.raises(ValueError):
-        EngineConfig(shard_count=0).validate()
+    with pytest.raises(ValueError, match="needs worker_addrs"):
+        EngineConfig(backend="socket").validate()
 
 
 def test_survey_facade_exposes_engine(small_internet):
@@ -291,12 +284,3 @@ def test_survey_facade_exposes_engine(small_internet):
     assert survey.engine.builder is survey.builder
     assert survey.engine.resolver is survey.resolver
     assert survey.engine.fingerprinter is survey.fingerprinter
-
-
-def test_sharded_run_merges_universe_into_primary_builder(small_internet):
-    survey = Survey(small_internet, popular_count=5, backend="sharded",
-                    workers=3)
-    results = survey.run(max_names=45)
-    discovered = survey.builder.discovered_nameservers()
-    for record in results.resolved_records():
-        assert record.tcb_servers <= discovered

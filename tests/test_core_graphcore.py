@@ -97,19 +97,6 @@ def test_universe_csr_snapshot_tracks_growth():
     assert len(row) == 2
 
 
-def test_universe_merge_reinterns_ids():
-    left = DependencyUniverse()
-    left.add_edge(zone_node("a.test"), ns_node("ns.a.test"))
-    right = DependencyUniverse()
-    right.add_edge(zone_node("b.test"), ns_node("ns.b.test"))
-    right.add_edge(zone_node("a.test"), ns_node("ns.b.test"))
-    left.merge(right)
-    assert left.has_edge(zone_node("b.test"), ns_node("ns.b.test"))
-    assert left.has_edge(zone_node("a.test"), ns_node("ns.a.test"))
-    assert left.has_edge(zone_node("a.test"), ns_node("ns.b.test"))
-    assert left.slot_count() == 2
-
-
 def test_keygraph_mirrors_digraph_surface():
     graph = KeyGraph()
     graph.add_edge(name_node("www.a.test"), zone_node("a.test"))

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.core.report`."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.report import (
     CDFSeries,
@@ -85,6 +85,7 @@ def test_summary_stats_single_value():
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1,
                 max_size=100))
+@example([5e-324, 5e-324])
 def test_summary_stats_bounds_property(values):
     stats = summary_stats(values)
     assert stats["min"] <= stats["median"] <= stats["max"]

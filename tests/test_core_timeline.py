@@ -28,7 +28,7 @@ from repro.topology.generator import GeneratorConfig, InternetGenerator
 SEEDS = (4242, 1977)
 
 #: Two backends: the serial reference and a partitioned one.
-BACKENDS = ("serial", "thread")
+BACKENDS = ("serial", "process")
 
 RATES = ChurnRates(transfer=1.0, death=0.5, upgrade=1.0, downgrade=0.5,
                    region=1.0, dnssec=0.15)

@@ -244,8 +244,3 @@ def test_resolver_clone_is_independent(mini_internet):
     assert trace.succeeded
     assert trace.query_count == 0, "clone must start with a warm cache"
 
-
-def test_resolver_clone_can_share_cache(mini_internet):
-    resolver = mini_internet.make_resolver()
-    clone = resolver.clone(share_cache=True)
-    assert clone.cache is resolver.cache
