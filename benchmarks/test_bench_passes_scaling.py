@@ -5,8 +5,8 @@ meant materialising a full per-name ``DelegationGraph`` (``nx.descendants``
 plus a subgraph copy) and walking it with a fresh analyzer — which is why
 `core/availability` could only run at toy scale.  As an engine pass the same
 analysis reads the zero-copy ``TCBView`` backed by the memoized closure
-index, shares cycle-safe availability/kill-set memos across names, and gets
-the engine's per-chain cache on top.  These benches pin the difference down
+index, resumes each chain from a warm analyzer's per-TLD prefix snapshot,
+and gets the engine's per-chain cache on top.  These benches pin the difference down
 and assert the acceptance floor.
 """
 
@@ -44,9 +44,8 @@ def _analyze_legacy(builder, names):
 
 
 def _analyze_view(builder, names):
-    """Zero-copy view + shared availability/kill-set memos (the pass path)."""
-    analyzer = AvailabilityAnalyzer(0.95, shared_memo={},
-                                    shared_spof_memo={})
+    """Zero-copy view + one warm analyzer (the pass path)."""
+    analyzer = AvailabilityAnalyzer(0.95)
     out = []
     for name in names:
         view = builder.tcb_view(name)
@@ -94,11 +93,11 @@ def test_bench_availability_view_speedup(bench_internet, paper_survey,
     speedup = legacy_elapsed / view_elapsed
     figure_writer.write(
         "passes_scaling",
-        "Availability pass: TCBView + shared memos vs. graph copies",
+        "Availability pass: TCBView + warm analyzer vs. graph copies",
         [f"names analysed              {len(names)}",
          f"legacy (copy + exhaustive)  {legacy_elapsed:.3f}s "
          f"({len(names) / legacy_elapsed:.0f} names/s)",
-         f"view (zero-copy + memos)    {view_elapsed:.3f}s "
+         f"view (zero-copy + warm)     {view_elapsed:.3f}s "
          f"({len(names) / view_elapsed:.0f} names/s)",
          f"speedup                     {speedup:.1f}x"])
     assert speedup >= MIN_SPEEDUP, (

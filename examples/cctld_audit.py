@@ -21,6 +21,10 @@ Run with::
     python examples/cctld_audit.py                      # audits .ua
     python examples/cctld_audit.py --tld by             # another ccTLD
     python examples/cctld_audit.py --backend process --workers 4
+
+``--backend`` takes the backends that need no worker fleet, ``serial``
+and ``process``; a socket survey runs through ``repro-dns survey
+--backend socket``, which spawns or connects to its workers.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import collections
 
 from repro import GeneratorConfig, InternetGenerator, Survey
 from repro.cli import ProgressPrinter
-from repro.core.engine import BACKENDS
 from repro.core.report import format_table
 from repro.netsim.failures import FailureInjector, FailureScenario
 from repro.topology.anecdotes import LVIV_WEB_NAME
@@ -41,7 +44,8 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--tld", default="ua",
                         help="country-code TLD to audit (default: ua)")
     parser.add_argument("--seed", type=int, default=20040722)
-    parser.add_argument("--backend", default="serial", choices=BACKENDS,
+    parser.add_argument("--backend", default="serial",
+                        choices=("serial", "process"),
                         help="survey execution backend")
     parser.add_argument("--workers", type=int, default=2,
                         help="shard count for the process backend")

@@ -27,12 +27,7 @@ and runs on the dense node ids and NS slots its
 survey engine's zero-copy :class:`~repro.core.delegation.TCBView` shares
 the builder's universe, and a materialised
 :class:`~repro.core.delegation.DelegationGraph` lowers itself into a
-throwaway one.  It supports *shared memos* across names, with the same
-clean/tainted publishing discipline as
-:class:`~repro.core.mincut.BottleneckAnalyzer`: only values computed
-without truncating a dependency cycle (and without consuming a
-truncation-tainted value) are published cross-name, because those are the
-only values independent of the path the recursion took to reach the node.
+throwaway one.
 
 Three evaluation modes are provided:
 
@@ -93,25 +88,15 @@ class AvailabilityAnalyzer:
         get ``default_up``).
     default_up:
         Up-probability for servers not listed in the mapping.
-    shared_memo:
-        Optional cross-name memo for analytic availabilities, keyed by
-        integer node id, so the analyzer binds to one universe at a time
-        and clears its shared memos in place when it is handed another.
-        Only cycle-independent ("clean") values are published.  The survey
-        engine registers it with the builder's
-        :class:`~repro.core.delegation.ClosureIndex` so universe growth
-        purges exactly the entries whose subtree changed.  Valid only while
-        the analyzer's up-model is unchanged.  Providing it also enables a
-        companion reachability memo (``shared_reach_memo``) used by the
-        SPOF analysis, under the same invalidation contract.
-    shared_spof_memo:
-        Optional cross-name memo for kill sets, same discipline.
+
+    Memo keys and NS slots are universe-local ids, so the analyzer binds to
+    one universe at a time.  The only state it carries across calls is the
+    per-first-zone prefix snapshots, keyed on the closure index's version
+    (see :meth:`_prefix_cache`), and a slot -> up-probability cache.
     """
 
     def __init__(self, up_probability: UpModel = 0.99,
-                 default_up: float = 0.99,
-                 shared_memo: Optional[Dict] = None,
-                 shared_spof_memo: Optional[Dict] = None):
+                 default_up: float = 0.99):
         if isinstance(up_probability, float):
             if not 0.0 <= up_probability <= 1.0:
                 raise ValueError("up_probability must be within [0, 1]")
@@ -123,49 +108,33 @@ class AvailabilityAnalyzer:
             self.default_up = default_up
         if not 0.0 <= self.default_up <= 1.0:
             raise ValueError("default_up must be within [0, 1]")
-        self.shared_memo = shared_memo
-        self.shared_spof_memo = shared_spof_memo
         #: Constant up-probability when no per-server map is configured —
         #: lets the hot loops skip the per-slot lookup entirely.
         self._up_const: Optional[float] = \
             self.default_up if not self._per_server else None
-        #: Cross-name memo for "resolvable with every server up" booleans;
-        #: enabled alongside the other shared memos.
-        self.shared_reach_memo: Optional[Dict[int, bool]] = \
-            {} if shared_memo is not None or shared_spof_memo is not None \
-            else None
         self._slot_up: Dict[int, float] = {}
         self._universe = None
-        self._taint_events = 0
-        self._tainted: Set = set()
         self._prefix_state: Optional[tuple] = None
         # Per-recursion zone-term replay state, active only while a
         # prefix-resumed evaluation runs (see _prefix_cache): `*_zc` maps a
-        # zone id to its (term, taint-event delta) when the term was
-        # computed purely from snapshot-resident memo hits — such terms are
-        # identical for every chain sharing the snapshot — and `*_base` is
-        # the snapshot memo used for that purity test.
-        self._avail_zc: Optional[Dict[int, tuple]] = None
+        # zone id to its term when the term was computed purely from
+        # snapshot-resident memo hits — such terms are identical for every
+        # chain sharing the snapshot — and `*_base` is the snapshot memo
+        # used for that purity test.
+        self._avail_zc: Optional[Dict[int, float]] = None
         self._avail_base: Optional[Dict[int, float]] = None
-        self._reach_zc: Optional[Dict[int, tuple]] = None
-        self._reach_base: Optional[Dict[int, bool]] = None
-        self._struct_zc: Optional[Dict[int, tuple]] = None
+        self._struct_zc: Optional[Dict[int, int]] = None
         self._struct_base: Optional[Dict[int, int]] = None
 
     def _lower(self, graph: DelegationView):
         """``graph.int_core()``, with the analyzer bound to its universe.
 
         Memo keys and slots are universe-local ids, so a new universe
-        clears the shared memos (in place: they may be registered as
-        closure-index companions), the prefix snapshots and the slot cache.
+        drops the prefix snapshots and the slot cache.
         """
         core = graph.int_core()
         if core[0] is not self._universe:
             self._universe = core[0]
-            for memo in (self.shared_memo, self.shared_spof_memo,
-                         self.shared_reach_memo):
-                if memo is not None:
-                    memo.clear()
             self._prefix_state = None
             self._slot_up = {}
         return core
@@ -174,12 +143,11 @@ class AvailabilityAnalyzer:
         """Per-first-zone resume snapshots, valid for one closure version.
 
         A surveyed name's node has no in-edges, so evaluating its first
-        direct zone (the TLD) — the walk, its memo contents, its
-        taint-event count — is independent of the name.  Snapshotting that
-        state after the first zone and resuming later chains from a copy
-        removes the dominant per-chain cost (re-walking the TLD subtree,
-        which in-bailiwick NS cycles keep out of the clean-only shared
-        memos) without changing a single arithmetic step of the recursion.
+        direct zone (the TLD) — the walk and its memo contents — is
+        independent of the name.  Snapshotting that state after the first
+        zone and resuming later chains from a copy removes the dominant
+        per-chain cost (re-walking the TLD subtree) without changing a
+        single arithmetic step of the recursion.
         ``kind`` separates the analytic, structural-reachability, and
         kill-set evaluations.
         """
@@ -220,13 +188,6 @@ class AvailabilityAnalyzer:
         if not zones:
             # Nothing is known about the name's delegation chain at all.
             return 0.0
-        self._taint_events = 0
-        self._tainted = set()
-        shared = self.shared_memo
-        if shared is not None:
-            hit = shared.get(target_id)
-            if hit is not None:
-                return hit
         split_ids = closures.split_ids
         ns_slots = universe.ns_slots
         prefix = self._prefix_cache(closures, "avail")
@@ -238,11 +199,8 @@ class AvailabilityAnalyzer:
         start = 0
         self._avail_zc = self._avail_base = None
         if entry is not None:
-            probability, snap_memo, snap_tainted, snap_events, broke, \
-                zone_cache = entry
+            probability, snap_memo, broke, zone_cache = entry
             memo = dict(snap_memo)
-            self._tainted = set(snap_tainted)
-            self._taint_events = snap_events
             self._avail_zc = zone_cache
             self._avail_base = snap_memo
             start = len(zones) if broke else 1
@@ -253,56 +211,34 @@ class AvailabilityAnalyzer:
             if not nameservers:
                 probability = 0.0
                 if index == 0:
-                    prefix[first] = (probability, dict(memo),
-                                     set(self._tainted),
-                                     self._taint_events, True, {})
+                    prefix[first] = (probability, dict(memo), True, {})
                 break
             all_down = 1.0
             memo_get = memo.get
-            tainted = self._tainted
             for ns in nameservers:
                 value = memo_get(ns)
                 if value is None:
                     value = self._avail_int(universe, closures, ns, memo,
-                                            in_progress, shared)
-                elif ns in tainted:
-                    self._taint_events += 1
+                                            in_progress)
                 up = up_const if up_const is not None else \
                     self._up_slot(universe, ns_slots[ns])
                 all_down *= (1.0 - up * value)
             probability *= (1.0 - all_down)
             if index == 0:
-                prefix[first] = (probability, dict(memo),
-                                 set(self._tainted), self._taint_events,
-                                 False, {})
-        memo[target_id] = probability
-        if self._taint_events == 0:
-            if shared is not None:
-                shared[target_id] = probability
-        else:
-            self._tainted.add(target_id)
+                prefix[first] = (probability, dict(memo), False, {})
         return probability
 
     def _avail_int(self, universe, closures, node: int,
-                   memo: Dict[int, float], in_progress: FrozenSet[int],
-                   shared: Optional[Dict[int, float]]) -> float:
+                   memo: Dict[int, float], in_progress: FrozenSet[int]
+                   ) -> float:
         """Integer-path analytic availability (same traversal, same floats)."""
         cached = memo.get(node)
         if cached is not None:
-            if node in self._tainted:
-                # The consumer inherits this value's context-dependence.
-                self._taint_events += 1
             return cached
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
         if node in in_progress:
             # A dependency loop cannot improve reachability.
-            self._taint_events += 1
             return 1.0
         in_progress = in_progress | {node}
-        events_before = self._taint_events
         split_ids = closures.split_ids
         zones = split_ids(node)[0]
         if not zones:
@@ -310,12 +246,9 @@ class AvailabilityAnalyzer:
             # covered zone): treat as reachable so the parent term reduces
             # to the server's own up-probability.
             memo[node] = 1.0
-            if shared is not None:
-                shared[node] = 1.0
             return 1.0
         ns_slots = universe.ns_slots
         up_const = self._up_const
-        tainted = self._tainted
         memo_get = memo.get
         zone_cache = self._avail_zc
         base = self._avail_base
@@ -324,10 +257,7 @@ class AvailabilityAnalyzer:
             if zone_cache is not None:
                 replay = zone_cache.get(zone)
                 if replay is not None:
-                    term, delta = replay
-                    if delta:
-                        self._taint_events += delta
-                    probability *= term
+                    probability *= replay
                     continue
             nameservers = split_ids(zone)[1]
             if not nameservers:
@@ -335,31 +265,22 @@ class AvailabilityAnalyzer:
                 break
             all_down = 1.0
             pure = zone_cache is not None
-            events_zone = self._taint_events
             for ns in nameservers:
                 value = memo_get(ns)
                 if value is None:
                     value = self._avail_int(universe, closures, ns, memo,
-                                            in_progress, shared)
+                                            in_progress)
                     pure = False
-                else:
-                    if ns in tainted:
-                        self._taint_events += 1
-                    if pure and ns not in base:
-                        pure = False
+                elif pure and ns not in base:
+                    pure = False
                 up = up_const if up_const is not None else \
                     self._up_slot(universe, ns_slots[ns])
                 all_down *= (1.0 - up * value)
             term = 1.0 - all_down
             if pure:
-                zone_cache[zone] = (term, self._taint_events - events_zone)
+                zone_cache[zone] = term
             probability *= term
         memo[node] = probability
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = probability
-        else:
-            self._tainted.add(node)
         return probability
 
     # -- Monte Carlo evaluation ------------------------------------------------------------
@@ -492,7 +413,7 @@ class AvailabilityAnalyzer:
         With no failed servers every up-mask defaults to "up", so the
         evaluation is a pure function of the structure — and, like every
         top-level walk, its first-zone state is name-independent and can be
-        snapshotted (the single-bit evaluation carries no taint state).
+        snapshotted.
         """
         prefix = self._prefix_cache(closures, "structure")
         first = zones[0]
@@ -559,111 +480,71 @@ class AvailabilityAnalyzer:
         """Top-level kill-set evaluation with per-first-zone prefix resume.
 
         Mirrors :meth:`_kill_int` applied to the target node; the snapshot
-        captures both the kill memo and the reachability memo (the two
-        walks interleave) plus the shared taint state after the first zone.
+        captures both the kill memo and the all-up reachability memo of
+        :meth:`_sample_masks` (the two walks interleave) after the first
+        zone.
         """
-        self._taint_events = 0
-        self._tainted = set()
-        shared = self.shared_spof_memo
-        if shared is not None:
-            hit = shared.get(target_id)
-            if hit is not None:
-                return hit
-        split_ids = closures.split_ids
-        zones = split_ids(target_id)[0]
-        memo: Dict[int, int] = {}
-        reach_memo: Dict[int, bool] = {}
+        zones = closures.split_ids(target_id)[0]
         if not zones:
-            memo[target_id] = 0
-            if shared is not None:
-                shared[target_id] = 0
             return 0
         prefix = self._prefix_cache(closures, "kill")
         first = zones[0]
         entry = prefix.get(first)
         in_progress = frozenset((target_id,))
+        memo: Dict[int, int] = {}
+        reach_memo: Dict[int, int] = {}
         kills = 0
         start = 0
-        self._reach_zc = self._reach_base = None
+        self._struct_zc = self._struct_base = None
         if entry is not None:
-            kills, snap_memo, snap_reach, snap_tainted, snap_events, \
-                reach_zc = entry
+            kills, snap_memo, snap_reach, reach_zc = entry
             memo = dict(snap_memo)
             reach_memo = dict(snap_reach)
-            self._tainted = set(snap_tainted)
-            self._taint_events = snap_events
-            self._reach_zc = reach_zc
-            self._reach_base = snap_reach
+            self._struct_zc = reach_zc
+            self._struct_base = snap_reach
             start = 1
         for index in range(start, len(zones)):
             zone_kill = self._kill_zone_int(universe, closures, zones[index],
-                                            memo, reach_memo, in_progress,
-                                            shared)
+                                            memo, reach_memo, in_progress)
             if zone_kill:
                 kills |= zone_kill
             if index == 0:
-                prefix[first] = (kills, dict(memo), dict(reach_memo),
-                                 set(self._tainted), self._taint_events, {})
-        memo[target_id] = kills
-        if self._taint_events == 0:
-            if shared is not None:
-                shared[target_id] = kills
-        else:
-            self._tainted.add(target_id)
+                prefix[first] = (kills, dict(memo), dict(reach_memo), {})
         return kills
 
     def _kill_int(self, universe, closures, node: int,
-                  memo: Dict[int, int], reach_memo: Dict[int, bool],
-                  in_progress: FrozenSet[int],
-                  shared: Optional[Dict[int, int]]) -> int:
+                  memo: Dict[int, int], reach_memo: Dict[int, int],
+                  in_progress: FrozenSet[int]) -> int:
         """Slot bitset of hostnames whose failure makes ``node`` unresolvable."""
         cached = memo.get(node)
         if cached is not None:
-            if node in self._tainted:
-                self._taint_events += 1
             return cached
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
         if node in in_progress:
             # The looping branch is treated as reachable by the availability
             # recursion, so nothing kills it from inside the loop.
-            self._taint_events += 1
             return 0
         in_progress = in_progress | {node}
-        events_before = self._taint_events
-        split_ids = closures.split_ids
-        zones = split_ids(node)[0]
+        zones = closures.split_ids(node)[0]
         if not zones:
             memo[node] = 0
-            if shared is not None:
-                shared[node] = 0
             return 0
         kills = 0
         for zone in zones:
             zone_kill = self._kill_zone_int(universe, closures, zone, memo,
-                                            reach_memo, in_progress, shared)
+                                            reach_memo, in_progress)
             if zone_kill:
                 kills |= zone_kill
         memo[node] = kills
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = kills
-        else:
-            self._tainted.add(node)
         return kills
 
     def _kill_zone_int(self, universe, closures, zone: int,
-                       memo: Dict[int, int], reach_memo: Dict[int, bool],
-                       in_progress: FrozenSet[int],
-                       shared: Optional[Dict[int, int]]) -> Optional[int]:
+                       memo: Dict[int, int], reach_memo: Dict[int, int],
+                       in_progress: FrozenSet[int]) -> Optional[int]:
         """One zone's kill intersection (shared by top-level and recursion)."""
         nameservers = closures.split_ids(zone)[1]
         zone_kill: Optional[int] = None
         reach_get = reach_memo.get
         memo_get = memo.get
-        tainted = self._tainted
         ns_slots = universe.ns_slots
         for ns in nameservers:
             # A nameserver that cannot resolve even with every server up
@@ -671,103 +552,19 @@ class AvailabilityAnalyzer:
             # imposes no constraint on the zone's kill intersection.
             reach = reach_get(ns)
             if reach is None:
-                reach = self._reach_int(universe, closures, ns, reach_memo,
-                                        in_progress)
-            elif ns in tainted:
-                self._taint_events += 1
+                reach = self._sample_masks(universe, closures, ns, reach_memo,
+                                           in_progress, {}, 1)
             if not reach:
                 continue
             term = memo_get(ns)
             if term is None:
                 term = self._kill_int(universe, closures, ns, memo,
-                                      reach_memo, in_progress, shared)
-            elif ns in tainted:
-                self._taint_events += 1
+                                      reach_memo, in_progress)
             term |= 1 << ns_slots[ns]
             zone_kill = term if zone_kill is None else (zone_kill & term)
             if not zone_kill:
                 break
         return zone_kill
-
-    def _reach_int(self, universe, closures, node: int,
-                   memo: Dict[int, bool],
-                   in_progress: FrozenSet[int]) -> bool:
-        """Is ``node`` resolvable with every server up? (taint-tracked).
-
-        Mirrors the scalar all-up availability evaluation (values are
-        exactly 0.0 or 1.0 there); clean results are additionally published
-        to :attr:`shared_reach_memo` so the SPOF pass explores each
-        universe region once per worker instead of once per name.
-        """
-        cached = memo.get(node)
-        if cached is not None:
-            if node in self._tainted:
-                self._taint_events += 1
-            return cached
-        shared = self.shared_reach_memo
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
-        if node in in_progress:
-            # A dependency loop cannot improve reachability.
-            self._taint_events += 1
-            return True
-        in_progress = in_progress | {node}
-        events_before = self._taint_events
-        split_ids = closures.split_ids
-        zones = split_ids(node)[0]
-        if not zones:
-            memo[node] = True
-            if shared is not None:
-                shared[node] = True
-            return True
-        reachable = True
-        memo_get = memo.get
-        tainted = self._tainted
-        zone_cache = self._reach_zc
-        base = self._reach_base
-        for zone in zones:
-            if zone_cache is not None:
-                replay = zone_cache.get(zone)
-                if replay is not None:
-                    any_up, delta = replay
-                    if delta:
-                        self._taint_events += delta
-                    if not any_up:
-                        reachable = False
-                    continue
-            nameservers = split_ids(zone)[1]
-            if not nameservers:
-                reachable = False
-                break
-            any_up = False
-            pure = zone_cache is not None
-            events_zone = self._taint_events
-            for ns in nameservers:
-                value = memo_get(ns)
-                if value is None:
-                    value = self._reach_int(universe, closures, ns, memo,
-                                            in_progress)
-                    pure = False
-                else:
-                    if ns in tainted:
-                        self._taint_events += 1
-                    if pure and ns not in base:
-                        pure = False
-                if value:
-                    any_up = True
-            if pure:
-                zone_cache[zone] = (any_up, self._taint_events - events_zone)
-            if not any_up:
-                reachable = False
-        memo[node] = reachable
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = reachable
-        else:
-            self._tainted.add(node)
-        return reachable
 
     def single_points_of_failure_exhaustive(self, graph: DelegationView
                                             ) -> FrozenSet[DomainName]:

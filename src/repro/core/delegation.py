@@ -34,8 +34,7 @@ Graph encoding
 The universe is a :class:`~repro.core.graphcore.DependencyUniverse`: every
 ``(kind, DomainName)`` node is interned to a dense integer id, every NS node
 additionally gets a dense *slot* (its bit position in closure bitsets), and
-adjacency is stored insertion-ordered per node with a lazily frozen CSR
-snapshot (:meth:`~repro.core.graphcore.DependencyUniverse.csr`).  At the
+adjacency is stored insertion-ordered per node, forward and reverse.  At the
 NodeKey level nodes are ``(kind, DomainName)`` tuples where ``kind`` is
 ``"name"``, ``"zone"``, or ``"ns"``, and edges point from the dependent
 entity to the entity it depends on:
@@ -61,7 +60,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    MutableMapping,
     Optional,
     Sequence,
     Set,
@@ -120,10 +118,10 @@ class ClosureIndex:
 
     The builder keeps the memo correct as the universe grows: whenever a node
     that already existed gains a new out-edge, the memo entries of that node
-    and of everything that can reach it are dropped (see :meth:`invalidate`).
-    Companion memos (e.g. the survey engine's shared bottleneck memo, keyed
-    by the same integer node ids) can be registered to be purged on the same
-    events.
+    and of everything that can reach it are dropped (see :meth:`invalidate`),
+    and :attr:`version` is bumped so caches derived from the structure
+    (the engine's per-chain analyses, the analyzers' prefix snapshots)
+    retire with them.
     """
 
     def __init__(self, graph: DependencyUniverse,
@@ -137,16 +135,14 @@ class ClosureIndex:
         self._excluded = tuple(DomainName(s) for s in excluded_suffixes)
         self._memo: Dict[int, int] = {}
         self._split: Dict[int, Tuple[List[int], List[int]]] = {}
-        self._companions: List[MutableMapping[int, object]] = []
         #: slot -> contribution bit (0 for excluded hosts), grown lazily.
         self._slot_bits: List[int] = []
         #: mask -> shared frozenset materialisation (content-addressed).
         self._sets: Dict[int, FrozenSet[DomainName]] = {}
         self.computations = 0
         self.invalidations = 0
-        #: Bumped whenever memoized state is actually dropped; callers that
-        #: key derived caches on graph structure can compare versions
-        #: instead of registering a per-node companion.
+        #: Bumped whenever memoized state is actually dropped; callers key
+        #: caches derived from graph structure on it.
         self.version = 0
 
     def __len__(self) -> int:
@@ -156,11 +152,6 @@ class ClosureIndex:
     def universe(self) -> DependencyUniverse:
         """The integer universe this index runs over."""
         return self._graph
-
-    def register_companion(self,
-                           memo: MutableMapping[int, object]) -> None:
-        """Purge ``memo``'s entries alongside this index's on invalidation."""
-        self._companions.append(memo)
 
     # -- slot bookkeeping -------------------------------------------------------------
 
@@ -206,14 +197,6 @@ class ClosureIndex:
         graph = self._graph
         out = graph.out
         ns_slots = graph.ns_slots
-        # When the universe has stopped growing since a CSR snapshot was
-        # taken, the frozen snapshot is still valid and the walk reads it;
-        # during discovery the snapshot is stale and the growable rows are
-        # iterated directly.  Row order is identical either way.
-        csr = graph.csr_if_fresh()
-        offsets = targets = None
-        if csr is not None:
-            offsets, targets = csr
 
         # Iterative Tarjan: SCCs are closed in reverse topological order, so
         # when a component is popped every successor outside it is already
@@ -235,10 +218,7 @@ class ClosureIndex:
             on_stack.add(n)
             slot = ns_slots[n]
             partial[n] = self._slot_bit(slot) if slot >= 0 else 0
-            if offsets is not None:
-                work.append((n, iter(targets[offsets[n]:offsets[n + 1]])))
-            else:
-                work.append((n, iter(out[n])))
+            work.append((n, iter(out[n])))
 
         open_node(node)
         while work:
@@ -309,19 +289,16 @@ class ClosureIndex:
 
     # -- invalidation -------------------------------------------------------------------
 
-    def reset_companions(self) -> None:
-        """Clear every companion memo and bump the version, keeping closures.
+    def retire_analyses(self) -> None:
+        """Bump the version, keeping closures and splits.
 
         Used when world state *outside* the graph structure changed (a
         server's software banner, a DNSSEC deployment): closure bitsets are
-        pure graph reachability and stay valid, but analysis memos keyed on
-        the same node ids may embed vulnerability or signature verdicts and
-        must go.  The version bump also retires every derived cache keyed
-        on it (the engine's per-chain analysis memo, availability
-        prefix-resume snapshots).
+        pure graph reachability and stay valid, but every cache keyed on
+        the version (the engine's per-chain analyses, the analyzers'
+        prefix-resume snapshots) may embed vulnerability or signature
+        verdicts and must go.
         """
-        for companion in self._companions:
-            companion.clear()
         self.version += 1
 
     def invalidate(self, node: NodeKey) -> None:
@@ -333,11 +310,10 @@ class ClosureIndex:
 
     def invalidate_id(self, node: int) -> None:
         """Integer-id variant of :meth:`invalidate` (the builder's path)."""
-        if not self._memo and not self._split and not any(self._companions):
+        if not self._memo and not self._split:
             return
         memo = self._memo
         split = self._split
-        companions = self._companions
         inn = self._graph.inn
         seen = {node}
         stack = [node]
@@ -349,9 +325,6 @@ class ClosureIndex:
                 dropped += 1
             if split.pop(current, None) is not None:
                 dropped += 1
-            for companion in companions:
-                if companion.pop(current, None) is not None:
-                    dropped += 1
             for pred in inn[current]:
                 if pred not in seen:
                     seen.add(pred)

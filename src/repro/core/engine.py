@@ -178,9 +178,9 @@ class WorkerContext:
 
     The serial backend uses a single context; the process backend builds
     one per shard inside each child, so no mutable state crosses shard
-    boundaries.  The
-    bottleneck memo is registered as a companion of the builder's closure
-    index, so universe growth invalidates both in one pass.
+    boundaries.  Every cross-name cache here (the per-chain analyses, the
+    analyzers' prefix snapshots) is keyed on the builder's closure-index
+    version, so universe growth retires them all at once.
     """
 
     def __init__(self, internet, database: VulnerabilityDatabase, resolver,
@@ -192,8 +192,6 @@ class WorkerContext:
         self.database = database
         self.vulnerability_map: Dict[DomainName, bool] = {}
         self.compromisable_map: Dict[DomainName, bool] = {}
-        self.mincut_memo: Dict[NodeKey, object] = {}
-        self.builder.closures.register_companion(self.mincut_memo)
         # Nothing in the universe points back at a name node, so every
         # name-independent analysis output (TCB report counts, bailiwick,
         # bottleneck, classification) is a pure function of the name's
@@ -206,19 +204,12 @@ class WorkerContext:
         # The analyzer reads the live (growing) compromisable map: every TCB
         # member is fingerprinted before its name is analysed, and a host's
         # flag never changes once set, so this matches per-name snapshots.
-        self.analyzer = BottleneckAnalyzer(vulnerability_aware=True,
-                                           shared_memo=self.mincut_memo)
+        self.analyzer = BottleneckAnalyzer(vulnerability_aware=True)
         self.analyzer.vulnerability_map = self.compromisable_map
-        # Per-worker pass state (validators, shared memos); passes register
-        # their memos as closure companions through register_companion, so
-        # universe growth invalidates them with everything else.
+        # Per-worker pass state (validators, analyzers).
         self.passes = tuple(passes)
         self.pass_states = {pass_.name: pass_.make_state(self)
                             for pass_ in self.passes}
-
-    def register_companion(self, memo) -> None:
-        """Purge ``memo`` alongside the closure index on invalidation."""
-        self.builder.closures.register_companion(memo)
 
     def chain_analysis_cache(self, version: int
                              ) -> Dict[Tuple[NodeKey, ...], Dict[str, object]]:
@@ -779,8 +770,8 @@ class SurveyEngine:
         rewires the warm universe (see
         :meth:`~repro.core.delegation.DelegationGraphBuilder.apply_changes`);
         banner changes additionally retire the affected fingerprint and
-        vulnerability verdicts, and any verdict-sensitive memo (mincut
-        companions, per-chain analyses, validator zone caches) when
+        vulnerability verdicts, and any verdict-sensitive cache (per-chain
+        analyses, analyzer prefix snapshots, validator zone caches) when
         verdicts or signatures may have changed.  The process backend
         builds its shard contexts *after* this, by cloning the
         invalidated primary resolver, so every backend sees the same
@@ -800,7 +791,7 @@ class SurveyEngine:
             context.compromisable_map.pop(host, None)
             context.fingerprinter.forget(host)
         if changes.analyses_stale:
-            context.builder.closures.reset_companions()
+            context.builder.closures.retire_analyses()
             context.pass_states = {
                 pass_.name: pass_.refresh_state(
                     context.pass_states[pass_.name], context)

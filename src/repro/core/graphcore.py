@@ -1,4 +1,4 @@
-"""Integer-interned graph core: the name table and the CSR dependency universe.
+"""Integer-interned graph core: the name table and the dependency universe.
 
 The survey is fundamentally a transitive-closure computation over hundreds of
 thousands of names, and the engine's hot loops (closure unions, the min-cut
@@ -15,9 +15,8 @@ This module provides the compact core those loops now run on:
   node ids, with per-kind node typing, insertion-ordered adjacency (so
   iteration order matches what a ``networkx.DiGraph`` built by the same
   edge sequence would produce), reverse edges for ancestor invalidation,
-  a dense *nameserver slot* per NS node (the bit position used by bitset
-  closures, TCB masks, and Monte-Carlo masks), and a CSR
-  (offsets/targets) snapshot rebuilt lazily when the graph has grown;
+  and a dense *nameserver slot* per NS node (the bit position used by
+  bitset closures, TCB masks, and Monte-Carlo masks);
 * :class:`KeyGraph` — a tiny insertion-ordered digraph over ``(kind,
   DomainName)`` node keys, used for materialised per-name subgraph copies
   (:meth:`~repro.core.delegation.DelegationGraphBuilder.build`) so that
@@ -110,8 +109,8 @@ class DependencyUniverse:
 
     The class speaks two dialects:
 
-    * the **integer API** (``ensure_id`` / ``find_id`` / ``out_ids`` /
-      ``csr`` / ...) used by the hot paths, and
+    * the **integer API** (``ensure_id`` / ``find_id`` / ``add_edge_ids``
+      / ``mask_to_hosts`` / ...) used by the hot paths, and
     * a **NodeKey duck API** (``add_edge`` / ``successors`` / ``nodes`` /
       ``edges`` / ``__contains__`` / ...) mirroring the subset of the
       ``networkx.DiGraph`` surface the rest of the code base and the test
@@ -119,8 +118,7 @@ class DependencyUniverse:
     """
 
     __slots__ = ("names", "_ids", "kinds", "name_ids", "out", "inn",
-                 "ns_slots", "slot_hosts", "slot_nodes", "_edge_count",
-                 "mutations", "_csr", "_csr_mutations")
+                 "ns_slots", "slot_hosts", "slot_nodes", "_edge_count")
 
     def __init__(self, names: Optional[NameTable] = None) -> None:
         self.names = names if names is not None else NameTable()
@@ -135,11 +133,6 @@ class DependencyUniverse:
         self.slot_hosts: List[DomainName] = []   #: slot -> hostname
         self.slot_nodes = array("l")     #: slot -> node id
         self._edge_count = 0
-        #: Bumped on every node or edge addition; derived caches (CSR
-        #: snapshot, closure splits) key on it.
-        self.mutations = 0
-        self._csr: Optional[Tuple[array, array]] = None
-        self._csr_mutations = -1
 
     # -- integer API ----------------------------------------------------------------
 
@@ -162,7 +155,6 @@ class DependencyUniverse:
                 self.slot_nodes.append(found)
             else:
                 self.ns_slots.append(-1)
-            self.mutations += 1
         return found
 
     def find_id(self, kind_code: int, name: DomainName) -> Optional[int]:
@@ -180,7 +172,6 @@ class DependencyUniverse:
         row.append(target)
         self.inn[target].append(source)
         self._edge_count += 1
-        self.mutations += 1
         return True
 
     def clear_out_edges(self, source: int) -> int:
@@ -202,7 +193,6 @@ class DependencyUniverse:
             inn[target].remove(source)
         self.out[source] = []
         self._edge_count -= removed
-        self.mutations += 1
         return removed
 
     def set_out_edges(self, source: int, targets: List[int]) -> None:
@@ -242,39 +232,6 @@ class DependencyUniverse:
             mask >>= 32
             slot += 32
         return out
-
-    def csr(self) -> Tuple[array, array]:
-        """The forward adjacency as CSR ``(offsets, targets)`` arrays.
-
-        Rebuilt lazily whenever the universe has grown since the last
-        snapshot (one linear pass).  During discovery the graph grows
-        between closure queries, so the hot loops iterate the growable
-        ``out`` rows and only pick the frozen arrays up via
-        :meth:`csr_if_fresh`; once the universe stops changing the
-        snapshot stays valid and the closure Tarjan walks it instead.
-        """
-        if self._csr is None or self._csr_mutations != self.mutations:
-            offsets = array("l")
-            targets = array("l")
-            total = 0
-            offsets.append(0)
-            for row in self.out:
-                total += len(row)
-                offsets.append(total)
-                targets.extend(row)
-            self._csr = (offsets, targets)
-            self._csr_mutations = self.mutations
-        return self._csr
-
-    def csr_if_fresh(self) -> Optional[Tuple[array, array]]:
-        """The CSR snapshot if it still matches the graph, else ``None``.
-
-        Never triggers a rebuild — the cheap staleness probe hot loops use
-        to pick the frozen arrays up opportunistically.
-        """
-        if self._csr is not None and self._csr_mutations == self.mutations:
-            return self._csr
-        return None
 
     # -- NodeKey duck API (networkx.DiGraph subset) ----------------------------------
 

@@ -46,7 +46,7 @@ the dominant pattern (the weakest zone is the name's own NS set).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.dns.name import DomainName
 
@@ -111,66 +111,46 @@ class BottleneckAnalyzer:
     vulnerability_aware:
         Whether the cut minimises the number of *safe* servers (lexicographic
         cost) or just its total size.
-    shared_memo:
-        Optional cross-call memo, used by the survey engine to reuse blocking
-        costs across the thousands of names that share a universe graph.
-        Entries are keyed by integer node id (and cuts are slot bitsets),
-        so the analyzer binds to one universe at a time and clears the memo
-        in place when it is handed another.  Only *clean* results —
-        computed without truncating a dependency cycle and without
-        consuming a truncation-tainted value — are published to it, because
-        those are the only results independent of the path the recursion
-        took to reach the node (a node on a cycle always observes its own
-        truncation and therefore never qualifies).  Entries must be purged
-        when the underlying graph or the vulnerability flags of
-        already-analysed hosts change; the engine registers the memo with
-        the builder's :class:`~repro.core.delegation.ClosureIndex` for
-        exactly that.
+
+    Memo keys are integer node ids and cuts are slot bitsets, so the
+    analyzer binds to one universe at a time.  The only state it carries
+    across calls is the per-first-zone prefix snapshots, keyed on the
+    closure index's version (see :meth:`_prefix_cache`).
     """
 
     def __init__(self, vulnerability_map: Optional[Mapping[DomainName, bool]] = None,
-                 vulnerability_aware: bool = True,
-                 shared_memo: Optional[Dict] = None):
+                 vulnerability_aware: bool = True):
         self.vulnerability_map = dict(vulnerability_map or {})
         self.vulnerability_aware = vulnerability_aware
-        self.shared_memo = shared_memo
-        self._taint_events = 0
-        self._tainted: Set = set()
         self._universe = None
         self._prefix_state: Optional[Tuple[int, Dict]] = None
         # Zone-term replay state, active only during a prefix-resumed
-        # evaluation: `_zc` maps a zone id to (cost, mask, taint-event
-        # delta) when the term was computed purely from snapshot-resident
-        # memo hits (constant across chains sharing the snapshot); `_base`
-        # is that snapshot memo.
+        # evaluation: `_zc` maps a zone id to (cost, mask) when the term was
+        # computed purely from snapshot-resident memo hits (constant across
+        # chains sharing the snapshot); `_base` is that snapshot memo.
         self._zc: Optional[Dict[int, tuple]] = None
         self._base: Optional[Dict] = None
 
     def _bind(self, universe) -> None:
-        """Point the analyzer at ``universe``, dropping another's state.
+        """Point the analyzer at ``universe``, dropping another's snapshots.
 
-        Memo keys and slot bits are universe-local ids.  The shared memo is
-        cleared in place because it may be registered as a closure-index
-        companion.
+        Memo keys and slot bits are universe-local ids.
         """
         if self._universe is universe:
             return
         self._universe = universe
-        if self.shared_memo is not None:
-            self.shared_memo.clear()
         self._prefix_state = None
 
     def _prefix_cache(self, closures) -> Dict[int, tuple]:
         """Per-first-zone resume snapshots, valid for one closure version.
 
         A surveyed name's node has no in-edges, so the evaluation of its
-        first direct zone (the TLD) is independent of the name: the walk,
-        its memo contents, and its taint-event count are identical for
-        every chain starting with that zone.  Snapshotting them after the
-        first zone and resuming later chains from a copy removes the
-        dominant per-chain cost (re-walking the whole TLD subtree, which
-        in-bailiwick NS cycles keep out of the clean-only shared memo)
-        without changing a single comparison the recursion makes.
+        first direct zone (the TLD) is independent of the name: the walk
+        and its memo contents are identical for every chain starting with
+        that zone.  Snapshotting them after the first zone and resuming
+        later chains from a copy removes the dominant per-chain cost
+        (re-walking the whole TLD subtree) without changing a single
+        comparison the recursion makes.
         """
         state = self._prefix_state
         if state is None or state[0] != closures.version:
@@ -184,27 +164,16 @@ class BottleneckAnalyzer:
         """Compute the optimal attack set for ``graph``'s target name.
 
         Evaluates :meth:`_block_node` on the target, except that the first
-        zone's (cost, mask, memo, taint) state is snapshotted and replayed
-        across chains sharing it: the target itself is unreachable from the
+        zone's (cost, mask, memo) state is snapshotted and replayed across
+        chains sharing it: the target itself is unreachable from the
         universe, so that state cannot depend on it.
         """
         universe, closures, target_id = graph.int_core()
         self._bind(universe)
-        self._taint_events = 0
-        self._tainted = set()
-        shared = self.shared_memo
-        if shared is not None:
-            hit = shared.get(target_id)
-            if hit is not None:
-                return self._result_from_mask(graph.target, universe, hit)
         zones = closures.split_ids(target_id)[0]
-        memo: Dict[int, Tuple[Tuple[int, int], int]] = {}
         if not zones:
-            result = (_INFINITY, 0)
-            memo[target_id] = result
-            if shared is not None:
-                shared[target_id] = result
-            return self._result_from_mask(graph.target, universe, result)
+            return self._result_from_mask(graph.target, universe,
+                                          (_INFINITY, 0))
 
         prefix = self._prefix_cache(closures)
         first = zones[0]
@@ -212,14 +181,12 @@ class BottleneckAnalyzer:
         best_cost: Tuple[int, int] = _INFINITY
         best_mask = 0
         in_progress = frozenset((target_id,))
+        memo: Dict[int, Tuple[Tuple[int, int], int]] = {}
         start = 0
         self._zc = self._base = None
         if entry is not None:
-            cost0, mask0, snap_memo, snap_tainted, snap_events, zone_cache \
-                = entry
+            cost0, mask0, snap_memo, zone_cache = entry
             memo = dict(snap_memo)
-            self._tainted = set(snap_tainted)
-            self._taint_events = snap_events
             self._zc = zone_cache
             self._base = snap_memo
             if cost0 < best_cost:
@@ -232,17 +199,9 @@ class BottleneckAnalyzer:
             if cost < best_cost:
                 best_cost, best_mask = cost, mask
             if index == 0:
-                prefix[first] = (cost, mask, dict(memo), set(self._tainted),
-                                 self._taint_events, {})
-        result = (best_cost, best_mask)
-        if best_cost < _INFINITY:
-            memo[target_id] = result
-            if self._taint_events == 0:
-                if shared is not None:
-                    shared[target_id] = result
-            else:
-                self._tainted.add(target_id)
-        return self._result_from_mask(graph.target, universe, result)
+                prefix[first] = (cost, mask, dict(memo), {})
+        return self._result_from_mask(graph.target, universe,
+                                      (best_cost, best_mask))
 
     def analyze_unweighted(self, graph) -> BottleneckResult:
         """Convenience: the cut that minimises total size regardless of vulns."""
@@ -285,32 +244,18 @@ class BottleneckAnalyzer:
         """Cheapest way to block a name/host node (ids + slot bitsets)."""
         cached = memo.get(node)
         if cached is not None:
-            if node in self._tainted:
-                # The consumer inherits this value's context-dependence.
-                self._taint_events += 1
             return cached
-        shared = self.shared_memo
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
         if node in in_progress:
             # Cyclic dependency (mutual secondaries): this branch cannot be
             # used to block the node more cheaply than attacking servers
             # directly, so treat it as unblockable here.
-            self._taint_events += 1
             return _INFINITY, 0
         in_progress = in_progress | {node}
-        events_before = self._taint_events
 
         zones = closures.split_ids(node)[0]
         if not zones:
             result = (_INFINITY, 0)
             memo[node] = result
-            if shared is not None:
-                # A node with no zone dependencies is unblockable regardless
-                # of how the recursion reached it.
-                shared[node] = result
             return result
 
         best_cost: Tuple[int, int] = _INFINITY
@@ -320,18 +265,12 @@ class BottleneckAnalyzer:
             if zone_cache is not None:
                 replay = zone_cache.get(zone)
                 if replay is not None:
-                    cost, mask, delta = replay
-                    if delta:
-                        self._taint_events += delta
-                    if cost < best_cost:
-                        best_cost, best_mask = cost, mask
-                    continue
-                events_zone = self._taint_events
-                cost, mask, pure = self._zone_block(universe, closures,
-                                                    zone, memo, in_progress)
-                if pure:
-                    zone_cache[zone] = (cost, mask,
-                                        self._taint_events - events_zone)
+                    cost, mask = replay
+                else:
+                    cost, mask, pure = self._zone_block(
+                        universe, closures, zone, memo, in_progress)
+                    if pure:
+                        zone_cache[zone] = (cost, mask)
             else:
                 cost, mask, _pure = self._zone_block(universe, closures,
                                                      zone, memo, in_progress)
@@ -340,11 +279,6 @@ class BottleneckAnalyzer:
         result = (best_cost, best_mask)
         if best_cost < _INFINITY:
             memo[node] = result
-            if self._taint_events == events_before:
-                if shared is not None:
-                    shared[node] = result
-            else:
-                self._tainted.add(node)
         return result
 
     def _zone_block(self, universe, closures, zone: int,
@@ -374,7 +308,6 @@ class BottleneckAnalyzer:
         ns_slots = universe.ns_slots
         slot_hosts = universe.slot_hosts
         memo_get = memo.get
-        tainted = self._tainted
         for ns in nameservers:
             slot = ns_slots[ns]
             if vulnerability_aware and vulnerability_get(slot_hosts[slot],
@@ -387,11 +320,8 @@ class BottleneckAnalyzer:
                 cached = self._block_node(universe, closures, ns, memo,
                                           in_progress)
                 pure = False
-            else:
-                if ns in tainted:
-                    self._taint_events += 1
-                if pure and ns not in base:
-                    pure = False
+            elif pure and ns not in base:
+                pure = False
             indirect_cost, indirect_mask = cached
             if indirect_cost < direct_cost:
                 choice_cost, choice_mask = indirect_cost, indirect_mask

@@ -18,9 +18,8 @@ Lifecycle
 2. **make_state(worker)** — once per worker context (the serial engine has
    one; partitioned backends one per shard; the ``process`` backend one per
    child).  This is where per-worker mutable state lives: validators wired
-   to the worker's resolver, shared memos registered as closure-index
-   companions via ``worker.register_companion`` so universe growth purges
-   them alongside the closures.
+   to the worker's resolver, analyzers whose cross-name caches key on the
+   builder's closure-index version so universe growth retires them.
 3. **analyze(ctx, state)** — per name.  A pass with ``chain_cacheable=True``
    (the default) promises its output is a pure function of the name's
    direct-zone chain given a fixed universe; the engine then runs it once
@@ -66,8 +65,7 @@ class PassContext:
     ``builtin`` holds the built-in stage-4 columns (``classification``,
     ``tcb_size``, ``mincut_size``, ...) — passes run after them.  ``worker``
     is the engine's per-shard :class:`~repro.core.engine.WorkerContext`
-    (resolver, builder, vulnerability maps, ``internet``,
-    ``register_companion``).
+    (resolver, builder, vulnerability maps, ``internet``).
     """
 
     view: TCBView
@@ -123,9 +121,7 @@ class AnalysisPass:
         Called on carried worker contexts by the incremental re-survey path
         when cached verdicts may be stale (a banner change, an extended
         DNSSEC deployment).  The default rebuilds from scratch via
-        :meth:`make_state`; passes whose state registered closure-index
-        companions should instead clear those in place, so the companion
-        registration list does not grow per delta run.
+        :meth:`make_state`.
         """
         return self.make_state(worker)
 
@@ -168,9 +164,10 @@ class AvailabilityPass(AnalysisPass):
     """Analytic availability, SPOF count, and optional Monte-Carlo estimate.
 
     Runs :class:`~repro.core.availability.AvailabilityAnalyzer` directly on
-    the engine's :class:`~repro.core.delegation.TCBView` — no graph copies —
-    with cross-name shared memos registered as closure-index companions, so
-    the recursion explores each universe region once per worker.
+    the engine's :class:`~repro.core.delegation.TCBView` — no graph copies.
+    One analyzer per worker carries its prefix snapshots across names, so
+    the TLD subtree each chain starts with is walked once per closure-index
+    version.
 
     Columns: ``availability`` (analytic probability), ``availability_spof``
     (number of single points of failure), and ``availability_mc`` when
@@ -199,23 +196,7 @@ class AvailabilityPass(AnalysisPass):
         return tuple(columns)
 
     def make_state(self, worker) -> AvailabilityAnalyzer:
-        analyzer = AvailabilityAnalyzer(self.up, shared_memo={},
-                                        shared_spof_memo={})
-        worker.register_companion(analyzer.shared_memo)
-        worker.register_companion(analyzer.shared_spof_memo)
-        worker.register_companion(analyzer.shared_reach_memo)
-        return analyzer
-
-    def refresh_state(self, state: AvailabilityAnalyzer,
-                      worker) -> AvailabilityAnalyzer:
-        # The analyzer's memos are already registered as closure-index
-        # companions; clear them in place (availability is verdict-free,
-        # but the uniform delta contract is "no stale memo survives") and
-        # keep the analyzer so the registrations stay unique.
-        state.shared_memo.clear()
-        state.shared_spof_memo.clear()
-        state.shared_reach_memo.clear()
-        return state
+        return AvailabilityAnalyzer(self.up)
 
     def analyze(self, ctx: PassContext, state: AvailabilityAnalyzer
                 ) -> Dict[str, object]:

@@ -7,8 +7,8 @@ written directly over a NodeKey graph (anything with ``successors``:
 :class:`~repro.core.graphcore.DependencyUniverse`).  The recursions keep
 only a per-call memo and the in-progress cycle guard — a dependency loop
 is cut where the walk re-enters it, exactly as the analyzers do — and
-nothing else: no shared memos, taint tracking, bitsets, prefix resume or
-interning.  Tests check the integer analyzers against these functions.
+nothing else: no bitsets, prefix resume, zone-term replay or interning.
+Tests check the integer analyzers against these functions.
 """
 
 from __future__ import annotations

@@ -11,15 +11,12 @@ from repro.core.availability import (
     availability_security_tradeoff,
 )
 from repro.core.delegation import (
-    ClosureIndex,
     DelegationGraph,
     DelegationGraphBuilder,
-    TCBView,
     name_node,
     ns_node,
     zone_node,
 )
-from repro.core.graphcore import DependencyUniverse
 
 
 def two_level_graph(ns_per_zone=2):
@@ -193,68 +190,6 @@ def test_tcb_view_availability_matches_graph(mini_internet):
         assert analyzer.monte_carlo(view, samples=100,
                                     rng=random.Random(3)) == \
             analyzer.monte_carlo(graph, samples=100, rng=random.Random(3))
-
-
-def test_shared_memo_does_not_change_values(mini_internet):
-    """Cross-name shared memos must be value-transparent (clean-only)."""
-    builder = DelegationGraphBuilder(mini_internet.make_resolver())
-    shared = AvailabilityAnalyzer(0.9, shared_memo={}, shared_spof_memo={})
-    fresh = AvailabilityAnalyzer(0.9)
-    names = ("www.example.com", "www.uni.edu", "www.partner.edu",
-             "www.hostco.com", "www.example.com")
-    for name in names:
-        view = builder.tcb_view(name)
-        assert shared.resolution_probability(view) == \
-            pytest.approx(fresh.resolution_probability(view), abs=1e-15)
-        assert shared.single_points_of_failure(view) == \
-            fresh.single_points_of_failure(view)
-
-
-def _tcb_view(edges, name):
-    """A TCBView over a hand-built universe (what the builder would make)."""
-    universe = DependencyUniverse()
-    for source, target in edges:
-        universe.add_edge(source, target)
-    closures = ClosureIndex(universe)
-    target_id = universe.ensure_key(name_node(name))
-    return TCBView(name, universe, closures.closure_mask_id(target_id),
-                   structure=closures, target_id=target_id)
-
-
-def test_shared_memo_publishes_only_cycle_free_values():
-    """Acyclic subtrees are published cross-name; cycle members never are.
-
-    This mirrors the bottleneck memo's discipline: a value computed with a
-    truncated dependency loop depends on where the recursion entered the
-    loop, so only clean values may cross evaluation roots.  Memo keys are
-    the universe's node ids.
-    """
-    # Acyclic: name -> zone -> two leaf nameservers without further chains.
-    target = name_node("www.flat.test")
-    zone = zone_node("flat.test")
-    view = _tcb_view([(target, zone),
-                      (zone, ns_node("ns1.flat.test")),
-                      (zone, ns_node("ns2.flat.test"))], "www.flat.test")
-    node_id = view.graph.find_key
-    analyzer = AvailabilityAnalyzer(0.9, shared_memo={}, shared_spof_memo={})
-    value = analyzer.resolution_probability(view)
-    assert node_id(ns_node("ns1.flat.test")) in analyzer.shared_memo
-    assert analyzer.shared_memo[node_id(target)] == pytest.approx(value)
-    # Two redundant servers: no SPOF, and the (empty) kill set is published.
-    assert analyzer.single_points_of_failure(view) == frozenset()
-    assert analyzer.shared_spof_memo[node_id(target)] == 0
-
-    # Cyclic (mutual registry dependency): nothing tainted is published.
-    cyclic = two_level_graph(ns_per_zone=2)
-    view = _tcb_view(cyclic.graph.edges, "www.site.com")
-    node_id = view.graph.find_key
-    cyclic_analyzer = AvailabilityAnalyzer(0.9, shared_memo={})
-    cyclic_analyzer.resolution_probability(view)
-    assert node_id(name_node("www.site.com")) not in \
-        cyclic_analyzer.shared_memo
-    for index in range(2):
-        assert node_id(ns_node(f"ns{index}.registry.net")) not in \
-            cyclic_analyzer.shared_memo
 
 
 def test_kill_set_spof_matches_exhaustive(mini_internet):

@@ -1,7 +1,7 @@
 """The integer graph core, and the integer analyses against the oracle.
 
 The first half unit-tests :mod:`repro.core.graphcore` (name table, universe
-duck API, CSR snapshot, slot bitsets).  The second half checks the analyses
+duck API, slot bitsets).  The second half checks the analyses
 on hand-built topologies — including cyclic (mutual secondaries),
 self-looped (in-bailiwick NS), and never-resolvable (dead zone) ones: the
 bitset closures must equal a plain BFS, and the integer analyses (min-cut,
@@ -31,7 +31,6 @@ from repro.core.graphcore import (
     DependencyUniverse,
     KeyGraph,
     NameTable,
-    NS_CODE,
     ZONE_CODE,
 )
 from repro.core.mincut import BottleneckAnalyzer
@@ -81,20 +80,6 @@ def test_universe_assigns_ns_slots_in_discovery_order():
     assert universe.ns_slots[zone_id] == -1
     assert universe.mask_to_hosts(0b11) == [DomainName("ns1.a.test"),
                                             DomainName("ns2.a.test")]
-
-
-def test_universe_csr_snapshot_tracks_growth():
-    universe = DependencyUniverse()
-    universe.add_edge(zone_node("a.test"), ns_node("ns1.a.test"))
-    offsets, targets = universe.csr()
-    zone_id = universe.find_id(ZONE_CODE, DomainName("a.test"))
-    row = list(targets[offsets[zone_id]:offsets[zone_id + 1]])
-    assert row == [universe.find_id(NS_CODE, DomainName("ns1.a.test"))]
-    assert universe.csr() is universe.csr()  # cached until the graph grows
-    universe.add_edge(zone_node("a.test"), ns_node("ns2.a.test"))
-    offsets, targets = universe.csr()
-    row = list(targets[offsets[zone_id]:offsets[zone_id + 1]])
-    assert len(row) == 2
 
 
 def test_keygraph_mirrors_digraph_surface():
@@ -240,8 +225,7 @@ def test_integer_availability_matches_generic(topology):
     universe, closures, generic = _twin(TOPOLOGIES[topology])
     view = _int_view(universe, closures, "www.a.test")
     graph = DelegationGraph("www.a.test", generic)
-    int_analyzer = AvailabilityAnalyzer(0.9, shared_memo={},
-                                        shared_spof_memo={})
+    int_analyzer = AvailabilityAnalyzer(0.9)
     ref_analyzer = AvailabilityAnalyzer(0.9)
     up = ref_analyzer.up_probability
 
@@ -286,7 +270,7 @@ def test_undiscovered_name_is_unresolvable():
 
 
 def test_prefix_resume_matches_fresh_analysis_across_many_names():
-    """Shared-analyzer evaluation over many names sharing a TLD (the
+    """Warm-analyzer evaluation over many names sharing a TLD (the
     prefix-resume + zone-replay machinery) must equal the oracle on each
     name's own subgraph."""
     universe = DependencyUniverse()
@@ -296,7 +280,7 @@ def test_prefix_resume_matches_fresh_analysis_across_many_names():
         universe.add_edge(source, target)
         generic.add_edge(source, target)
 
-    # One TLD with mutually-dependent registry servers (tainted region) and
+    # One TLD with mutually-dependent registry servers (a cyclic region) and
     # many SLDs below it, with in-bailiwick self-loops and one shared
     # offsite secondary — the shape real survey chains take.
     edge(zone_node("test"), ns_node("a.nic.test"))
@@ -335,21 +319,19 @@ def test_prefix_resume_matches_fresh_analysis_across_many_names():
 
     closures = ClosureIndex(universe)
     vulnerable = {DomainName("ns1.sld3.test"), DomainName("backup.sld0.test")}
-    shared_avail = AvailabilityAnalyzer(0.93, shared_memo={},
-                                        shared_spof_memo={})
-    shared_cut = BottleneckAnalyzer({host: True for host in vulnerable},
-                                    shared_memo={})
+    warm_avail = AvailabilityAnalyzer(0.93)
+    warm_cut = BottleneckAnalyzer({host: True for host in vulnerable})
     for name in names:
         view = _int_view(universe, closures, name)
         graph = per_name_subgraph(name)
         assert view.tcb_frozen() == graph.tcb()
-        assert shared_avail.resolution_probability(view) == \
+        assert warm_avail.resolution_probability(view) == \
             oracle.availability(graph.graph, name,
-                                shared_avail.up_probability), name
-        assert shared_avail.single_points_of_failure(view) == \
+                                warm_avail.up_probability), name
+        assert warm_avail.single_points_of_failure(view) == \
             oracle.single_points_of_failure(graph.graph, name,
                                             graph.tcb()), name
-        got = shared_cut.analyze(view)
+        got = warm_cut.analyze(view)
         cost, servers = oracle.min_cut(graph.graph, name, vulnerable)
         assert (got.cut_servers, got.safe_in_cut) == \
             (servers, cost[0]), name
@@ -375,10 +357,10 @@ def test_analyzer_reused_across_universes_resets_slot_cache():
     assert analyzer.resolution_probability(view_up) == 1.0
 
 
-def test_shared_memos_do_not_leak_across_universes():
-    """Memo keys are universe-local node ids: one shared-memo analyzer fed
-    views from two builders must answer the second from its own universe,
-    exactly as a fresh analyzer would."""
+def test_prefix_snapshots_do_not_leak_across_universes():
+    """Prefix snapshots are keyed by universe-local node ids: one warm
+    analyzer fed views from two builders must answer the second from its
+    own universe, exactly as a fresh analyzer would."""
     first = DependencyUniverse()
     first.add_edge(name_node("www.a.test"), zone_node("a.test"))
     first.add_edge(zone_node("a.test"), ns_node("ns.down.test"))
@@ -391,20 +373,19 @@ def test_shared_memos_do_not_leak_across_universes():
 
     def availability_analyzer():
         return AvailabilityAnalyzer({DomainName("ns.down.test"): 0.0},
-                                    default_up=1.0, shared_memo={},
-                                    shared_spof_memo={})
+                                    default_up=1.0)
 
-    shared = availability_analyzer()
-    assert shared.resolution_probability(view_down) == 0.0
-    assert shared.single_points_of_failure(view_down) == \
+    warm = availability_analyzer()
+    assert warm.resolution_probability(view_down) == 0.0
+    assert warm.single_points_of_failure(view_down) == \
         {DomainName("ns.down.test")}
     fresh = availability_analyzer()
-    assert shared.resolution_probability(view_up) == \
+    assert warm.resolution_probability(view_up) == \
         fresh.resolution_probability(view_up) == 1.0
-    assert shared.single_points_of_failure(view_up) == \
+    assert warm.single_points_of_failure(view_up) == \
         fresh.single_points_of_failure(view_up) == frozenset()
 
-    cut = BottleneckAnalyzer(shared_memo={})
+    cut = BottleneckAnalyzer()
     assert cut.analyze(view_down).cut_servers == {DomainName("ns.down.test")}
     assert cut.analyze(view_up).cut_servers == \
         BottleneckAnalyzer().analyze(view_up).cut_servers == \

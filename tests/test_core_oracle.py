@@ -3,10 +3,12 @@
 Hypothesis draws small AND/OR delegation graphs (1–4 names, 1–5 zones,
 1–6 hosts) with cycles, dead zones (no nameservers) and unreachable hosts,
 plus per-host vulnerability flags and up-probabilities.  Every analysis
-must agree exactly with the plain oracle recursion, twice over: on a
-:class:`DelegationGraph` lowered at the analyzer boundary with a fresh
-analyzer, and on :class:`TCBView`\\ s of one shared universe walked by
-analyzers that keep their shared memos and prefix snapshots across names.
+must agree exactly with the plain oracle recursion, three times over: on
+a :class:`DelegationGraph` lowered at the analyzer boundary with a fresh
+analyzer; on :class:`TCBView`\\ s of one shared universe walked by warm
+analyzers that keep their prefix snapshots across names; and on a universe
+grown name by name under those same warm analyzers, where only the closure
+index's version retires a snapshot that growth made stale.
 """
 
 import dataclasses
@@ -58,21 +60,20 @@ class World:
         for source, target in self.edges:
             universe.add_edge(source, target)
         closures = ClosureIndex(universe)
-        views = []
-        for name in self.names:
-            target_id = universe.find_key(name_node(name))
-            views.append(TCBView(name, universe,
-                                 closures.closure_mask_id(target_id),
-                                 structure=closures, target_id=target_id))
-        return views
+        return [_view(universe, closures, name) for name in self.names]
 
     def up_of(self, host: DomainName) -> float:
         return self.up.get(str(host), self.default_up)
 
-    def availability_analyzer(self, shared: bool) -> AvailabilityAnalyzer:
-        memos = dict(shared_memo={}, shared_spof_memo={}) if shared else {}
-        return AvailabilityAnalyzer(self.up, default_up=self.default_up,
-                                    **memos)
+    def availability_analyzer(self) -> AvailabilityAnalyzer:
+        return AvailabilityAnalyzer(self.up, default_up=self.default_up)
+
+
+def _view(universe: DependencyUniverse, closures: ClosureIndex,
+          name: str) -> TCBView:
+    target_id = universe.find_key(name_node(name))
+    return TCBView(name, universe, closures.closure_mask_id(target_id),
+                   structure=closures, target_id=target_id)
 
 
 @st.composite
@@ -143,26 +144,64 @@ def test_lowered_graph_analyses_match_oracle(world):
             _check_min_cut(BottleneckAnalyzer(vulnerability,
                                               vulnerability_aware=aware),
                            graph, generic, world, aware)
-        _check_availability(world.availability_analyzer(shared=False),
+        _check_availability(world.availability_analyzer(),
                             graph, generic, world, seed)
 
 
 @settings(max_examples=250, deadline=None)
 @given(worlds())
-def test_shared_memo_analyzers_match_oracle(world):
+def test_warm_analyzers_match_oracle(world):
     generic = world.key_graph()
     views = world.views()
     vulnerability = {host: True for host in world.vulnerable}
     cuts = {aware: BottleneckAnalyzer(vulnerability,
-                                      vulnerability_aware=aware,
-                                      shared_memo={})
+                                      vulnerability_aware=aware)
             for aware in (True, False)}
-    availability = world.availability_analyzer(shared=True)
-    # Walk every name twice, so the second pass answers from warm memos.
+    availability = world.availability_analyzer()
+    # Walk every name twice, so the second pass resumes from warm prefix
+    # snapshots and replays their zone terms.
     for seed, view in enumerate(views + views[::-1]):
         for aware, analyzer in cuts.items():
             _check_min_cut(analyzer, view, generic, world, aware)
         _check_availability(availability, view, generic, world, seed)
+
+
+@settings(max_examples=250, deadline=None)
+@given(worlds(), st.data())
+def test_warm_analyzers_match_oracle_on_growing_universe(world, data):
+    """Grow one universe name by name, as the builder does: each new edge
+    goes in through ``add_edge`` and invalidates its source in the closure
+    index.  After every step the warm analyzers must answer each name added
+    so far exactly as the oracle does on the graph as it now stands."""
+    # Step i adds name i; every edge lands at some step, a name's own edges
+    # no earlier than the name.  Edges added later grow nodes the analyzers
+    # have already walked and snapshotted.
+    count = len(world.names)
+    name_steps = {name_node(name): step
+                  for step, name in enumerate(world.names)}
+    steps: List[List[Tuple[tuple, tuple]]] = [[] for _ in range(count)]
+    for source, target in world.edges:
+        first = name_steps.get(source, 0)
+        steps[data.draw(st.integers(first, count - 1))].append(
+            (source, target))
+    universe = DependencyUniverse()
+    closures = ClosureIndex(universe)
+    generic = KeyGraph()
+    vulnerability = {host: True for host in world.vulnerable}
+    cut = BottleneckAnalyzer(vulnerability)
+    availability = world.availability_analyzer()
+    for step, edges in enumerate(steps):
+        name = world.names[step]
+        universe.add_node(name_node(name))
+        generic.add_node(name_node(name))
+        for source, target in edges:
+            universe.add_edge(source, target)
+            generic.add_edge(source, target)
+            closures.invalidate_id(universe.find_key(source))
+        for seed, added in enumerate(world.names[:step + 1]):
+            view = _view(universe, closures, added)
+            _check_min_cut(cut, view, generic, world, True)
+            _check_availability(availability, view, generic, world, seed)
 
 
 # -- a known SPOF disagreement, pinned ----------------------------------------------------
