@@ -70,9 +70,9 @@ Subcommands
         repro-dns survey --backend socket \\
             --worker-addrs hostA:8053,hostB:8053 --output socket.json
 ``merge``
-    Union shard snapshot files written by ``survey --shard i/n`` into
-    one results snapshot, operating on the binary columns without
-    hydrating records::
+    Fold shard snapshot files written by ``survey --shard i/n`` into
+    one results snapshot, byte-identical to a serial survey's records
+    and aggregates::
 
         repro-dns survey --shard 0/3 --output s0.rsnap   # + 1/3, 2/3
         repro-dns merge s0.rsnap s1.rsnap s2.rsnap --output full.rsnap
@@ -316,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge = subparsers.add_parser(
         "merge",
-        help="union shard snapshot files (survey --shard outputs) into "
-             "one results snapshot, operating on the binary columns "
-             "without hydrating records")
+        help="fold shard snapshot files (survey --shard outputs) into "
+             "one results snapshot")
     merge.add_argument("shards", type=str, nargs="+",
                        help="shard snapshot files covering every stripe "
                             "exactly once")

@@ -321,6 +321,19 @@ class SurveyAggregator:
         self._vulnerability_map.update(vulnerability_map)
         self._compromisable_map.update(compromisable_map)
 
+    def fold_shard(self, shard: "ShardPayload") -> None:
+        """Fold one shard's records and server maps into the aggregate.
+
+        Records land at their directory indices, then the shard's maps
+        overlay the aggregate's.  Folding shards in shard order keeps
+        every backend's results, and ``repro-dns merge``'s, byte-identical
+        to the serial backend's.
+        """
+        for index, record in zip(shard.rows, shard.records):
+            self.add_record(index, record)
+        self.merge_maps(shard.fingerprints, shard.vulnerability_map,
+                        shard.compromisable_map)
+
     def tcb_host_union(self) -> Set[DomainName]:
         """Every host appearing in at least one aggregated record's TCB.
 
@@ -793,8 +806,7 @@ class SurveyEngine:
         if changes.analyses_stale:
             context.builder.closures.retire_analyses()
             context.pass_states = {
-                pass_.name: pass_.refresh_state(
-                    context.pass_states[pass_.name], context)
+                pass_.name: pass_.make_state(context)
                 for pass_ in context.passes}
 
     # -- backends -----------------------------------------------------------------------
@@ -834,16 +846,12 @@ class SurveyEngine:
                    shard: "ShardPayload") -> None:
         """Fold one shard's output into ``aggregator`` and the primary context.
 
-        Records land at their directory indices, then the shard's server
-        maps overlay the aggregate's and the primary context's, so a later
-        delta epoch starts from every verdict the shards reached.  Callers
-        fold shards in shard order, which keeps every backend's results
-        byte-identical to the serial backend's.
+        :meth:`SurveyAggregator.fold_shard` places the records and
+        overlays the server maps; the maps then overlay the primary
+        context's too, so a later delta epoch starts from every verdict
+        the shards reached.  Callers fold shards in shard order.
         """
-        for index, record in zip(shard.rows, shard.records):
-            aggregator.add_record(index, record)
-        aggregator.merge_maps(shard.fingerprints, shard.vulnerability_map,
-                              shard.compromisable_map)
+        aggregator.fold_shard(shard)
         root = self._root
         root.fingerprinter.adopt(shard.fingerprints)
         root.vulnerability_map.update(shard.vulnerability_map)

@@ -8,9 +8,11 @@ export/interop codec: the performance path is the binary REPRO-SNAP store
 (:mod:`repro.core.snapstore`), while JSON remains the golden format the
 byte-identity tests compare everything against and the form external
 tooling can read.  :func:`save_results_json` optionally zlib-compresses
-(stdlib only); :func:`load_results_json` sniffs and decompresses
-transparently.  Most callers should go through the format-dispatching
-:func:`repro.core.snapshot.save_results` / ``load_results`` instead.
+(stdlib only), and :func:`results_from_dict` decodes a parsed document.
+Files are read back through the format-sniffing
+:func:`repro.core.snapshot.load_results`, which decompresses
+transparently; most callers should also write through
+:func:`repro.core.snapshot.save_results`.
 
 **Delegation-graph drawings.**  Figure 1 of the paper is a drawing of
 www.cs.cornell.edu's delegation graph; :func:`to_ascii_tree`,
@@ -137,9 +139,9 @@ def save_results_json(results: SurveyResults, path: PathLike,
     """Write survey results to ``path`` as JSON; returns the path written.
 
     ``compress=True`` wraps the document in a stdlib zlib stream —
-    :func:`load_results_json` (and the sniffing loader) detects the
-    two-byte zlib header and decompresses transparently, so compressed and
-    plain snapshots are interchangeable everywhere a path is accepted.
+    :func:`repro.core.snapshot.load_results` detects the two-byte zlib
+    header and decompresses transparently, so compressed and plain
+    snapshots are interchangeable everywhere a path is accepted.
 
     Both forms commit through :mod:`repro.core.atomic`: an existing
     snapshot is only ever replaced by a complete new one.
@@ -154,14 +156,6 @@ def save_results_json(results: SurveyResults, path: PathLike,
     else:
         atomic_write_text(path, text)
     return path
-
-
-def load_results_json(path: PathLike) -> SurveyResults:
-    """Read JSON survey results (zlib-compressed or plain) from ``path``."""
-    raw = pathlib.Path(path).read_bytes()
-    if _is_zlib_header(raw[:2]):
-        raw = zlib.decompress(raw)
-    return results_from_dict(json.loads(raw.decode("utf-8")))
 
 
 # -- delegation-graph drawings ---------------------------------------------------------

@@ -118,7 +118,7 @@ class DependencyUniverse:
     """
 
     __slots__ = ("names", "_ids", "kinds", "name_ids", "out", "inn",
-                 "ns_slots", "slot_hosts", "slot_nodes", "_edge_count")
+                 "ns_slots", "slot_hosts", "_edge_count")
 
     def __init__(self, names: Optional[NameTable] = None) -> None:
         self.names = names if names is not None else NameTable()
@@ -131,7 +131,6 @@ class DependencyUniverse:
         self.inn: List[List[int]] = []   #: reverse adjacency
         self.ns_slots = array("l")       #: NS slot per node id (-1 otherwise)
         self.slot_hosts: List[DomainName] = []   #: slot -> hostname
-        self.slot_nodes = array("l")     #: slot -> node id
         self._edge_count = 0
 
     # -- integer API ----------------------------------------------------------------
@@ -152,7 +151,6 @@ class DependencyUniverse:
                 slot = len(self.slot_hosts)
                 self.ns_slots.append(slot)
                 self.slot_hosts.append(name)
-                self.slot_nodes.append(found)
             else:
                 self.ns_slots.append(-1)
         return found

@@ -115,16 +115,6 @@ class AnalysisPass:
         """Create this pass's per-worker mutable state."""
         return None
 
-    def refresh_state(self, state: object, worker) -> object:
-        """Return per-worker state valid after a journalled world change.
-
-        Called on carried worker contexts by the incremental re-survey path
-        when cached verdicts may be stale (a banner change, an extended
-        DNSSEC deployment).  The default rebuilds from scratch via
-        :meth:`make_state`.
-        """
-        return self.make_state(worker)
-
     def analyze(self, ctx: PassContext, state: object) -> Dict[str, object]:
         """Compute this pass's columns for one name."""
         raise NotImplementedError

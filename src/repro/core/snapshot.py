@@ -42,7 +42,6 @@ from repro.dns.name import DomainName, name_key
 from repro.core.export import (
     SNAPSHOT_FORMAT_VERSION,
     _is_zlib_header,
-    load_results_json,
     results_from_dict,
     results_to_dict,
     save_results_json,

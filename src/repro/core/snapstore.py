@@ -591,13 +591,6 @@ def _write_record_sections(writer: _SectionWriter,
     writer.add("rec.tcbset", tcb_sets)
     writer.add("rec.cutset", cut_sets)
 
-    _write_extras_sections(writer, count, extras_values, pool)
-
-
-def _write_extras_sections(writer: _SectionWriter, count: int,
-                           extras_values: Dict[str, Dict[int, object]],
-                           pool: _PoolWriter) -> None:
-    """Write the typed extras columns (shared by records write + merge)."""
     directory = []
     for position, column in enumerate(sorted(extras_values)):
         present = extras_values[column]
@@ -1421,11 +1414,11 @@ def pack_shard_result(rows: Sequence[int], records: Sequence[NameRecord],
     """Encode one shard's survey output as a REPRO-SNAP shard container.
 
     ``rows`` holds the *global* directory index of each record, exactly as
-    epoch deltas do, so a merge can place every column slice without
-    hydrating a record.  With ``path=None`` the container is returned as
-    bytes (the worker's wire payload); with a path it lands on disk (the
+    epoch deltas do, so a fold places every record at its directory
+    index.  With ``path=None`` the container is returned as bytes (the
+    worker's wire payload); with a path it lands on disk (the
     ``repro-dns survey --shard i/n`` output that ``repro-dns merge``
-    unions).
+    folds).
     """
     if len(rows) != len(records):
         raise ValueError(f"{len(rows)} rows for {len(records)} records")

@@ -10,8 +10,8 @@ sees sockets) survey one directory:
 * :mod:`repro.distrib.coordinator` — shard striping, work-order
   shipping, and the byte-identical shard-order fold; plus
   :class:`LocalWorkerFleet` for CI-friendly local multi-host simulation.
-* :mod:`repro.distrib.merge` — ``repro-dns merge``: union shard snapshot
-  files off the binary columns, no hydration.
+* :mod:`repro.distrib.merge` — ``repro-dns merge``: fold shard snapshot
+  files through the backends' aggregator fold into one results snapshot.
 * :mod:`repro.distrib.faults` — deterministic fault injection
   (:class:`FaultPlan`) for chaos-testing the recovery machinery.
 

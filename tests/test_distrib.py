@@ -19,7 +19,8 @@ import pytest
 from repro.cli import main
 from repro.core.engine import EngineConfig, SurveyAggregator, SurveyEngine
 from repro.core.snapshot import load_results, results_to_dict
-from repro.core.survey import Survey
+from repro.core.snapstore import save_results_snapshot
+from repro.core.survey import Survey, SurveyResults
 from repro.distrib import DistribError, WireError
 from repro.distrib.coordinator import LocalWorkerFleet, ShardCoordinator
 from repro.distrib.merge import merge_shard_snapshots
@@ -465,11 +466,11 @@ TINY = ["--sld-count", "60", "--directory-names", "90",
         "--universities", "12", "--seed", "4242"]
 
 
-def _write_shards(tmp_path, count, capsys):
+def _write_shards(tmp_path, count, capsys, options=()):
     paths = []
     for index in range(count):
         path = tmp_path / f"shard{index}.rsnap"
-        assert main(["survey", *TINY, "--shard", f"{index}/{count}",
+        assert main(["survey", *TINY, *options, "--shard", f"{index}/{count}",
                      "--output", str(path)]) == 0
         paths.append(path)
     capsys.readouterr()
@@ -495,6 +496,33 @@ def test_merge_matches_serial_snapshot(tmp_path, capsys):
     assert metadata["backend"] == "merged"
     assert metadata["shards"] == 3
     assert metadata["merged_from"] == [path.name for path in shard_paths]
+
+
+@pytest.mark.parametrize("options", [
+    ["--passes", "availability,dnssec"],
+    ["--max-names", "2"],  # leaves one of the three shard files empty
+])
+def test_merged_bytes_equal_serial_snapshot(tmp_path, capsys, options):
+    """A merge writes exactly the serial snapshot, merge metadata aside."""
+    serial_path = tmp_path / "serial.rsnap"
+    assert main(["survey", *TINY, *options, "--output",
+                 str(serial_path)]) == 0
+    shard_paths = _write_shards(tmp_path, 3, capsys, options)
+    merged_path = tmp_path / "merged.rsnap"
+    merge_shard_snapshots(shard_paths, merged_path)
+
+    serial = load_results(serial_path)
+    expected = SurveyResults(
+        records=list(serial.records),
+        server_names_controlled=serial.server_names_controlled,
+        vulnerable_servers=serial.vulnerable_servers,
+        compromisable_servers=serial.compromisable_servers,
+        fingerprints=serial.fingerprints,
+        popular_names=serial.popular_names,
+        metadata=load_results(merged_path).metadata)
+    expected_path = save_results_snapshot(expected,
+                                          tmp_path / "expected.rsnap")
+    assert merged_path.read_bytes() == expected_path.read_bytes()
 
 
 def test_merge_rejects_overlapping_shards(tmp_path, capsys):
