@@ -97,7 +97,7 @@ from repro.core.snapshot import (
     SnapshotFormatError,
     load_results,
 )
-from repro.core.survey import BACKENDS, SurveyResults
+from repro.core.survey import BACKENDS, SurveyColumns, SurveyResults
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,16 +503,28 @@ def _generate_internet(args: argparse.Namespace):
         university_count=args.universities)).generate()
 
 
-def _print_headline(results: SurveyResults) -> None:
-    headline = results.headline()
+def _print_survey(results: SurveyResults, tld_tables: bool = True) -> None:
+    """The headline, the per-TLD tables (if asked), the pass summary and
+    the value ranking, all off one :class:`SurveyColumns`, so each
+    column is read once."""
+    columns = results.columns()
+    _print_headline(columns)
+    if tld_tables:
+        _print_tld_tables(columns)
+    _print_extras_summary(columns)
+    _print_value_summary(results)
+
+
+def _print_headline(columns: SurveyColumns) -> None:
+    headline = columns.headline()
     rows = [(key, f"{value:.3f}" if isinstance(value, float) else value)
             for key, value in sorted(headline.items())]
     print(format_table(rows, headers=("statistic", "value")))
 
 
-def _print_extras_summary(results: SurveyResults) -> None:
+def _print_extras_summary(columns: SurveyColumns) -> None:
     """Summarise analysis-pass columns, when the survey ran any."""
-    summary = results.extras_summary()
+    summary = columns.extras_summary()
     if not summary:
         return
     print()
@@ -542,8 +554,7 @@ def _print_value_summary(results: SurveyResults) -> None:
                                           "names controlled", "vulnerable")))
 
 
-def _print_tld_tables(results: SurveyResults) -> None:
-    columns = results.columns()
+def _print_tld_tables(columns: SurveyColumns) -> None:
     for kind, title in (("gtld", "Mean TCB size per gTLD (Figure 3)"),
                         ("cctld", "Mean TCB size per ccTLD (Figure 4)")):
         averages = sort_groups_descending(columns.mean_tcb_by_tld(kind=kind))
@@ -592,10 +603,7 @@ def _command_survey(args: argparse.Namespace) -> int:
         if fleet is not None:
             fleet.stop()
     _print_fault_report(results.metadata)
-    _print_headline(results)
-    _print_tld_tables(results)
-    _print_extras_summary(results)
-    _print_value_summary(results)
+    _print_survey(results)
     if args.output:
         path = _write_snapshot(results, args)
         print(f"\nsnapshot written to {path}")
@@ -700,10 +708,7 @@ def _command_merge(args: argparse.Namespace) -> int:
 
 def _command_report(args: argparse.Namespace) -> int:
     results = load_results(args.snapshot)
-    _print_headline(results)
-    _print_tld_tables(results)
-    _print_extras_summary(results)
-    _print_value_summary(results)
+    _print_survey(results)
     return 0
 
 
@@ -860,32 +865,38 @@ def _command_resurvey(args: argparse.Namespace) -> int:
                             min_workers=args.min_workers,
                             auth_token=_auth_token(args)))
 
-    # Snapshots are byte-identical to cold surveys by design, so a snapshot
-    # cannot reveal which mutations produced it.  A sidecar journal
-    # (<snapshot>.journal) written next to every resurvey output records
-    # the applied specs; replaying it first makes chained resurveys see
-    # the correctly re-mutated world instead of a pristine regeneration.
-    journal = ChangeJournal(internet)
-    replayed: List[str] = []
-    sidecar = _sidecar_journal_path(args.previous)
-    if sidecar.exists():
-        replayed = _load_sidecar(sidecar, args.previous)
-        for spec in replayed:
-            apply_mutation_spec(journal, spec)
-        print(f"replayed {len(replayed)} prior mutation(s) from {sidecar}")
-    prior_events = len(journal)
-    for spec in args.mutate:
-        event = apply_mutation_spec(journal, spec)
-        print(f"mutated: {event}")
-
-    # Replayed mutations rebuilt world state the previous snapshot already
-    # reflects; only the new events determine what is dirty (DNSSEC
-    # deployment adoption always sees the whole chain — see
-    # ChangeJournal.changes).  The journal itself goes to run_delta (with
-    # `since`) rather than a pre-folded ChangeSet: the socket backend
-    # ships journal events to its workers as mutation specs.
-    progress = ProgressPrinter() if args.progress else None
     try:
+        # Snapshots are byte-identical to cold surveys by design, so a
+        # snapshot cannot reveal which mutations produced it.  A sidecar
+        # journal (<snapshot>.journal) written next to every resurvey
+        # output records the applied specs; replaying it first makes
+        # chained resurveys see the correctly re-mutated world instead of
+        # a pristine regeneration.
+        journal = ChangeJournal(internet)
+        replayed: List[str] = []
+        sidecar = _sidecar_journal_path(args.previous)
+        try:
+            if sidecar.exists():
+                replayed = _load_sidecar(sidecar, args.previous)
+                for spec in replayed:
+                    apply_mutation_spec(journal, spec)
+                print(f"replayed {len(replayed)} prior mutation(s) from "
+                      f"{sidecar}")
+            prior_events = len(journal)
+            for spec in args.mutate:
+                event = apply_mutation_spec(journal, spec)
+                print(f"mutated: {event}")
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+
+        # Replayed mutations rebuilt world state the previous snapshot
+        # already reflects; only the new events determine what is dirty
+        # (DNSSEC deployment adoption always sees the whole chain — see
+        # ChangeJournal.changes).  The journal itself goes to run_delta
+        # (with `since`) rather than a pre-folded ChangeSet: the socket
+        # backend ships journal events to its workers as mutation specs.
+        progress = ProgressPrinter() if args.progress else None
         outcome = engine.run_delta(previous, journal, since=prior_events,
                                    max_names=args.max_names,
                                    progress=progress)
@@ -899,9 +910,7 @@ def _command_resurvey(args: argparse.Namespace) -> int:
     print(f"re-surveyed {stats.dirty_names}/{stats.total_names} names "
           f"({stats.dirty_fraction:.1%} dirty, {stats.patched_names} "
           f"patched from {args.previous}) in {stats.elapsed_s:.2f}s")
-    _print_headline(outcome.results)
-    _print_extras_summary(outcome.results)
-    _print_value_summary(outcome.results)
+    _print_survey(outcome.results, tld_tables=False)
     if args.output:
         import pathlib
         specs = replayed + [str(spec) for spec in args.mutate]

@@ -386,14 +386,15 @@ class AvailabilityAnalyzer:
         """Exact check: does the name resolve when ``failed`` servers are down?"""
         return self._resolvable(self._lower(graph), failed)
 
-    def _resolvable(self, core, failed: Set[DomainName]) -> bool:
+    def _resolvable(self, core, failed: Set[DomainName],
+                    memo: Optional[Dict[int, int]] = None) -> bool:
         universe, closures, target_id = core
         zones = closures.split_ids(target_id)[0]
         if not zones:
             return False
         if not failed:
             return self._resolvable_structurally(universe, closures,
-                                                 target_id, zones)
+                                                 target_id, zones, memo)
         up_by_slot: Dict[int, int] = {}
         ns_slots = universe.ns_slots
         for host in failed:
@@ -407,26 +408,29 @@ class AvailabilityAnalyzer:
         return bool(value)
 
     def _resolvable_structurally(self, universe, closures, target_id: int,
-                                 zones) -> bool:
+                                 zones, memo: Optional[Dict[int, int]] = None
+                                 ) -> bool:
         """``resolvable_with_failures(graph, set())`` with prefix resume.
 
         With no failed servers every up-mask defaults to "up", so the
         evaluation is a pure function of the structure — and, like every
         top-level walk, its first-zone state is name-independent and can be
-        snapshotted.
+        snapshotted.  ``memo``, when given (empty), is filled with the
+        walk's reachability memo.
         """
         prefix = self._prefix_cache(closures, "structure")
         first = zones[0]
         entry = prefix.get(first)
         in_progress = frozenset((target_id,))
-        memo: Dict[int, int] = {}
+        if memo is None:
+            memo = {}
         up_by_slot: Dict[int, int] = {}
         result = 1
         start = 0
         self._struct_zc = self._struct_base = None
         if entry is not None:
             result, snap_memo, zone_cache = entry
-            memo = dict(snap_memo)
+            memo.update(snap_memo)
             self._struct_zc = zone_cache
             self._struct_base = snap_memo
             start = 1
@@ -466,23 +470,26 @@ class AvailabilityAnalyzer:
         so the cost is one graph walk instead of one per TCB member.
         """
         core = self._lower(graph)
-        if not self._resolvable(core, set()):
+        reach: Dict[int, int] = {}
+        if not self._resolvable(core, set(), reach):
             # The name does not resolve even with every server up: any
             # single failure "also" leaves it unresolvable.
             return frozenset(graph.tcb())
         universe, closures, target_id = core
-        mask = self._kill_top_int(universe, closures, target_id)
+        mask = self._kill_top_int(universe, closures, target_id, reach)
         if not mask:
             return frozenset()
         return frozenset(universe.mask_to_hosts(mask))
 
-    def _kill_top_int(self, universe, closures, target_id: int) -> int:
+    def _kill_top_int(self, universe, closures, target_id: int,
+                      reach_memo: Dict[int, int]) -> int:
         """Top-level kill-set evaluation with per-first-zone prefix resume.
 
         Mirrors :meth:`_kill_int` applied to the target node; the snapshot
         captures both the kill memo and the all-up reachability memo of
         :meth:`_sample_masks` (the two walks interleave) after the first
-        zone.
+        zone.  ``reach_memo`` starts as the structure walk's all-up memo,
+        so the kill walk does not walk those nodes' reachability again.
         """
         zones = closures.split_ids(target_id)[0]
         if not zones:
@@ -492,14 +499,13 @@ class AvailabilityAnalyzer:
         entry = prefix.get(first)
         in_progress = frozenset((target_id,))
         memo: Dict[int, int] = {}
-        reach_memo: Dict[int, int] = {}
         kills = 0
         start = 0
         self._struct_zc = self._struct_base = None
         if entry is not None:
             kills, snap_memo, snap_reach, reach_zc = entry
             memo = dict(snap_memo)
-            reach_memo = dict(snap_reach)
+            reach_memo.update(snap_reach)
             self._struct_zc = reach_zc
             self._struct_base = snap_reach
             start = 1

@@ -36,12 +36,15 @@ Two rules extend the closure argument to the cases it cannot see:
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 import weakref
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set)
+                    Sequence, Set, Tuple)
 
 from repro.dns.name import DomainName
-from repro.core.survey import ExtrasCensus, NameRecord, SurveyResults
+from repro.core.survey import (NameRecord, SurveyCensus, SurveyColumns,
+                               SurveyResults)
 
 
 class _Rows:
@@ -90,7 +93,7 @@ class DirtyIndex:
                 else:
                     bucket.append(name)
         self._rows = _Rows(list(self._tcbs))
-        self._census: Optional[ExtrasCensus] = None
+        self._census: Optional[SurveyCensus] = None
         #: The index this one was advanced from, and the hosts in the
         #: TCBs of the rows that left or came in on the way.
         self._base: Optional[weakref.ref] = None
@@ -100,9 +103,11 @@ class DirtyIndex:
     def of(cls, results: SurveyResults) -> "DirtyIndex":
         """The index of ``results``: the one carried since it was produced
         by :meth:`~repro.core.engine.SurveyEngine.run_delta`, else a fresh
-        build (a cold run, a loaded snapshot, a lazy store view)."""
+        build (a cold run, a loaded snapshot, a lazy store view, or a
+        result set whose carried index was :meth:`advanced` away from)."""
         carried = getattr(results, "_dirty_index", None)
-        if carried is not None and len(carried) == len(results.records):
+        if carried is not None and carried._tcbs is not None and \
+                len(carried) == len(results.records):
             return carried
         return cls(results)
 
@@ -138,11 +143,13 @@ class DirtyIndex:
         holds, ascending."""
         return self._rows.positions(names)
 
-    def extras_census(self, results: SurveyResults) -> ExtrasCensus:
-        """The pass-column census of ``results``, this index's result set
-        (counted on first use, then carried by :meth:`advanced`)."""
+    def census(self, columns: SurveyColumns) -> SurveyCensus:
+        """The census of this index's result set, counted from its
+        :class:`SurveyColumns` ``columns`` on first use, then carried by
+        :meth:`advanced`.  It stays this result set's after the index is
+        advanced away from."""
         if self._census is None:
-            self._census = ExtrasCensus(results.records)
+            self._census = SurveyCensus(columns)
         return self._census
 
     def moved_since(self, base: object) -> Optional[FrozenSet[DomainName]]:
@@ -191,6 +198,7 @@ class DirtyIndex:
     def advanced(self, leaving: Iterable[DomainName],
                  incoming: Sequence[NameRecord],
                  row_names: Optional[List[DomainName]] = None,
+                 rows: Optional[Sequence[int]] = None,
                  leaving_records: Optional[Sequence[NameRecord]] = None
                  ) -> "DirtyIndex":
         """The index of the result set one delta epoch later.
@@ -198,50 +206,73 @@ class DirtyIndex:
         ``leaving`` are the indexed names whose rows go (re-surveyed or no
         longer surveyed); ``incoming`` are the records that come in.
         ``row_names`` is the new result set's record order, or None when
-        it keeps this index's rows.  A host bucket is copied only when
-        its membership changes — a re-surveyed name that keeps the host
-        in its TCB stays where it is — so this index stays valid for its
-        own results and the cost follows the TCBs that moved.  The extras
-        census is carried too when it was counted and ``leaving_records``
-        (the records of ``leaving``) are given.
+        it keeps this index's rows.
+
+        The maps are handed over, not copied, and edited in place: a
+        host's bucket changes only where a name joins or leaves it (a
+        re-surveyed name that keeps the host stays where it is), so the
+        cost follows the TCBs of the rows that moved.  This index is left
+        advanced away from: it still answers for its own result set's
+        rows, census and :meth:`moved_since`, but :meth:`of` rebuilds the
+        index of that result set.
+
+        The census is carried too when it was counted and the new result
+        set keeps these rows: ``rows`` are the rows the ``incoming``
+        records take, and ``leaving_records`` the records they replace,
+        all three in step.
         """
+        tcbs, unresolved, by_host = self._tcbs, self._unresolved, \
+            self._by_host
+        if tcbs is None:
+            raise RuntimeError("this DirtyIndex was already advanced away "
+                               "from; rebuild it with DirtyIndex.of()")
+        self._tcbs = self._unresolved = self._by_host = None
         index = object.__new__(DirtyIndex)
-        tcbs = index._tcbs = dict(self._tcbs)
-        unresolved = index._unresolved = set(self._unresolved)
-        by_host = index._by_host = dict(self._by_host)
+        index._tcbs, index._unresolved, index._by_host = \
+            tcbs, unresolved, by_host
         index._rows = self._rows if row_names is None else _Rows(row_names)
         index._census = None
-        if self._census is not None and leaving_records is not None:
-            index._census = self._census.advanced(leaving_records, incoming)
+        if self._census is not None and rows is not None and \
+                leaving_records is not None:
+            index._census = self._census.advanced(rows, leaving_records,
+                                                  incoming)
         index._base = weakref.ref(self)
-        gone: Dict[DomainName, Set[DomainName]] = {}
+        moved: Set[DomainName] = set()
+        # name -> (the index's own object for it, its TCB).  A re-surveyed
+        # name keeps that object, so each name stays one object across the
+        # index and _leave() finds it by identity.
+        before: Dict[DomainName,
+                     Tuple[DomainName, AbstractSet[DomainName]]] = {}
         for name in leaving:
             unresolved.discard(name)
-            for host in tcbs.pop(name):
-                gone.setdefault(host, set()).add(name)
-        came: Dict[DomainName, List[DomainName]] = {}
+            before[name] = (name, tcbs.pop(name))
         for record in incoming:
-            name = record.name
-            tcbs[name] = record.tcb_servers
+            after = record.tcb_servers
+            moved.update(after)
+            found = before.pop(record.name, None)
+            if found is None:
+                name = record.name
+                joined: Iterable[DomainName] = after
+            else:
+                name, held = found
+                moved.update(held)
+                joined = after - held
+                for host in held - after:
+                    _leave(by_host, host, name)
+            tcbs[name] = after
             if not record.resolved:
                 unresolved.add(name)
-            for host in record.tcb_servers:
-                came.setdefault(host, []).append(name)
-        index._moved = frozenset(gone.keys() | came.keys())
-        for host in index._moved:
-            went, arrived = gone.get(host, set()), came.get(host, [])
-            stayed = went.intersection(arrived)
-            removed = went - stayed
-            added = [name for name in arrived if name not in stayed]
-            if not removed and not added:
-                continue
-            bucket = [name for name in by_host.get(host, ())
-                      if name not in removed]
-            bucket.extend(added)
-            if bucket:
-                by_host[host] = bucket
-            else:
-                del by_host[host]
+            for host in joined:
+                bucket = by_host.get(host)
+                if bucket is None:
+                    by_host[host] = [name]
+                else:
+                    bucket.append(name)
+        for name, held in before.values():
+            moved.update(held)
+            for host in held:
+                _leave(by_host, host, name)
+        index._moved = frozenset(moved)
         return index
 
     def dirty_names(self, changes) -> Set[DomainName]:
@@ -310,6 +341,26 @@ class DirtyIndex:
             # Re-survey them all whenever the delegation fabric changed.
             dirty.update(self._unresolved)
         return dirty
+
+
+def _leave(by_host: Dict[DomainName, List[DomainName]], host: DomainName,
+           name: DomainName) -> None:
+    """Take ``name`` out of ``host``'s bucket, dropping an emptied one.
+
+    The name is found by identity at C speed (buckets hold the very
+    objects the index was built from); only an equal name that is not the
+    same object falls back to ``list.remove``'s ``DomainName.__eq__``.
+    """
+    bucket = by_host[host]
+    position = next(itertools.compress(
+        itertools.count(), map(operator.is_, bucket,
+                               itertools.repeat(name))), None)
+    if position is None:
+        bucket.remove(name)
+    else:
+        del bucket[position]
+    if not bucket:
+        del by_host[host]
 
 
 @dataclasses.dataclass

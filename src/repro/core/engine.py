@@ -63,6 +63,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -229,14 +230,6 @@ class WorkerContext:
             result.banner)
 
 
-def _flags(hosts: Iterable[DomainName],
-           flagged: Iterable[DomainName]) -> Dict[DomainName, bool]:
-    """host -> flag for every host in ``hosts``, True where ``flagged``."""
-    flags = dict.fromkeys(hosts, False)
-    flags.update(dict.fromkeys(flagged, True))
-    return flags
-
-
 class SurveyAggregator:
     """Streams per-name records into aggregate survey state.
 
@@ -247,6 +240,9 @@ class SurveyAggregator:
     def __init__(self, total: int,
                  progress: Optional[ProgressCallback] = None):
         self._records: Dict[int, NameRecord] = {}
+        #: A delta's previous record list, whose rows stand wherever
+        #: ``_records`` holds no record (see patch).
+        self._base: Optional[Sequence[NameRecord]] = None
         self._counts: Dict[DomainName, int] = {}
         self._fingerprints: Dict[DomainName, FingerprintResult] = {}
         self._vulnerability_map: Dict[DomainName, bool] = {}
@@ -274,38 +270,43 @@ class SurveyAggregator:
         if self._progress is not None:
             self._progress(self.completed, self._total)
 
-    def patch(self, records: Dict[int, NameRecord],
+    def patch(self, base: Sequence[NameRecord], clean: int,
               counts: Dict[DomainName, int], resolved: int) -> None:
-        """Adopt clean records whose TCBs ``counts`` already folds.
+        """Adopt ``base``'s records at every row no record is added at.
 
-        The delta path's bulk form of :meth:`add_record`: ``records`` maps
-        directory index to record, and ``counts`` and ``resolved`` are the
+        The delta path's bulk form of :meth:`add_record`: ``base`` is the
+        previous epoch's record list in directory order, ``clean`` how
+        many of its rows stand (the rest are re-surveyed through
+        :meth:`add_record`), and ``counts`` and ``resolved`` are the
         previous epoch's fold less the rows leaving it, so the clean
-        records are placed without being re-counted.
+        records are placed without being re-counted or copied one by one.
         """
-        self._records.update(records)
+        self._base = base
         self._counts = counts
         self.resolved_count = resolved
-        self.completed += len(records)
-        if self._progress is not None and records:
+        self.completed += clean
+        if self._progress is not None and clean:
             self._progress(self.completed, self._total)
 
     # -- accessors for pass finalizers ---------------------------------------------
 
     def server_counts(self) -> Dict[DomainName, int]:
-        """Per-server "appears in this many resolved TCBs" counts (a copy)."""
-        return dict(self._counts)
+        """Per-server "appears in this many resolved TCBs" counts (the
+        aggregator's own map: read it, do not edit it)."""
+        return self._counts
 
     def record(self, index: int) -> NameRecord:
         """The record folded at directory index ``index``."""
-        return self._records[index]
+        record = self._records.get(index)
+        return self._base[index] if record is None else record
 
-    def vulnerability_flags(self) -> Dict[DomainName, bool]:
-        """Per-host vulnerability flags merged from every shard (a copy)."""
+    def vulnerability_flags(self) -> Mapping[DomainName, bool]:
+        """Per-host vulnerability flags merged from every shard: True for
+        every vulnerable host, False or missing for the rest (read it, do
+        not edit it)."""
         if self._carried is None:
-            return dict(self._vulnerability_map)
-        fingerprints, vulnerable, _ = self._server_maps()
-        return _flags(fingerprints, vulnerable)
+            return self._vulnerability_map
+        return dict.fromkeys(self._server_maps()[1], True)
 
     def merge_context(self, context: WorkerContext) -> None:
         """Adopt a worker context's fingerprints and vulnerability maps."""
@@ -343,7 +344,7 @@ class SurveyAggregator:
         instead of walking every record.
         """
         union: Set[DomainName] = set()
-        for record in self._records.values():
+        for record in self._ordered_records():
             union.update(record.tcb_servers)
         return union
 
@@ -398,9 +399,13 @@ class SurveyAggregator:
 
     def _server_maps(self) -> Tuple[Dict[DomainName, FingerprintResult],
                                     Set[DomainName], Set[DomainName]]:
-        """(fingerprints, vulnerable hosts, compromisable hosts), fresh."""
+        """(fingerprints, vulnerable hosts, compromisable hosts).
+
+        The carried path's are the maps :meth:`restrict_hosts` settled
+        on, not copies.
+        """
         if self._carried is None:
-            return (dict(self._fingerprints),
+            return (self._fingerprints,
                     {host for host, flag
                      in self._vulnerability_map.items() if flag},
                     {host for host, flag
@@ -408,17 +413,29 @@ class SurveyAggregator:
         if self._settled is None:
             raise RuntimeError("carried server maps need restrict_hosts() "
                                "before they are read")
-        fingerprints, vulnerable, compromisable = self._settled
-        return dict(fingerprints), set(vulnerable), set(compromisable)
+        return self._settled
+
+    def _ordered_records(self) -> List[NameRecord]:
+        """Every folded record, in directory order."""
+        if self._base is None:
+            return [self._records[index] for index in sorted(self._records)]
+        records = list(self._base)
+        for index, record in self._records.items():
+            records[index] = record
+        return records
 
     def results(self, popular: Set[DomainName],
                 metadata: Dict[str, object]) -> SurveyResults:
-        """Assemble the final :class:`SurveyResults`."""
-        records = [self._records[index] for index in sorted(self._records)]
+        """Assemble the final :class:`SurveyResults`.
+
+        The results take the aggregator's maps over instead of copies, so
+        this is the aggregator's last use.
+        """
+        records = self._ordered_records()
         fingerprints, vulnerable, compromisable = self._server_maps()
         return SurveyResults(
             records=records,
-            server_names_controlled=dict(self._counts),
+            server_names_controlled=self._counts,
             vulnerable_servers=vulnerable,
             compromisable_servers=compromisable,
             fingerprints=fingerprints,
@@ -461,6 +478,9 @@ class SurveyEngine:
         # for the work orders.
         self._coordinator = None
         self._dispatch_dirty: Set[DomainName] = set()
+        #: The last delta's directory entries and their names.
+        self._entry_names: Tuple[List[DirectoryEntry], List[DomainName]] = \
+            ([], [])
 
     def _ensure_coordinator(self):
         """Connect to (and BUILD) the socket workers on first use."""
@@ -660,20 +680,18 @@ class SurveyEngine:
         index = DirtyIndex.of(previous)
         carried = index is getattr(previous, "_dirty_index", None)
         dirty = set(index.dirty_names(changes))
-        entry_names = [entry.name for entry in entries]
+        entry_names = self._names_of(entries)
         dirty_rows = index.dirty_rows(entry_names, dirty) if carried \
             else None
         if dirty_rows is not None:
             # The carried index holds these very rows: every row not
             # dirty is patched clean, and exactly the dirty rows leave.
             dirty_indexed = [(row, entries[row]) for row in dirty_rows]
-            clean_records = dict(enumerate(previous.records))
-            for row in dirty_rows:
-                del clean_records[row]
+            clean_count = len(entries) - len(dirty_rows)
             leaving: AbstractSet[DomainName] = dirty
         else:
             dirty_indexed = []
-            clean_records = {}
+            clean_records: Dict[int, NameRecord] = {}
             # Per-entry record_for instead of a records scan: on a lazy
             # (mmap-backed) previous this hydrates exactly the clean
             # records being patched into the output — dirty rows are
@@ -691,6 +709,7 @@ class SurveyEngine:
             # clean.
             leaving = index.names() - {record.name for record
                                        in clean_records.values()}
+            clean_count = len(clean_records)
 
         self.apply_changes(changes, dirty)
 
@@ -704,7 +723,15 @@ class SurveyEngine:
             counts = dict(previous.server_names_controlled)
             resolved = index.resolved_count() - \
                 index.fold_out(counts, leaving)
-            aggregator.patch(clean_records, counts, resolved)
+            if dirty_rows is None:
+                # Other rows than the index's: lay the clean records out
+                # at their new rows.
+                base: List[Optional[NameRecord]] = [None] * len(entries)
+                for position, record in clean_records.items():
+                    base[position] = record
+            else:
+                base = previous.records
+            aggregator.patch(base, clean_count, counts, resolved)
         else:
             # Previous-world server maps go in first; shard merges from
             # the re-survey overlay fresher verdicts (dict update, last
@@ -734,7 +761,7 @@ class SurveyEngine:
                       for position, _ in dirty_indexed]
         if dirty_rows is not None:
             index = index.advanced(
-                leaving, resurveyed,
+                leaving, resurveyed, rows=dirty_rows,
                 leaving_records=[previous.records[row]
                                  for row in dirty_rows])
         else:
@@ -751,9 +778,9 @@ class SurveyEngine:
             popular, self._final_metadata(len(entries), aggregator))
         results._dirty_index = index
         if dirty_rows is None:
-            # Count the new rows' extras census now, so the next epoch
-            # carries it instead of recounting both sides of its diff.
-            index.extras_census(results)
+            # Count the new rows' census now, so the next epoch carries it
+            # instead of recounting both sides of its diff.
+            index.census(results.columns())
         if dirty_rows is not None and previous._record_index is not None \
                 and len(previous._record_index) == len(entries):
             record_index = results._record_index = \
@@ -762,7 +789,7 @@ class SurveyEngine:
                 record_index[record.name] = record
         stats = DeltaStats(
             total_names=len(entries), dirty_names=len(dirty_indexed),
-            patched_names=len(clean_records), events=len(journal)
+            patched_names=clean_count, events=len(journal)
             if hasattr(journal, "__len__") else 0,
             edited_zones=len(changes.edited_zones),
             created_zones=len(changes.created_zones),
@@ -772,6 +799,16 @@ class SurveyEngine:
             elapsed_s=time.perf_counter() - started)
         return DeltaOutcome(results=results, stats=stats,
                             dirty=frozenset(dirty))
+
+    def _names_of(self, entries: List[DirectoryEntry]) -> List[DomainName]:
+        """``[entry.name for entry in entries]``, kept from the last delta
+        while it surveys the same entries (the lists compare by identity
+        first, so an unchanged directory reads no entry)."""
+        known, names = self._entry_names
+        if entries != known:
+            names = [entry.name for entry in entries]
+            self._entry_names = (entries, names)
+        return names
 
     def apply_changes(self, changes, dirty: Set[DomainName]) -> None:
         """Bring the primary context up to a journalled world change.

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from repro.core.availability import AvailabilityAnalyzer
 from repro.core.delegation import NodeKey, TCBView

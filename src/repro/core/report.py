@@ -9,7 +9,10 @@ survey pipeline (e.g. in the ablation benches).
 
 from __future__ import annotations
 
+import bisect
+import collections.abc
 import dataclasses
+import itertools
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -73,9 +76,7 @@ def summary_stats(values: Sequence[float]) -> Dict[str, float]:
         return {"count": 0.0, "mean": 0.0, "median": 0.0, "p90": 0.0,
                 "p99": 0.0, "min": 0.0, "max": 0.0, "stddev": 0.0}
     count = len(data)
-    # fsum + clamping keep the mean inside [min, max] even for samples of
-    # denormals, where naive summation rounds below the smallest element.
-    mean = min(max(math.fsum(data) / count, data[0]), data[-1])
+    mean = bounded_mean(math.fsum(data), count, data[0], data[-1])
     variance = math.fsum((v - mean) ** 2 for v in data) / count
     return {
         "count": float(count),
@@ -89,12 +90,51 @@ def summary_stats(values: Sequence[float]) -> Dict[str, float]:
     }
 
 
+def bounded_mean(total: float, count: int, low: float, high: float) -> float:
+    """``total / count``, clamped to the sample's ``[low, high]``.
+
+    ``total`` must be the exact sum rounded once (``math.fsum``): with the
+    clamp, the mean stays inside [min, max] even for samples of denormals,
+    where naive summation rounds below the smallest element.
+    """
+    return min(max(total / count, low), high)
+
+
+class SortedCounts(collections.abc.Sequence):
+    """The sorted sample a ``value -> count`` histogram stands for.
+
+    Indexing finds a rank by bisecting the cumulative counts, so
+    :func:`_percentile` reads a histogram's percentiles without the sample
+    being expanded or sorted.  Values come back as floats, as from
+    ``sorted(map(float, sample))``.
+    """
+
+    def __init__(self, counts: Mapping[float, int]):
+        ordered = sorted(item for item in counts.items() if item[1])
+        self._values = [float(value) for value, _ in ordered]
+        self._ends = list(itertools.accumulate(count for _, count
+                                               in ordered))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, rank: int) -> float:
+        if not 0 <= rank < len(self):
+            raise IndexError(rank)
+        return self._values[bisect.bisect_right(self._ends, rank)]
+
+
+def histogram_percentile(counts: Mapping[float, int], pct: float) -> float:
+    """:func:`percentile` of the sample a ``value -> count`` histogram
+    stands for."""
+    return _percentile(SortedCounts(counts), pct)
+
+
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolated percentile (0..100) of an unsorted sample.
 
-    The public face of :func:`_percentile`, so other reducers (e.g. the
-    churn timeline's p95 TCB) report percentiles with the same definition
-    as :func:`summary_stats`.
+    The public face of :func:`_percentile`, the definition
+    :func:`summary_stats` and :func:`histogram_percentile` share.
     """
     return _percentile(sorted(map(float, values)), pct)
 

@@ -1335,7 +1335,7 @@ class LazySurveyResults(SurveyResults):
             yield (source.name(row), source.resolved(row),
                    source.tcb_frozen(row))
 
-    def extras_columns(self) -> List[str]:
+    def _listed_extras_columns(self) -> List[str]:
         return self._source.extras_columns()
 
     def extra_column(self, column: str) -> List[object]:

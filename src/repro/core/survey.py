@@ -15,9 +15,12 @@
 
 from __future__ import annotations
 
+import collections
+import copy
 import dataclasses
 import itertools
 import operator
+import weakref
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -31,7 +34,9 @@ from typing import (
 )
 
 from repro.dns.name import DomainName, NameLike
-from repro.core.report import CDFSeries, average_by_group, summary_stats
+from repro.core.report import (CDFSeries, SortedCounts, average_by_group,
+                               bounded_mean, histogram_percentile,
+                               summary_stats)
 
 if TYPE_CHECKING:
     from repro.core.value import NameserverValueAnalyzer, ServerValue
@@ -41,8 +46,18 @@ if TYPE_CHECKING:
 #: Execution backends a :class:`Survey` (its engine) runs on.
 BACKENDS: Tuple[str, ...] = ("serial", "process", "socket")
 
+
+class _Absent:
+    """The type of :data:`ABSENT`, which no pass column value has."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ABSENT"
+
+
 #: An extras cell of a record that lacks the column.
-ABSENT = object()
+ABSENT = _Absent()
 
 #: The classification of a name whose min-cut is entirely vulnerable.
 COMPLETELY_HIJACKABLE = "complete"
@@ -121,54 +136,290 @@ def is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-class ExtrasCensus:
-    """Per pass column: how many records carry it, and how many of those
-    carry something other than a number.
+def _is_number_kind(kind: type) -> bool:
+    """True for the type of an :func:`is_number` cell."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
-    It answers :meth:`SurveyResults.extras_columns` and
-    :meth:`SurveyResults.numeric_extra_count` without reading a cell, and
-    :meth:`advanced` carries it from one result set to the next by
-    counting only the rows that changed.
+
+def _bump(counts: Dict, key: object, step: int) -> None:
+    """Add ``step`` to ``counts[key]``, deleting the key at zero."""
+    left = counts.get(key, 0) + step
+    if left:
+        counts[key] = left
+    else:
+        del counts[key]
+
+
+#: While the magnitudes of a column's int cells sum to at most this, every
+#: partial float sum of them is exact, so their integer sum is
+#: ``sum(map(float, cells))`` to the last bit.
+_EXACT_INT_SUM = 2 ** 53
+
+
+class _PassColumn:
+    """One pass column's share of a :class:`SurveyCensus`."""
+
+    __slots__ = ("present", "other", "kinds", "texts", "int_total",
+                 "magnitude", "cells")
+
+    def __init__(self, rows: int = 0):
+        #: Records carrying the column, and of those, carrying something
+        #: other than a number (every row).
+        self.present = 0
+        self.other = 0
+        # The rest covers resolved rows only, as the summary does.
+        #: type -> cells of that type.
+        self.kinds: Dict[type, int] = {}
+        #: str(cell) -> cells, over the cells that are not numbers.
+        self.texts: Dict[str, int] = {}
+        #: Sum and summed magnitude of the int and bool cells.
+        self.int_total = 0
+        self.magnitude = 0
+        #: One cell per row, in row order; ABSENT off the resolved rows
+        #: carrying the column.
+        self.cells: List[object] = [ABSENT] * rows
+
+    @classmethod
+    def of_cells(cls, cells: List[object],
+                 unresolved: Sequence[int]) -> "_PassColumn":
+        """Count one :meth:`SurveyResults.extra_column` in one pass."""
+        column = cls()
+        kinds = collections.Counter(map(type, cells))
+        kinds.pop(_Absent, None)
+        column.present = sum(kinds.values())
+        column.other = sum(count for kind, count in kinds.items()
+                           if not _is_number_kind(kind))
+        if unresolved:
+            cells = list(cells)
+            for row in unresolved:
+                value = cells[row]
+                if value is not ABSENT:
+                    kinds[type(value)] -= 1
+                    cells[row] = ABSENT
+        column.kinds = {kind: count for kind, count in kinds.items()
+                        if count}
+        column.cells = cells
+        if not all(map(_is_number_kind, column.kinds)):
+            column.texts = dict(collections.Counter(
+                str(value) for value in cells
+                if value is not ABSENT and not is_number(value)))
+        if int in column.kinds or bool in column.kinds:
+            ints = [value for value in cells
+                    if type(value) is int or type(value) is bool]
+            column.int_total = sum(ints)
+            column.magnitude = sum(map(abs, ints))
+        return column
+
+    def copy(self) -> "_PassColumn":
+        column = copy.copy(self)
+        column.kinds, column.texts = dict(self.kinds), dict(self.texts)
+        column.cells = list(self.cells)
+        return column
+
+    def count(self, value: object, resolved: bool, row: int,
+              step: int) -> None:
+        """Add (``step`` 1) or take away (-1) one row's cell."""
+        self.present += step
+        number = is_number(value)
+        if not number:
+            self.other += step
+        if not resolved:
+            return
+        kind = type(value)
+        _bump(self.kinds, kind, step)
+        if not number:
+            _bump(self.texts, str(value), step)
+        if kind is int or kind is bool:
+            self.int_total += step * value
+            self.magnitude += step * abs(value)
+        self.cells[row] = value if step > 0 else ABSENT
+
+    def values(self) -> List[object]:
+        """The resolved rows' cells, in row order."""
+        cells = self.cells
+        if sum(self.kinds.values()) == len(cells):
+            return cells
+        return [cell for cell in cells if cell is not ABSENT]
+
+    def summarise(self, column: str, summary: Dict[str, float]) -> None:
+        """Add this column's :meth:`SurveyColumns.extras_summary` keys."""
+        kinds = list(self.kinds)
+        if not kinds:
+            return
+        rows = sum(self.kinds.values())
+        if kinds == [bool]:
+            summary[column] = self.texts.get("True", 0) / rows
+        elif all(issubclass(kind, (int, float)) for kind in kinds):
+            if self.magnitude <= _EXACT_INT_SUM and \
+                    all(kind is int or kind is bool for kind in kinds):
+                summary[column] = float(self.int_total) / rows
+            else:
+                values = self.values()
+                summary[column] = sum(map(float, values)) / len(values)
+        else:
+            texts = self.texts
+            if any(map(_is_number_kind, kinds)):
+                texts = collections.Counter(map(str, self.values()))
+            for observed in sorted(texts):
+                summary[f"{column}={observed}"] = texts[observed] / rows
+
+
+class SurveyCensus:
+    """Running totals behind a result set's drift statistics.
+
+    Over the resolved rows: the count, a TCB-size histogram and total
+    (mean, median, p95), the positive min-cut sizes' count and total, and
+    the completely-hijackable and vulnerable-dependency counts.  Per pass
+    column: how many records carry it and how many of those carry
+    something other than a number (every row; they answer
+    :meth:`SurveyResults.extras_columns` and
+    :meth:`SurveyResults.numeric_extra_count`), and over the resolved rows
+    the cells' types, per-value counts of the cells that are not numbers,
+    the int cells' sum, and a row-ordered cell list for the float means.
+
+    A census is counted in one pass over a result set's columns
+    (:class:`SurveyColumns`; the pass columns on first use, so the
+    headline reads none), or :meth:`advanced` from the previous epoch's
+    by counting only the rows that changed.  Either way the
+    statistics are those of the records themselves: float means are
+    recomputed from the row-ordered cells each time, never kept by adding
+    and subtracting, and the TCB percentiles go through the same
+    interpolation as :func:`~repro.core.report.percentile`.
     """
 
-    def __init__(self, records: Iterable[NameRecord] = ()):
-        #: column -> [records carrying it, of which not numbers]
-        self._counts: Dict[str, List[int]] = {}
-        for record in records:
-            self._count(record.extras, 1)
+    def __init__(self, columns: Optional["SurveyColumns"] = None):
+        self.rows = 0
+        #: Resolved rows.
+        self.resolved = 0
+        #: TCB size -> resolved rows with that size, and the sizes' total.
+        self._sizes: Dict[int, int] = {}
+        self._size_total = 0
+        #: Resolved rows with a positive min-cut, and their sizes' total.
+        self._mincut_rows = 0
+        self._mincut_total = 0
+        #: Resolved rows completely hijackable / with a vulnerable server.
+        self._hijackable = 0
+        self._vulnerable = 0
+        #: Per pass column; None until counted off the result set
+        #: ``_source`` refers to (weakly: the result set holds its census),
+        #: whose ``_unresolved`` rows the summary leaves out.
+        self._extras: Optional[Dict[str, _PassColumn]] = {}
+        self._source: Optional[weakref.ref] = None
+        self._unresolved: List[int] = []
+        if columns is not None:
+            self._count_columns(columns)
 
-    def _count(self, extras: Dict[str, object], step: int) -> None:
-        counts = self._counts
-        for column, value in extras.items():
-            entry = counts.get(column)
-            if entry is None:
-                entry = counts[column] = [0, 0]
-            entry[0] += step
-            if not is_number(value):
-                entry[1] += step
+    def _count_columns(self, columns: "SurveyColumns") -> None:
+        resolved = columns.column("resolved")
+        self.rows = len(resolved)
+        sizes = columns.resolved("tcb_size")
+        self.resolved = len(sizes)
+        self._sizes = dict(collections.Counter(sizes))
+        self._size_total = sum(sizes)
+        cuts = [size for size in columns.resolved("mincut_size") if size > 0]
+        self._mincut_rows, self._mincut_total = len(cuts), sum(cuts)
+        self._hijackable = columns.resolved("classification").count(
+            COMPLETELY_HIJACKABLE)
+        self._vulnerable = sum(1 for count
+                               in columns.resolved("vulnerable_in_tcb")
+                               if count > 0)
+        self._unresolved = [row for row, ok in enumerate(resolved)
+                            if not ok]
+        self._extras, self._source = None, weakref.ref(columns.results)
 
-    def advanced(self, leaving: Iterable[NameRecord],
-                 incoming: Iterable[NameRecord]) -> "ExtrasCensus":
-        """The census once ``leaving`` rows go and ``incoming`` ones come."""
-        census = ExtrasCensus()
-        census._counts = {column: list(entry)
-                          for column, entry in self._counts.items()}
-        for record in leaving:
-            census._count(record.extras, -1)
-        for record in incoming:
-            census._count(record.extras, 1)
+    def _pass_columns(self) -> Dict[str, _PassColumn]:
+        """The per-column counts, counted on first use."""
+        if self._extras is None:
+            results, self._source = self._source(), None
+            self._extras = {
+                column: _PassColumn.of_cells(results.extra_column(column),
+                                             self._unresolved)
+                for column in results._listed_extras_columns()}
+        return self._extras
+
+    def advanced(self, rows: Sequence[int], leaving: Iterable[NameRecord],
+                 incoming: Iterable[NameRecord]) -> "SurveyCensus":
+        """The census once each of ``rows`` trades its ``leaving`` record
+        for its ``incoming`` one (the three in step); this one is kept."""
+        extras = self._pass_columns()
+        census = copy.copy(self)
+        census._sizes = dict(self._sizes)
+        census._extras = {column: entry.copy()
+                          for column, entry in extras.items()}
+        for row, before, after in zip(rows, leaving, incoming):
+            census._count(before, row, -1)
+            census._count(after, row, 1)
         return census
 
+    def _count(self, record: NameRecord, row: int, step: int) -> None:
+        resolved = record.resolved
+        if resolved:
+            self.resolved += step
+            _bump(self._sizes, record.tcb_size, step)
+            self._size_total += step * record.tcb_size
+            if record.mincut_size > 0:
+                self._mincut_rows += step
+                self._mincut_total += step * record.mincut_size
+            if record.classification == COMPLETELY_HIJACKABLE:
+                self._hijackable += step
+            if record.vulnerable_in_tcb > 0:
+                self._vulnerable += step
+        extras = self._extras
+        for column, value in record.extras.items():
+            entry = extras.get(column)
+            if entry is None:
+                entry = extras[column] = _PassColumn(self.rows)
+            entry.count(value, resolved, row, step)
+
+    # -- reads -------------------------------------------------------------------------
+
     def columns(self) -> List[str]:
-        """Every column at least one record carries, sorted."""
-        return sorted(column for column, (present, _) in self._counts.items()
-                      if present)
+        """Every pass column at least one record carries, sorted."""
+        return sorted(column for column, entry
+                      in self._pass_columns().items() if entry.present)
 
     def numeric_count(self, column: str) -> Optional[int]:
         """How many records carry ``column`` if every value is a number;
         ``None`` for an absent or non-numeric column."""
-        present, other = self._counts.get(column, (0, 0))
-        return present if present and not other else None
+        entry = self._pass_columns().get(column)
+        if entry is None or not entry.present or entry.other:
+            return None
+        return entry.present
+
+    def tcb_mean(self) -> float:
+        """Mean TCB size of the resolved rows (as :func:`summary_stats`)."""
+        if not self.resolved:
+            return 0.0
+        ordered = SortedCounts(self._sizes)
+        return bounded_mean(float(self._size_total), self.resolved,
+                            ordered[0], ordered[len(ordered) - 1])
+
+    def tcb_percentile(self, pct: float) -> float:
+        """A TCB-size percentile of the resolved rows (as
+        :func:`~repro.core.report.percentile`)."""
+        return histogram_percentile(self._sizes, pct)
+
+    def mincut_mean(self) -> float:
+        """Mean size of the resolved rows' non-empty min-cuts."""
+        if not self._mincut_rows:
+            return 0.0
+        return self._mincut_total / self._mincut_rows
+
+    def hijackable_fraction(self) -> float:
+        """Fraction of resolved rows whose min-cut is all vulnerable."""
+        return self._hijackable / self.resolved if self.resolved else 0.0
+
+    def vulnerable_dependency_fraction(self) -> float:
+        """Fraction of resolved rows with a vulnerable TCB member."""
+        return self._vulnerable / self.resolved if self.resolved else 0.0
+
+    def extras_summary(self) -> Dict[str, float]:
+        """See :meth:`SurveyColumns.extras_summary`."""
+        summary: Dict[str, float] = {}
+        extras = self._pass_columns()
+        for column in self.columns():
+            extras[column].summarise(column, summary)
+        return summary
 
 
 @dataclasses.dataclass
@@ -188,9 +439,9 @@ class SurveyResults:
     #: by :meth:`~repro.core.engine.SurveyEngine.run_delta` from the
     #: previous epoch's; while set, ``server_names_controlled`` is that
     #: run's exact fold too, so the next delta adjusts both instead of
-    #: rebuilding them, and the index's row order and extras census
-    #: describe ``records``.  Every other result set rebuilds from
-    #: scratch.
+    #: rebuilding them, and the index's row order and
+    #: :class:`SurveyCensus` describe ``records``.  Every other result set
+    #: rebuilds from scratch.
     _dirty_index: Optional[object] = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
@@ -218,11 +469,17 @@ class SurveyResults:
         """The record for ``name``, if it was surveyed.
 
         Backed by :meth:`record_index`, so repeated lookups are O(1)
-        instead of scanning the record list.
+        instead of scanning the record list.  Text is probed as given
+        first (a :class:`DomainName` hashes and compares as its canonical
+        text); only a miss parses it, so canonical text builds no name.
         """
-        if not isinstance(name, DomainName):
-            name = DomainName(name)
-        return self.record_index().get(name)
+        index = self.record_index()
+        if isinstance(name, DomainName):
+            return index.get(name)
+        found = index.get(name)
+        if found is None:
+            found = index.get(DomainName(name))
+        return found
 
     def record_index(self) -> Dict[DomainName, NameRecord]:
         """name -> record, built on first use (do not mutate)."""
@@ -323,11 +580,14 @@ class SurveyResults:
     def extras_columns(self) -> List[str]:
         """Every pass-contributed column appearing on at least one record."""
         if self._dirty_index is not None:
-            return self._dirty_index.extras_census(self).columns()
-        columns: Set[str] = set()
-        for record in self.records:
-            columns.update(record.extras)
-        return sorted(columns)
+            return self._dirty_index.census(self.columns()).columns()
+        return self._listed_extras_columns()
+
+    def _listed_extras_columns(self) -> List[str]:
+        """:meth:`extras_columns` found without a census (the census
+        count reads it)."""
+        return sorted(set().union(*map(operator.attrgetter("extras"),
+                                       self.records)))
 
     def extra_column(self, column: str) -> List[object]:
         """One pass column for every record, in record order, with
@@ -343,7 +603,8 @@ class SurveyResults:
         """How many records carry ``column`` when every value is a number
         (bools are not); ``None`` for an empty or non-numeric column."""
         if self._dirty_index is not None:
-            return self._dirty_index.extras_census(self).numeric_count(column)
+            return self._dirty_index.census(self.columns()).numeric_count(
+                column)
         values = self.extra_values(column, resolved_only=False)
         if values and all(map(is_number, values)):
             return len(values)
@@ -374,12 +635,14 @@ class SurveyResults:
 
 
 class SurveyColumns:
-    """The reducers behind the headline, Figures 2-7 and the pass summary.
+    """The reducers behind the headline, Figures 2-7, the pass summary and
+    the churn timeline's drift series.
 
     Every statistic here reads the survey through
     :meth:`SurveyResults.column` (pass columns through
-    :meth:`SurveyResults.extra_column`) and nothing else.  Each field is
-    fetched once and kept, as is each field's resolved-rows cut, so a
+    :meth:`SurveyResults.extra_column`) or through the results'
+    :class:`SurveyCensus`, and nothing else.  Each field is fetched once
+    and kept, as is each field's resolved-rows cut and the census, so a
     caller asking for several statistics (:meth:`headline`, the churn
     timeline's per-epoch row) reads every column once.  Use one instance
     per reduction: records changed after a column was read are not seen.
@@ -389,7 +652,22 @@ class SurveyColumns:
         self._results = results
         self._columns: Dict[str, List[object]] = {}
         self._resolved: Dict[tuple, List[object]] = {}
-        self._extras_columns: Optional[List[str]] = None
+        self._census: Optional[SurveyCensus] = None
+
+    @property
+    def results(self) -> SurveyResults:
+        """The result set these reducers read."""
+        return self._results
+
+    def census(self) -> SurveyCensus:
+        """The results' census: the one their carried
+        :class:`~repro.core.delta.DirtyIndex` holds, else counted once
+        from these columns."""
+        if self._census is None:
+            index = getattr(self._results, "_dirty_index", None)
+            self._census = SurveyCensus(self) if index is None \
+                else index.census(self)
+        return self._census
 
     def column(self, field: str) -> List[object]:
         """One record field for every row (fetched once, shared)."""
@@ -417,6 +695,19 @@ class SurveyColumns:
         """TCB sizes across the survey (optionally only the popular cohort)."""
         return list(self.resolved("tcb_size", popular_only))
 
+    def names_resolved(self) -> int:
+        """How many names resolved."""
+        return self.census().resolved
+
+    def mean_tcb_size(self) -> float:
+        """Mean TCB size of the resolved names."""
+        return self.census().tcb_mean()
+
+    def tcb_percentile(self, pct: float) -> float:
+        """A percentile (0..100) of the resolved names' TCB sizes; 50 is
+        the median."""
+        return self.census().tcb_percentile(pct)
+
     # -- figures 3-4: per-TLD averages ---------------------------------------------------
 
     def mean_tcb_by_tld(self, kind: str = "all",
@@ -443,10 +734,7 @@ class SurveyColumns:
 
     def fraction_with_vulnerable_dependency(self) -> float:
         """Fraction of names depending on >= 1 vulnerable server (45 %)."""
-        counts = self.resolved("vulnerable_in_tcb")
-        if not counts:
-            return 0.0
-        return sum(1 for count in counts if count > 0) / len(counts)
+        return self.census().vulnerable_dependency_fraction()
 
     # -- figure 7: bottlenecks -----------------------------------------------------------------
 
@@ -456,24 +744,13 @@ class SurveyColumns:
 
     def fraction_completely_hijackable(self) -> float:
         """Fraction of names whose min-cut is entirely vulnerable (30 %)."""
-        classifications = self.resolved("classification")
-        if not classifications:
-            return 0.0
-        return classifications.count(COMPLETELY_HIJACKABLE) / \
-            len(classifications)
+        return self.census().hijackable_fraction()
 
     def mean_mincut_size(self) -> float:
         """Average bottleneck size (paper: 2.5 servers)."""
-        sizes = [size for size in self.resolved("mincut_size") if size > 0]
-        return sum(sizes) / len(sizes) if sizes else 0.0
+        return self.census().mincut_mean()
 
     # -- analysis-pass columns --------------------------------------------------------------------
-
-    def extras_columns(self) -> List[str]:
-        """Every pass column on at least one record (listed once, shared)."""
-        if self._extras_columns is None:
-            self._extras_columns = self._results.extras_columns()
-        return self._extras_columns
 
     def extra_values(self, column: str,
                      resolved_only: bool = True) -> List[object]:
@@ -483,31 +760,23 @@ class SurveyColumns:
             cells = itertools.compress(cells, self.column("resolved"))
         return [cell for cell in cells if cell is not ABSENT]
 
+    def extras_columns(self) -> List[str]:
+        """Every pass column on at least one record."""
+        return self.census().columns()
+
     def extras_summary(self) -> Dict[str, float]:
         """Aggregate pass columns: means for numbers, fractions for the rest.
 
-        Boolean columns become the fraction of records where they are true;
-        string columns expand into one ``column=value`` fraction per
-        observed value, so e.g. ``dnssec_status`` summarises to
-        ``dnssec_status=secure: 0.93``.  Deterministic (sorted) keying so
-        snapshots and CLI output are stable.
+        Over the resolved names: boolean columns become the fraction of
+        records where they are true; numeric columns the mean
+        ``sum(map(float, values)) / len(values)`` of their values in row
+        order; string (and mixed) columns expand into one
+        ``column=value`` fraction per observed ``str(value)``, so e.g.
+        ``dnssec_status`` summarises to ``dnssec_status=secure: 0.93``.
+        Deterministic (sorted) keying so snapshots and CLI output are
+        stable.
         """
-        summary: Dict[str, float] = {}
-        for column in self.extras_columns():
-            values = self.extra_values(column)
-            if not values:
-                continue
-            kinds = set(map(type, values))
-            if kinds == {bool}:
-                summary[column] = values.count(True) / len(values)
-            elif all(issubclass(kind, (int, float)) for kind in kinds):
-                summary[column] = sum(map(float, values)) / len(values)
-            else:
-                texts = list(map(str, values))
-                for observed in sorted(set(texts)):
-                    summary[f"{column}={observed}"] = \
-                        texts.count(observed) / len(texts)
-        return summary
+        return self.census().extras_summary()
 
     # -- headline summary -------------------------------------------------------------------------
 
@@ -515,17 +784,16 @@ class SurveyColumns:
         """The paper's headline statistics, computed from the survey."""
         results = self._results
         sizes = self.resolved("tcb_size")
-        stats = summary_stats(sizes)
         popular_stats = summary_stats(self.resolved("tcb_size",
                                                     popular_only=True))
         in_bailiwick = self.resolved("in_bailiwick")
         vulnerable_counts = self.resolved("vulnerable_in_tcb")
         return {
             "names_surveyed": float(len(self.column("resolved"))),
-            "names_resolved": float(len(sizes)),
+            "names_resolved": float(self.names_resolved()),
             "servers_discovered": float(results.total_servers_discovered()),
-            "mean_tcb_size": stats["mean"],
-            "median_tcb_size": stats["median"],
+            "mean_tcb_size": self.mean_tcb_size(),
+            "median_tcb_size": self.tcb_percentile(50.0),
             "fraction_tcb_over_200": CDFSeries.from_values(sizes)
             .fraction_above(200) if sizes else 0.0,
             "popular_mean_tcb_size": popular_stats["mean"],

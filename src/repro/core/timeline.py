@@ -40,10 +40,9 @@ from repro.core.delta import DeltaStats, DirtyIndex
 from repro.core.engine import EngineConfig, SurveyEngine
 from repro.core.export import _is_zlib_header
 from repro.core.passes import build_passes
-from repro.core.report import percentile, summary_stats
 from repro.core.snapshot import diff_results, results_to_dict
 from repro.core.snapstore import MAGIC, EpochStore, SnapshotFormatError
-from repro.core.survey import SurveyResults
+from repro.core.survey import SurveyColumns, SurveyResults
 
 # The topology layer imports core.delegation at module load (the shared
 # exclusion-suffix constant), so the loop back into topology must stay
@@ -346,6 +345,32 @@ def _normalise_pass_specs(passes: Union[str, Sequence[str], None]
     return tuple(passes)
 
 
+def drift_aggregates(columns: SurveyColumns) -> Dict[str, object]:
+    """The survey and pass aggregates of a timeline row, by field name.
+
+    All of them come off the results' census (carried from epoch to epoch
+    on a delta's :class:`~repro.core.delta.DirtyIndex`, else counted in
+    one pass), so a row costs what the epoch changed.
+    """
+    extras = columns.extras_summary()
+    dnssec_secure = extras.get("dnssec_status=secure")
+    if dnssec_secure is None and "dnssec_status" in \
+            columns.extras_columns():
+        dnssec_secure = 0.0  # the pass ran but nothing validated secure
+    return {
+        "names_resolved": columns.names_resolved(),
+        "hijackable_fraction": columns.fraction_completely_hijackable(),
+        "mean_tcb": columns.mean_tcb_size(),
+        "median_tcb": columns.tcb_percentile(50.0),
+        "p95_tcb": columns.tcb_percentile(95.0),
+        "mean_mincut": columns.mean_mincut_size(),
+        "vulnerable_dependency_fraction":
+            columns.fraction_with_vulnerable_dependency(),
+        "availability_mean": extras.get("availability"),
+        "dnssec_secure_fraction": dnssec_secure,
+    }
+
+
 def _reduce_epoch(epoch: int, results: SurveyResults,
                   previous: Optional[SurveyResults],
                   events: Sequence, stats,
@@ -358,18 +383,9 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
     ``dirty`` is the epoch's re-surveyed name set: every other record was
     copied from ``previous``, so the drift diff compares only these.
     """
-    columns = results.columns()
-    sizes = list(map(float, columns.tcb_sizes()))
     event_kinds: Dict[str, int] = {}
     for event in events:
         event_kinds[event.kind] = event_kinds.get(event.kind, 0) + 1
-
-    extras = columns.extras_summary()
-    availability = extras.get("availability")
-    dnssec_secure = extras.get("dnssec_status=secure")
-    if dnssec_secure is None and "dnssec_status" in \
-            columns.extras_columns():
-        dnssec_secure = 0.0  # the pass ran but nothing validated secure
 
     changed = added = removed = 0
     tcb_drift = 0.0
@@ -388,8 +404,6 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
                  for field, (before, after) in sorted(change.fields.items()))}
             for change in diff.top_movers(TOP_MOVER_COUNT)]
 
-    size_stats = summary_stats(sizes)
-
     return TimelineSnapshot(
         epoch=epoch,
         events=len(events),
@@ -399,16 +413,7 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
         patched_names=stats.patched_names,
         dirty_fraction=stats.dirty_fraction,
         delta_elapsed_s=round(elapsed_s, 6),
-        names_resolved=len(sizes),
-        hijackable_fraction=columns.fraction_completely_hijackable(),
-        mean_tcb=size_stats["mean"],
-        median_tcb=size_stats["median"],
-        p95_tcb=percentile(sizes, 95.0),
-        mean_mincut=columns.mean_mincut_size(),
-        vulnerable_dependency_fraction=
-        columns.fraction_with_vulnerable_dependency(),
-        availability_mean=availability,
-        dnssec_secure_fraction=dnssec_secure,
+        **drift_aggregates(results.columns()),
         dnssec_fraction=dnssec_fraction,
         changed_names=changed,
         added_names=added,

@@ -41,7 +41,9 @@ class NameserverValueAnalyzer:
     """Aggregates per-name TCBs into nameserver value rankings."""
 
     def __init__(self, vulnerability_map: Optional[Mapping[DomainName, bool]] = None):
-        self.vulnerability_map = dict(vulnerability_map or {})
+        #: host -> vulnerable; kept, not copied (read only).
+        self.vulnerability_map: Mapping[DomainName, bool] = \
+            {} if vulnerability_map is None else vulnerability_map
         self._counts: Dict[DomainName, int] = {}
         self._total_names = 0
 
@@ -54,12 +56,19 @@ class NameserverValueAnalyzer:
         The survey engine's aggregator counts TCB membership incrementally
         while records stream in; this constructor turns that state directly
         into rankings without re-walking any per-name TCB (the
-        ``AnalysisPass.finalize`` path of the ``value`` pass).
+        ``AnalysisPass.finalize`` path of the ``value`` pass).  A dict
+        already keyed by :class:`DomainName` with int counts is kept, not
+        copied (read only); anything else is parsed into a new one.
         """
         analyzer = cls(vulnerability_map)
-        analyzer._counts = {
-            host if isinstance(host, DomainName) else DomainName(host):
-            int(count) for host, count in counts.items()}
+        if type(counts) is dict and \
+                set(map(type, counts)) <= {DomainName} and \
+                set(map(type, counts.values())) <= {int}:
+            analyzer._counts = counts
+        else:
+            analyzer._counts = {
+                host if isinstance(host, DomainName) else DomainName(host):
+                int(count) for host, count in counts.items()}
         analyzer._total_names = int(total_names)
         return analyzer
 

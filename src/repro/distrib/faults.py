@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import os
 import random
 import time
@@ -105,9 +106,9 @@ class FaultAction:
             raise DistribError(
                 f"fault {self.op}:{self.point} needs nth >= 1, "
                 f"got {self.nth}")
-        if self.arg < 0:
+        if not math.isfinite(self.arg) or self.arg < 0:
             raise DistribError(
-                f"fault {self.op}:{self.point}:{self.nth} needs a "
+                f"fault {self.op}:{self.point}:{self.nth} needs a finite, "
                 f"non-negative arg, got {self.arg}")
 
     def to_spec(self) -> str:

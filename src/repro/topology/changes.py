@@ -38,6 +38,7 @@ import weakref
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
+from repro.dns.errors import DNSError
 from repro.dns.name import DomainName, NameLike
 from repro.dns.rdtypes import RRType
 from repro.dns.server import AuthoritativeServer
@@ -770,8 +771,19 @@ def apply_mutation_spec(journal: ChangeJournal, spec: str) -> ChangeEvent:
     * ``set-software:host=H[;software=BANNER]`` (omitted banner = hidden)
     * ``move-region:host=H;region=R``
     * ``dnssec:fraction=F[;sign_tlds=BOOL][;seed=S]``
+
+    A malformed spec (bad grammar, an unknown kind or option, a number or
+    name that does not parse, a change the world refuses) raises a
+    ``ValueError`` that names the spec.
     """
     text = spec.strip()
+    try:
+        return _apply_mutation(journal, text)
+    except (ValueError, DNSError) as error:
+        raise ValueError(f"bad mutation spec {text!r}: {error}") from error
+
+
+def _apply_mutation(journal: ChangeJournal, text: str) -> ChangeEvent:
     kind, _, option_text = text.partition(":")
     kind = kind.strip()
     options: Dict[str, str] = {}
@@ -782,8 +794,8 @@ def apply_mutation_spec(journal: ChangeJournal, spec: str) -> ChangeEvent:
                 continue
             key, separator, value = item.partition("=")
             if not separator:
-                raise ValueError(f"malformed option {item!r} in mutation "
-                                 f"spec {text!r} (expected key=value)")
+                raise ValueError(f"malformed option {item!r} (expected "
+                                 f"key=value)")
             options[key.strip()] = value.strip()
 
     def need(key: str) -> str:

@@ -1,16 +1,18 @@
 """The state a churn epoch carries to the next one equals a fresh rebuild.
 
-Each epoch keeps three things current instead of re-deriving them from
+Each epoch keeps four things current instead of re-deriving them from
 the whole world: the host -> served-zones index (kept by the journals),
 the delta engine's dirty index and per-server TCB counts (carried from
-result set to result set), and the epoch diff, which compares only the
-re-surveyed names.  After every epoch of two seeded churn runs with
+result set to result set), the census behind the timeline row and the
+pass summary (carried on the dirty index), and the epoch diff, which
+compares only the re-surveyed names.  After every epoch of two seeded churn runs with
 server deaths, each is checked against its from-scratch form, and the
 epoch's results against a cold survey of the mutated world.  Result sets
 ``run_delta`` did not produce — a lazy epoch-store view, a JSON-loaded
 snapshot — carry nothing and must rebuild.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -23,6 +25,9 @@ from repro.core.engine import EngineConfig, SurveyEngine
 from repro.core.passes import build_passes
 from repro.core.snapshot import diff_results, load_results, save_results
 from repro.core.snapstore import EpochStore
+from repro.core.survey import SurveyResults
+from repro.core.timeline import (_reduce_epoch, _with_dnssec_fraction,
+                                 dnssec_spec_options)
 from repro.topology.changes import (
     ChangeJournal,
     ServedIndex,
@@ -165,6 +170,117 @@ def test_an_attached_index_lets_a_dropped_world_go():
         assert dropped() is None
     finally:
         gc.enable()
+
+
+#: Float (availability, availability_mc), int (availability_spof), bool
+#: (dnssec_detected) and string (dnssec_status) pass columns.
+COLUMN_PASSES = ("availability:up=0.7;samples=64;spof=true", "value",
+                 "dnssec:fraction=0.3")
+#: DNSSEC adoption grows every epoch, so the dnssec columns move too.
+COLUMN_RATES = ChurnRates(transfer=2.0, death=1.0, upgrade=1.0,
+                          downgrade=0.5, region=1.0, dnssec=0.1)
+
+
+def _column_engine(world, specs):
+    return SurveyEngine(world, config=EngineConfig(
+        popular_count=20, passes=build_passes(list(specs))))
+
+
+def _single_server(world, journal, epoch):
+    """Leave one second-level zone with one of its servers: a single
+    point of failure for every name under it."""
+    zones = sorted((apex for apex in world.zones if apex.depth == 2 and
+                    len(world.served_index.union(apex)) > 1), key=name_key)
+    apex = zones[(epoch * 7) % len(zones)]
+    journal.set_zone_nameservers(apex,
+                                 list(world.served_index.union(apex)[:1]))
+
+
+def _uncarried(results):
+    """The same result set with nothing carried: its census and index
+    are counted afresh."""
+    copy = dataclasses.replace(results)
+    assert copy._dirty_index is None
+    return copy
+
+
+def _census_view(results):
+    """Everything the census answers through the result set."""
+    columns = results.columns()
+    return (columns.names_resolved(), columns.mean_tcb_size(),
+            [columns.tcb_percentile(pct) for pct in (0, 37.5, 50, 95, 100)],
+            columns.mean_mincut_size(),
+            columns.fraction_completely_hijackable(),
+            columns.fraction_with_vulnerable_dependency(),
+            columns.extras_summary(), results.extras_columns(),
+            {column: results.numeric_extra_count(column)
+             for column in results.extras_columns()},
+            results.headline())
+
+
+@pytest.mark.parametrize("churn_seed", [5, 11])
+def test_carried_census_and_index_match_a_rebuild_every_epoch(churn_seed,
+                                                              tmp_path):
+    world = InternetGenerator(TINY).generate()
+    fraction, dnssec_seed, sign_tlds = dnssec_spec_options(
+        list(COLUMN_PASSES))
+    model = ChurnModel(world, COLUMN_RATES, seed=churn_seed,
+                       initial_dnssec=fraction, dnssec_seed=dnssec_seed,
+                       dnssec_sign_tlds=sign_tlds)
+    summaries = []
+    with _column_engine(world, COLUMN_PASSES) as engine:
+        results = engine.run()
+        summaries.append(results.extras_summary())
+        for epoch in range(1, EPOCHS + 1):
+            journal = ChangeJournal(world)
+            events = model.advance(journal)
+            _single_server(world, journal, epoch)
+            changes = journal.changes()
+            older = results
+            outcome = engine.run_delta(older, journal)
+            results = outcome.results
+            index = results._dirty_index
+
+            # The row reduced off the carried census equals the row
+            # reduced off a census counted from the same records.
+            reduced = [_reduce_epoch(epoch, current, older, events,
+                                     outcome.stats, 0.0,
+                                     model.dnssec_fraction, outcome.dirty)
+                       .to_dict() for current in (results,
+                                                  _uncarried(results))]
+            assert reduced[0] == reduced[1]
+            assert _census_view(results) == \
+                _census_view(_uncarried(results))
+            if epoch > 1:
+                assert index._census is not None  # carried, not recounted
+            summaries.append(results.extras_summary())
+
+            # The older set's index was advanced away from: of() rebuilds
+            # it, equal to a from-scratch build.
+            rebuilt = DirtyIndex.of(older)
+            assert rebuilt is not older._dirty_index
+            assert _index_view(rebuilt) == _index_view(DirtyIndex(older))
+            assert _index_view(DirtyIndex.of(results)) == \
+                _index_view(DirtyIndex(results))
+
+            # A second delta from the older set, on an engine configured
+            # for the deployment the journal grew to, is a cold survey.
+            specs = _with_dnssec_fraction(COLUMN_PASSES,
+                                          model.dnssec_fraction)
+            with _column_engine(world, specs) as second_engine:
+                second = second_engine.run_delta(older, changes).results
+            with _column_engine(world, specs) as cold_engine:
+                cold = cold_engine.run()
+            cold_bytes = _snapshot_bytes(cold, tmp_path / "cold.rsnap")
+            assert _snapshot_bytes(second, tmp_path / "second.rsnap") == \
+                cold_bytes
+            assert _snapshot_bytes(results, tmp_path / "delta.rsnap") == \
+                cold_bytes
+
+    # Every kind of pass column moved.
+    for key in ("availability", "availability_mc", "availability_spof",
+                "dnssec_detected", "dnssec_status=secure"):
+        assert len({summary[key] for summary in summaries}) > 1, key
 
 
 def _index_builds(monkeypatch):

@@ -258,9 +258,38 @@ def test_resurvey_rejects_bad_mutation_spec(tmp_path, capsys):
     prev = tmp_path / "prev.json"
     main(["survey", "--output", str(prev), *TINY])
     capsys.readouterr()
-    with pytest.raises(ValueError, match="unknown mutation kind"):
-        main(["resurvey", str(prev), "--mutate", "frobnicate:zone=com",
-              *TINY])
+    assert main(["resurvey", str(prev), "--mutate", "frobnicate:zone=com",
+                 *TINY]) == 2
+    error = capsys.readouterr().err
+    assert error.startswith("error: bad mutation spec "
+                            "'frobnicate:zone=com': unknown mutation kind")
+
+
+@pytest.mark.parametrize("spec, cause", [
+    ("dnssec:fraction=x", "could not convert string to float: 'x'"),
+    ("add-server:host=..", "empty label"),
+    ("frob:x=1", "unknown mutation kind 'frob'"),
+])
+@pytest.mark.parametrize("source", ["--mutate", "sidecar"])
+def test_resurvey_reports_malformed_specs_without_a_traceback(
+        tmp_path, capsys, spec, cause, source):
+    """A spec that does not parse, from the command line or replayed from
+    the previous snapshot's sidecar journal, is one error line and exit
+    code 2."""
+    prev = tmp_path / "prev.json"
+    main(["survey", "--max-names", "15", "--output", str(prev), *TINY])
+    capsys.readouterr()
+    if source == "sidecar":
+        (tmp_path / "prev.json.journal").write_text(json.dumps([spec]))
+        argv = ["resurvey", str(prev), *TINY]
+    else:
+        argv = ["resurvey", str(prev), "--mutate", spec, *TINY]
+    assert main(argv + ["--max-names", "15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad mutation spec {spec!r}: "
+                                   f"{cause}")
+    assert captured.err.count("\n") == 1
+    assert "re-surveyed" not in captured.out
 
 
 def test_diff_command_identical_snapshots(tmp_path, capsys):

@@ -3,11 +3,17 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from collections import Counter
+
 from repro.core.report import (
     CDFSeries,
+    SortedCounts,
     average_by_group,
+    bounded_mean,
     format_table,
     histogram,
+    histogram_percentile,
+    percentile,
     rank_series,
     sort_groups_descending,
     summary_stats,
@@ -90,6 +96,24 @@ def test_summary_stats_bounds_property(values):
     stats = summary_stats(values)
     assert stats["min"] <= stats["median"] <= stats["max"]
     assert stats["min"] <= stats["mean"] <= stats["max"]
+
+
+@given(st.lists(st.integers(0, 400), max_size=60),
+       st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5))
+@example([], [50.0])
+@example([7], [0.0, 95.0, 100.0])
+def test_histogram_statistics_equal_the_sample_statistics(values, pcts):
+    """A ``size -> count`` histogram and an integer total give the
+    sample's own mean and percentiles, to the last bit."""
+    counts = Counter(values)
+    ordered = SortedCounts(counts)
+    assert list(ordered) == sorted(map(float, values))
+    for pct in pcts:
+        assert histogram_percentile(counts, pct) == percentile(values, pct)
+    if values:
+        assert bounded_mean(float(sum(values)), len(values), ordered[0],
+                            ordered[len(ordered) - 1]) == \
+            summary_stats(values)["mean"]
 
 
 # -- grouping and ranking -----------------------------------------------------------------------

@@ -100,6 +100,9 @@ def test_fault_plan_parse_round_trip():
     ("kill:recv", "expected"),
     ("kill:recv:x", "nth must be an integer"),
     ("seed=banana", "invalid fault-plan seed"),
+    ("delay:send:1:nan", "finite, non-negative arg"),
+    ("delay:send:1:inf", "finite, non-negative arg"),
+    ("delay:send:1:-1", "finite, non-negative arg"),
 ])
 def test_fault_plan_rejects_bad_specs(bad, message):
     with pytest.raises(DistribError, match=message):
