@@ -482,14 +482,17 @@ class AvailabilityAnalyzer:
         return frozenset(universe.mask_to_hosts(mask))
 
     def _kill_top_int(self, universe, closures, target_id: int,
-                      reach_memo: Dict[int, int]) -> int:
+                      structure_memo: Dict[int, int]) -> int:
         """Top-level kill-set evaluation with per-first-zone prefix resume.
 
         Mirrors :meth:`_kill_int` applied to the target node; the snapshot
         captures both the kill memo and the all-up reachability memo of
         :meth:`_sample_masks` (the two walks interleave) after the first
-        zone.  ``reach_memo`` starts as the structure walk's all-up memo,
-        so the kill walk does not walk those nodes' reachability again.
+        zone.  Past the first zone, reachability the walk has not memoised
+        is taken from ``structure_memo``, the all-up memo of the structure
+        walk that has just run for this name, instead of being walked
+        again.  The snapshot is taken before that, so it holds first-zone
+        state only and stays name-independent.
         """
         zones = closures.split_ids(target_id)[0]
         if not zones:
@@ -499,13 +502,14 @@ class AvailabilityAnalyzer:
         entry = prefix.get(first)
         in_progress = frozenset((target_id,))
         memo: Dict[int, int] = {}
+        reach_memo: Dict[int, int] = {}
         kills = 0
         start = 0
         self._struct_zc = self._struct_base = None
         if entry is not None:
             kills, snap_memo, snap_reach, reach_zc = entry
             memo = dict(snap_memo)
-            reach_memo.update(snap_reach)
+            reach_memo = {**structure_memo, **snap_reach}
             self._struct_zc = reach_zc
             self._struct_base = snap_reach
             start = 1
@@ -516,6 +520,7 @@ class AvailabilityAnalyzer:
                 kills |= zone_kill
             if index == 0:
                 prefix[first] = (kills, dict(memo), dict(reach_memo), {})
+                reach_memo = {**structure_memo, **reach_memo}
         return kills
 
     def _kill_int(self, universe, closures, node: int,

@@ -478,9 +478,6 @@ class SurveyEngine:
         # for the work orders.
         self._coordinator = None
         self._dispatch_dirty: Set[DomainName] = set()
-        #: The last delta's directory entries and their names.
-        self._entry_names: Tuple[List[DirectoryEntry], List[DomainName]] = \
-            ([], [])
 
     def _ensure_coordinator(self):
         """Connect to (and BUILD) the socket workers on first use."""
@@ -680,7 +677,7 @@ class SurveyEngine:
         index = DirtyIndex.of(previous)
         carried = index is getattr(previous, "_dirty_index", None)
         dirty = set(index.dirty_names(changes))
-        entry_names = self._names_of(entries)
+        entry_names = [entry.name for entry in entries]
         dirty_rows = index.dirty_rows(entry_names, dirty) if carried \
             else None
         if dirty_rows is not None:
@@ -799,16 +796,6 @@ class SurveyEngine:
             elapsed_s=time.perf_counter() - started)
         return DeltaOutcome(results=results, stats=stats,
                             dirty=frozenset(dirty))
-
-    def _names_of(self, entries: List[DirectoryEntry]) -> List[DomainName]:
-        """``[entry.name for entry in entries]``, kept from the last delta
-        while it surveys the same entries (the lists compare by identity
-        first, so an unchanged directory reads no entry)."""
-        known, names = self._entry_names
-        if entries != known:
-            names = [entry.name for entry in entries]
-            self._entry_names = (entries, names)
-        return names
 
     def apply_changes(self, changes, dirty: Set[DomainName]) -> None:
         """Bring the primary context up to a journalled world change.

@@ -345,7 +345,7 @@ class ValueRankingPass(AnalysisPass):
 
     def finalize(self, aggregator) -> Dict[str, object]:
         from repro.core.value import NameserverValueAnalyzer
-        analyzer = NameserverValueAnalyzer.from_counts(
+        analyzer = NameserverValueAnalyzer.over_counts(
             aggregator.server_counts(), aggregator.resolved_count,
             aggregator.vulnerability_flags())
         summary = {key: round(value, 6) for key, value in

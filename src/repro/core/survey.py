@@ -150,17 +150,10 @@ def _bump(counts: Dict, key: object, step: int) -> None:
         del counts[key]
 
 
-#: While the magnitudes of a column's int cells sum to at most this, every
-#: partial float sum of them is exact, so their integer sum is
-#: ``sum(map(float, cells))`` to the last bit.
-_EXACT_INT_SUM = 2 ** 53
-
-
 class _PassColumn:
     """One pass column's share of a :class:`SurveyCensus`."""
 
-    __slots__ = ("present", "other", "kinds", "texts", "int_total",
-                 "magnitude", "cells")
+    __slots__ = ("present", "other", "kinds", "texts", "cells")
 
     def __init__(self, rows: int = 0):
         #: Records carrying the column, and of those, carrying something
@@ -172,9 +165,6 @@ class _PassColumn:
         self.kinds: Dict[type, int] = {}
         #: str(cell) -> cells, over the cells that are not numbers.
         self.texts: Dict[str, int] = {}
-        #: Sum and summed magnitude of the int and bool cells.
-        self.int_total = 0
-        self.magnitude = 0
         #: One cell per row, in row order; ABSENT off the resolved rows
         #: carrying the column.
         self.cells: List[object] = [ABSENT] * rows
@@ -203,11 +193,6 @@ class _PassColumn:
             column.texts = dict(collections.Counter(
                 str(value) for value in cells
                 if value is not ABSENT and not is_number(value)))
-        if int in column.kinds or bool in column.kinds:
-            ints = [value for value in cells
-                    if type(value) is int or type(value) is bool]
-            column.int_total = sum(ints)
-            column.magnitude = sum(map(abs, ints))
         return column
 
     def copy(self) -> "_PassColumn":
@@ -229,9 +214,6 @@ class _PassColumn:
         _bump(self.kinds, kind, step)
         if not number:
             _bump(self.texts, str(value), step)
-        if kind is int or kind is bool:
-            self.int_total += step * value
-            self.magnitude += step * abs(value)
         self.cells[row] = value if step > 0 else ABSENT
 
     def values(self) -> List[object]:
@@ -250,12 +232,8 @@ class _PassColumn:
         if kinds == [bool]:
             summary[column] = self.texts.get("True", 0) / rows
         elif all(issubclass(kind, (int, float)) for kind in kinds):
-            if self.magnitude <= _EXACT_INT_SUM and \
-                    all(kind is int or kind is bool for kind in kinds):
-                summary[column] = float(self.int_total) / rows
-            else:
-                values = self.values()
-                summary[column] = sum(map(float, values)) / len(values)
+            values = self.values()
+            summary[column] = sum(map(float, values)) / len(values)
         else:
             texts = self.texts
             if any(map(_is_number_kind, kinds)):
@@ -275,13 +253,13 @@ class SurveyCensus:
     :meth:`SurveyResults.extras_columns` and
     :meth:`SurveyResults.numeric_extra_count`), and over the resolved rows
     the cells' types, per-value counts of the cells that are not numbers,
-    the int cells' sum, and a row-ordered cell list for the float means.
+    and a row-ordered cell list for the numeric means.
 
     A census is counted in one pass over a result set's columns
     (:class:`SurveyColumns`; the pass columns on first use, so the
     headline reads none), or :meth:`advanced` from the previous epoch's
     by counting only the rows that changed.  Either way the
-    statistics are those of the records themselves: float means are
+    statistics are those of the records themselves: numeric means are
     recomputed from the row-ordered cells each time, never kept by adding
     and subtracting, and the TCB percentiles go through the same
     interpolation as :func:`~repro.core.report.percentile`.
@@ -469,17 +447,11 @@ class SurveyResults:
         """The record for ``name``, if it was surveyed.
 
         Backed by :meth:`record_index`, so repeated lookups are O(1)
-        instead of scanning the record list.  Text is probed as given
-        first (a :class:`DomainName` hashes and compares as its canonical
-        text); only a miss parses it, so canonical text builds no name.
+        instead of scanning the record list.
         """
-        index = self.record_index()
-        if isinstance(name, DomainName):
-            return index.get(name)
-        found = index.get(name)
-        if found is None:
-            found = index.get(DomainName(name))
-        return found
+        if not isinstance(name, DomainName):
+            name = DomainName(name)
+        return self.record_index().get(name)
 
     def record_index(self) -> Dict[DomainName, NameRecord]:
         """name -> record, built on first use (do not mutate)."""

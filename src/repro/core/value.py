@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.dns.name import DomainName, NameLike
 
@@ -45,30 +45,40 @@ class NameserverValueAnalyzer:
         self.vulnerability_map: Mapping[DomainName, bool] = \
             {} if vulnerability_map is None else vulnerability_map
         self._counts: Dict[DomainName, int] = {}
+        #: True while ``_counts`` is a caller's map (see over_counts).
+        self._borrowed = False
         self._total_names = 0
 
     @classmethod
-    def from_counts(cls, counts: Mapping[DomainName, int], total_names: int,
+    def from_counts(cls, counts: Mapping[NameLike, int], total_names: int,
                     vulnerability_map: Optional[Mapping[DomainName, bool]] = None
                     ) -> "NameserverValueAnalyzer":
         """Build an analyzer from already-accumulated per-server counts.
 
+        ``counts`` may be keyed by text or :class:`DomainName`; it is
+        parsed into the analyzer's own map.
+        """
+        return cls.over_counts(
+            {host if isinstance(host, DomainName) else DomainName(host):
+             int(count) for host, count in counts.items()},
+            total_names, vulnerability_map)
+
+    @classmethod
+    def over_counts(cls, counts: Dict[DomainName, int], total_names: int,
+                    vulnerability_map: Optional[Mapping[DomainName, bool]] = None
+                    ) -> "NameserverValueAnalyzer":
+        """An analyzer reading ``counts`` in place.
+
         The survey engine's aggregator counts TCB membership incrementally
         while records stream in; this constructor turns that state directly
-        into rankings without re-walking any per-name TCB (the
-        ``AnalysisPass.finalize`` path of the ``value`` pass).  A dict
-        already keyed by :class:`DomainName` with int counts is kept, not
-        copied (read only); anything else is parsed into a new one.
+        into rankings without re-walking any per-name TCB or copying the
+        map (the ``AnalysisPass.finalize`` path of the ``value`` pass).
+        ``counts`` must be keyed by :class:`DomainName`; the analyzer never
+        writes to it: :meth:`add_name` copies it first.
         """
         analyzer = cls(vulnerability_map)
-        if type(counts) is dict and \
-                set(map(type, counts)) <= {DomainName} and \
-                set(map(type, counts.values())) <= {int}:
-            analyzer._counts = counts
-        else:
-            analyzer._counts = {
-                host if isinstance(host, DomainName) else DomainName(host):
-                int(count) for host, count in counts.items()}
+        analyzer._counts = counts
+        analyzer._borrowed = True
         analyzer._total_names = int(total_names)
         return analyzer
 
@@ -76,6 +86,8 @@ class NameserverValueAnalyzer:
 
     def add_name(self, tcb: Iterable[NameLike]) -> None:
         """Account one surveyed name's TCB."""
+        if self._borrowed:
+            self._counts, self._borrowed = dict(self._counts), False
         self._total_names += 1
         for hostname in tcb:
             hostname = DomainName(hostname)

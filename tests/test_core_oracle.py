@@ -247,3 +247,39 @@ def test_exhaustive_spof_agrees_with_kill_set_on_cyclic_graph():
     analyzer = AvailabilityAnalyzer(1.0)
     assert analyzer.single_points_of_failure_exhaustive(graph) == \
         analyzer.single_points_of_failure(graph)
+
+
+def test_spof_prefix_resume_keeps_first_zone_state_only():
+    """Two names share their first zone.  The first name's later zone
+    reaches ``y.t`` only through a cycle with ``x.t``, so its walk
+    memoises ``y.t`` as reachable while ``x.t`` is in progress; ``x.t``
+    has a dead zone.  The second name's later zone offers ``y.t`` beside
+    ``h.t``, and walked on its own, ``y.t`` does not resolve, leaving
+    ``h.t`` a single point of failure.  A warm analyzer resuming the
+    second name from the first name's snapshot must agree."""
+    world = World(
+        names=["www0.t", "www1.t"],
+        edges=[(name_node("www0.t"), zone_node("z0.t")),
+               (name_node("www1.t"), zone_node("z0.t")),
+               (zone_node("z0.t"), ns_node("g.t")),
+               (name_node("www0.t"), zone_node("z1.t")),
+               (zone_node("z1.t"), ns_node("x.t")),
+               (zone_node("z1.t"), ns_node("g.t")),
+               (ns_node("x.t"), zone_node("zx.t")),
+               (ns_node("x.t"), zone_node("dead.t")),
+               (zone_node("zx.t"), ns_node("y.t")),
+               (ns_node("y.t"), zone_node("zy.t")),
+               (zone_node("zy.t"), ns_node("x.t")),
+               (name_node("www1.t"), zone_node("z2.t")),
+               (zone_node("z2.t"), ns_node("y.t")),
+               (zone_node("z2.t"), ns_node("h.t"))],
+        vulnerable=frozenset(), up={}, default_up=1.0, failed_sets=[])
+    generic = world.key_graph()
+    analyzer = world.availability_analyzer()
+    spofs = [analyzer.single_points_of_failure(view)
+             for view in world.views()]
+    assert spofs[1] == {DomainName("g.t"), DomainName("h.t")}
+    for name, found in zip(world.names, spofs):
+        view = DelegationGraph(name, generic)
+        assert found == oracle.single_points_of_failure(generic, name,
+                                                        view.tcb())

@@ -125,6 +125,18 @@ def test_from_counts_matches_incremental_accumulation():
         [value.to_dict() for value in incremental.ranking()]
 
 
+def test_over_counts_reads_the_map_in_place_and_add_name_copies_it():
+    counts = {DomainName("ns1.a.test"): 2, DomainName("ns2.a.test"): 1}
+    analyzer = NameserverValueAnalyzer.over_counts(counts, 2)
+    assert analyzer.names_controlled("ns1.a.test") == 2
+    analyzer.add_name(["ns1.a.test", "ns3.b.test"])
+    assert counts == {DomainName("ns1.a.test"): 2,
+                      DomainName("ns2.a.test"): 1}
+    assert analyzer.names_controlled("ns1.a.test") == 3
+    assert analyzer.names_controlled("ns3.b.test") == 1
+    assert analyzer.total_names == 3
+
+
 # -- summary and top servers against a plain reference ---------------------------------
 
 #: Few hosts over few TLDs, and counts from a narrow range, so ties at the
