@@ -309,26 +309,28 @@ class ClosureIndex:
         self.invalidate_id(node_id)
 
     def invalidate_id(self, node: int) -> None:
-        """Integer-id variant of :meth:`invalidate` (the builder's path)."""
-        if not self._memo and not self._split:
-            return
+        """Integer-id variant of :meth:`invalidate` (the builder's path).
+
+        Only ``node``'s own split goes: callers invalidate every node whose
+        row they change.  The climb passes only through nodes that held a
+        memo, because memos are closed downwards: a closure is memoized
+        together with everything it reaches, and a drop takes every
+        memoized ancestor with it, so a node without a memo has no
+        memoized ancestor left to drop.
+        """
+        dropped = self._split.pop(node, None) is not None
         memo = self._memo
-        split = self._split
-        inn = self._graph.inn
-        seen = {node}
-        stack = [node]
-        dropped = 0
-        while stack:
-            current = stack.pop()
-            if memo.pop(current, None) is not None:
-                self.invalidations += 1
-                dropped += 1
-            if split.pop(current, None) is not None:
-                dropped += 1
-            for pred in inn[current]:
-                if pred not in seen:
-                    seen.add(pred)
-                    stack.append(pred)
+        if memo.pop(node, None) is not None:
+            inn = self._graph.inn
+            stack = [node]
+            count = 1
+            while stack:
+                for pred in inn[stack.pop()]:
+                    if memo.pop(pred, None) is not None:
+                        count += 1
+                        stack.append(pred)
+            self.invalidations += count
+            dropped = True
         if dropped:
             self.version += 1
 
@@ -568,8 +570,8 @@ class TCBView(DelegationView):
         zone = self.authoritative_zone()
         if zone is None:
             return set()
-        return {host for host in self.graph.mask_to_hosts(self._mask)
-                if host.is_subdomain_of(zone)}
+        return set(self.graph.mask_to_hosts(
+            self._mask & self.graph.slots_under(zone)))
 
     def __repr__(self) -> str:
         return f"TCBView({self.target!s}, {self.tcb_size()} nameservers)"
@@ -674,6 +676,12 @@ class DelegationGraphBuilder:
         self._chain_index: Optional[_ChainIndex] = None
         self._expanded_hosts: Set[DomainName] = set()
         self._expanded_names: Set[DomainName] = set()
+        #: zone node -> the NS list last found settled on it: every
+        #: non-excluded host on it has an edge from the zone and is
+        #: expanded, so walking the list again adds nothing.  Only
+        #: apply_changes un-expands hosts or rewrites zone rows, and it
+        #: clears these marks.
+        self._settled_rows: Dict[int, List[DomainName]] = {}
         #: hostname -> excluded?, decided once per host.
         self._excluded_hosts: Dict[DomainName, bool] = {}
         self.queries_saved_by_cache = 0
@@ -748,6 +756,7 @@ class DelegationGraphBuilder:
         """
         universe = self._universe
         closures = self._closures
+        self._settled_rows.clear()
         edited = dict(changes.edited_zones)
         created = tuple(changes.created_zones)
 
@@ -865,12 +874,21 @@ class DelegationGraphBuilder:
         universe = self._universe
         znode = universe.ensure_id(ZONE_CODE, cut.zone)
         self._add_edge_ids(dependent, znode)
-        for hostname in cut.nameservers:
+        nameservers = cut.nameservers
+        if self._settled_rows.get(znode) == nameservers:
+            return
+        expanded = self._expanded_hosts
+        settled = True
+        for hostname in nameservers:
             if self._is_excluded(hostname):
                 continue
             hnode = universe.ensure_id(NS_CODE, hostname)
             self._add_edge_ids(znode, hnode)
             self._expand_host(hostname, hnode, depth + 1)
+            if hostname not in expanded:
+                settled = False  # past max_depth: a shallower walk may add it
+        if settled:
+            self._settled_rows[znode] = nameservers
 
     def _expand_host(self, hostname: DomainName, hnode: int,
                      depth: int) -> None:

@@ -39,6 +39,7 @@ class DNSSECDeployment:
     signed_zones: List[DomainName]
     ds_published: int
     fraction_requested: float
+    sign_tlds: bool = True
 
     @property
     def signed_count(self) -> int:
@@ -58,6 +59,23 @@ def _deployment_score(seed: str, apex: DomainName) -> float:
     relies on.
     """
     return random.Random(f"{seed}|deploy|{apex}").random()
+
+
+def _signs(apex: DomainName, fraction: float, always_sign_tlds: bool,
+           seed: str) -> bool:
+    """Whether a deployment with these settings signs the zone at ``apex``."""
+    return (always_sign_tlds and apex.depth <= 1) or \
+        _deployment_score(seed, apex) < fraction
+
+
+def _publish_ds(zones, signer: ZoneSigner, apex: DomainName) -> bool:
+    """Publish ``apex``'s DS in its nearest signed ancestor, if it has one."""
+    if apex.is_root:
+        return False
+    parent_apex = _enclosing_signed_parent(apex, signer)
+    parent_zone = None if parent_apex is None else zones.get(parent_apex)
+    return parent_zone is not None and \
+        signer.publish_ds(parent_zone, apex) is not None
 
 
 def deploy_dnssec(internet, fraction: float = 1.0,
@@ -89,17 +107,13 @@ def deploy_dnssec(internet, fraction: float = 1.0,
     signer = ZoneSigner(seed=seed)
 
     zones = dict(internet.zones)
-    tld_apexes = [apex for apex in zones if apex.depth <= 1]
-    lower_apexes = [apex for apex in zones if apex.depth > 1]
-
-    to_sign: List[DomainName] = []
     if always_sign_tlds:
-        to_sign.extend(sorted(tld_apexes))
-        to_sign.extend(apex for apex in sorted(lower_apexes)
-                       if _deployment_score(seed, apex) < fraction)
+        order = sorted(apex for apex in zones if apex.depth <= 1) + \
+            sorted(apex for apex in zones if apex.depth > 1)
     else:
-        to_sign.extend(apex for apex in sorted(zones)
-                       if _deployment_score(seed, apex) < fraction)
+        order = sorted(zones)
+    to_sign = [apex for apex in order
+               if _signs(apex, fraction, always_sign_tlds, seed)]
 
     planned = set(to_sign)
     stale = [apex for apex, zone in zones.items()
@@ -115,22 +129,34 @@ def deploy_dnssec(internet, fraction: float = 1.0,
     for apex in to_sign:
         signer.sign_zone(zones[apex])
 
-    ds_published = 0
-    for apex in to_sign:
-        if apex.is_root:
-            continue
-        parent_apex = _enclosing_signed_parent(apex, signer)
-        if parent_apex is None:
-            continue
-        parent_zone = zones.get(parent_apex)
-        if parent_zone is None:
-            continue
-        if signer.publish_ds(parent_zone, apex) is not None:
-            ds_published += 1
+    ds_published = sum(_publish_ds(zones, signer, apex) for apex in to_sign)
+    deployment = DNSSECDeployment(signer=signer, signed_zones=sorted(to_sign),
+                                  ds_published=ds_published,
+                                  fraction_requested=fraction,
+                                  sign_tlds=always_sign_tlds)
+    internet.dnssec_deployment = deployment
+    return deployment
 
-    return DNSSECDeployment(signer=signer, signed_zones=sorted(to_sign),
-                            ds_published=ds_published,
-                            fraction_requested=fraction)
+
+def sign_cut_zone(internet, apex: DomainName) -> bool:
+    """Sign a zone cut after deployment as the deployment would have.
+
+    A deployment decides each zone on its own (see
+    :func:`_deployment_score`), so a zone cut after it signs, and gets its
+    DS published, exactly when signing the mutated world afresh would
+    sign it.  Returns whether the zone was signed; without a deployment
+    on ``internet`` nothing is.
+    """
+    deployment = getattr(internet, "dnssec_deployment", None)
+    if deployment is None or not _signs(
+            apex, deployment.fraction_requested, deployment.sign_tlds,
+            deployment.signer.seed):
+        return False
+    deployment.signer.sign_zone(internet.zones[apex])
+    deployment.signed_zones = sorted({*deployment.signed_zones, apex})
+    deployment.ds_published += _publish_ds(internet.zones,
+                                           deployment.signer, apex)
+    return True
 
 
 def _enclosing_signed_parent(apex: DomainName,

@@ -52,6 +52,7 @@ results on every backend**.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import threading
 import time
@@ -193,6 +194,9 @@ class WorkerContext:
         self.database = database
         self.vulnerability_map: Dict[DomainName, bool] = {}
         self.compromisable_map: Dict[DomainName, bool] = {}
+        #: NS slots of the builder's universe whose hosts hold a verdict
+        #: above, so a TCB inside it has nothing left to probe.
+        self.fingerprinted_slots = 0
         # Nothing in the universe points back at a name node, so every
         # name-independent analysis output (TCB report counts, bailiwick,
         # bottleneck, classification) is a pure function of the name's
@@ -584,23 +588,37 @@ class SurveyEngine:
         Shared by :meth:`run` (the whole directory) and :meth:`run_delta`
         (just the dirty subset) so backend selection can never diverge
         between the cold and incremental paths.
+
+        The world and the warm universe outlive the survey, so the
+        collector's full passes would rescan them over and over: every
+        object alive at the start is frozen out of collection for the
+        call and thawed after it.  A caller that froze objects itself
+        keeps its freeze, and this call does not add one.
         """
-        backend = self.config.backend
-        if backend == "serial":
-            context = self._root
-            for index, entry in indexed:
-                aggregator.add_record(index, self._survey_entry(
-                    context, entry, entry.name in popular))
-            aggregator.merge_context(context)
-        elif backend == "process":
-            self._run_process_shards(
-                stripes(indexed, self.config.effective_shards()), popular,
-                aggregator)
-        else:
-            # Even a single socket worker goes over the wire: the point
-            # of the backend is *where* the survey runs, not parallelism.
-            self._ensure_coordinator().run_shards(
-                indexed, popular, aggregator, dirty=self._dispatch_dirty)
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
+        try:
+            backend = self.config.backend
+            if backend == "serial":
+                context = self._root
+                for index, entry in indexed:
+                    aggregator.add_record(index, self._survey_entry(
+                        context, entry, entry.name in popular))
+                aggregator.merge_context(context)
+            elif backend == "process":
+                self._run_process_shards(
+                    stripes(indexed, self.config.effective_shards()),
+                    popular, aggregator)
+            else:
+                # Even a single socket worker goes over the wire: the
+                # point of the backend is *where* the survey runs, not
+                # parallelism.
+                self._ensure_coordinator().run_shards(
+                    indexed, popular, aggregator, dirty=self._dispatch_dirty)
+        finally:
+            if freeze:
+                gc.unfreeze()
 
     def _final_metadata(self, requested: int,
                         aggregator: SurveyAggregator) -> Dict[str, object]:
@@ -827,6 +845,7 @@ class SurveyEngine:
             context.vulnerability_map.pop(host, None)
             context.compromisable_map.pop(host, None)
             context.fingerprinter.forget(host)
+            context.fingerprinted_slots = 0
         if changes.analyses_stale:
             context.builder.closures.retire_analyses()
             context.pass_states = {
@@ -961,9 +980,13 @@ class SurveyEngine:
         tcb = view.tcb_frozen()
         resolved = bool(tcb)
 
-        # Stage 3: fingerprint newly discovered TCB members.
-        for hostname in tcb:
-            context.fingerprint(hostname)
+        # Stage 3: fingerprint newly discovered TCB members.  Only a TCB
+        # holding a slot no earlier one held can have one.
+        mask = view.tcb_mask()
+        if mask & ~context.fingerprinted_slots:
+            for hostname in tcb:
+                context.fingerprint(hostname)
+            context.fingerprinted_slots |= mask
 
         # Stage 4: TCB report, bottleneck, classification.
         report = compute_tcb_report(view, context.vulnerability_map,

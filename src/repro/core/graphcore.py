@@ -118,7 +118,8 @@ class DependencyUniverse:
     """
 
     __slots__ = ("names", "_ids", "kinds", "name_ids", "out", "inn",
-                 "ns_slots", "slot_hosts", "_edge_count")
+                 "ns_slots", "slot_hosts", "_edge_count", "_under",
+                 "_under_filed")
 
     def __init__(self, names: Optional[NameTable] = None) -> None:
         self.names = names if names is not None else NameTable()
@@ -132,6 +133,10 @@ class DependencyUniverse:
         self.ns_slots = array("l")       #: NS slot per node id (-1 otherwise)
         self.slot_hosts: List[DomainName] = []   #: slot -> hostname
         self._edge_count = 0
+        #: label suffix -> bitset of the slots whose host is at or below
+        #: it, for the first ``_under_filed`` slots (see slots_under).
+        self._under: Dict[Tuple[str, ...], int] = {}
+        self._under_filed = 0
 
     # -- integer API ----------------------------------------------------------------
 
@@ -230,6 +235,23 @@ class DependencyUniverse:
             mask >>= 32
             slot += 32
         return out
+
+    def slots_under(self, name: DomainName) -> int:
+        """The bitset of every slot whose host is at or below ``name``.
+
+        Slots are filed under each of their label suffixes, lazily: a
+        call files only the slots assigned since the last one.
+        """
+        under = self._under
+        hosts = self.slot_hosts
+        for slot in range(self._under_filed, len(hosts)):
+            labels = hosts[slot].labels
+            bit = 1 << slot
+            for start in range(len(labels) + 1):
+                suffix = labels[start:]
+                under[suffix] = under.get(suffix, 0) | bit
+        self._under_filed = len(hosts)
+        return under.get(name.labels, 0)
 
     # -- NodeKey duck API (networkx.DiGraph subset) ----------------------------------
 

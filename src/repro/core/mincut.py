@@ -46,12 +46,19 @@ the dominant pattern (the weakest zone is the name's own NS set).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.dns.name import DomainName
 
+#: A cost ``(safe, total)`` is carried as the one int ``safe << 32 | total``:
+#: int order is the lexicographic order, and adding two costs adds both
+#: parts (a total never reaches 2**32).
+_SAFE_SHIFT = 32
 #: Cost value representing "cannot be blocked" (e.g. behind the trusted root).
-_INFINITY = (10 ** 9, 10 ** 9)
+_INFINITY = (10 ** 9 << _SAFE_SHIFT) | 10 ** 9
+#: Direct costs: a safe server is (1, 1), a vulnerable one (0, 1).
+_SAFE_COST = (1 << _SAFE_SHIFT) | 1
+_VULNERABLE_COST = 1
 
 
 @dataclasses.dataclass
@@ -124,6 +131,9 @@ class BottleneckAnalyzer:
         self.vulnerability_aware = vulnerability_aware
         self._universe = None
         self._prefix_state: Optional[Tuple[int, Dict]] = None
+        #: slot -> direct attack cost, -1 until first read; reset with the
+        #: prefix snapshots (a verdict changes only with the version).
+        self._direct: List[int] = []
         # Zone-term replay state, active only during a prefix-resumed
         # evaluation: `_zc` maps a zone id to (cost, mask) when the term was
         # computed purely from snapshot-resident memo hits (constant across
@@ -156,6 +166,7 @@ class BottleneckAnalyzer:
         if state is None or state[0] != closures.version:
             state = (closures.version, {})
             self._prefix_state = state
+            self._direct = []
         return state[1]
 
     # -- public -------------------------------------------------------------------
@@ -176,12 +187,15 @@ class BottleneckAnalyzer:
                                           (_INFINITY, 0))
 
         prefix = self._prefix_cache(closures)
+        missing = universe.slot_count() - len(self._direct)
+        if missing > 0:
+            self._direct.extend([-1] * missing)
         first = zones[0]
         entry = prefix.get(first)
-        best_cost: Tuple[int, int] = _INFINITY
+        best_cost = _INFINITY
         best_mask = 0
         in_progress = frozenset((target_id,))
-        memo: Dict[int, Tuple[Tuple[int, int], int]] = {}
+        memo: Dict[int, Tuple[int, int]] = {}
         start = 0
         self._zc = self._base = None
         if entry is not None:
@@ -209,7 +223,7 @@ class BottleneckAnalyzer:
                                       vulnerability_aware=False)
         return analyzer.analyze(graph)
 
-    def _result(self, target: DomainName, cost: Tuple[int, int],
+    def _result(self, target: DomainName, cost: int,
                 servers: FrozenSet[DomainName]) -> BottleneckResult:
         feasible = cost < _INFINITY
         if not feasible:
@@ -230,17 +244,15 @@ class BottleneckAnalyzer:
     # -- recursion -----------------------------------------------------------------------
 
     def _result_from_mask(self, target: DomainName, universe,
-                          result: Tuple[Tuple[int, int], int]
-                          ) -> BottleneckResult:
+                          result: Tuple[int, int]) -> BottleneckResult:
         cost, mask = result
         servers = frozenset(universe.mask_to_hosts(mask)) if mask else \
             frozenset()
         return self._result(target, cost, servers)
 
     def _block_node(self, universe, closures, node: int,
-                    memo: Dict[int, Tuple[Tuple[int, int], int]],
-                    in_progress: FrozenSet[int]
-                    ) -> Tuple[Tuple[int, int], int]:
+                    memo: Dict[int, Tuple[int, int]],
+                    in_progress: FrozenSet[int]) -> Tuple[int, int]:
         """Cheapest way to block a name/host node (ids + slot bitsets)."""
         cached = memo.get(node)
         if cached is not None:
@@ -258,7 +270,7 @@ class BottleneckAnalyzer:
             memo[node] = result
             return result
 
-        best_cost: Tuple[int, int] = _INFINITY
+        best_cost = _INFINITY
         best_mask = 0
         zone_cache = self._zc
         for zone in zones:
@@ -282,9 +294,8 @@ class BottleneckAnalyzer:
         return result
 
     def _zone_block(self, universe, closures, zone: int,
-                    memo: Dict[int, Tuple[Tuple[int, int], int]],
-                    in_progress: FrozenSet[int]
-                    ) -> Tuple[Tuple[int, int], int, bool]:
+                    memo: Dict[int, Tuple[int, int]],
+                    in_progress: FrozenSet[int]) -> Tuple[int, int, bool]:
         """Cheapest way to control every nameserver delegated for a zone.
 
         The third element of the result is the zone-term *purity* flag:
@@ -297,24 +308,21 @@ class BottleneckAnalyzer:
         nameservers = closures.split_ids(zone)[1]
         if not nameservers:
             return _INFINITY, 0, pure
-        total = (0, 0)
+        total = 0
         servers_mask = 0
-        # Direct attack cost, inlined (this loop runs millions of times per
-        # survey): compromising an already-vulnerable server is "free" in
-        # the primary component (no safe server consumed) but still counts
-        # toward the cut size in the secondary, so ties prefer smaller cuts.
-        vulnerability_aware = self.vulnerability_aware
-        vulnerability_get = self.vulnerability_map.get
+        # Direct attack cost, read per slot (this loop runs millions of
+        # times per survey): compromising an already-vulnerable server is
+        # "free" in the primary component (no safe server consumed) but
+        # still counts toward the cut size in the secondary, so ties
+        # prefer smaller cuts.
+        direct = self._direct
         ns_slots = universe.ns_slots
-        slot_hosts = universe.slot_hosts
         memo_get = memo.get
         for ns in nameservers:
             slot = ns_slots[ns]
-            if vulnerability_aware and vulnerability_get(slot_hosts[slot],
-                                                         False):
-                direct_cost = (0, 1)
-            else:
-                direct_cost = (1, 1)
+            direct_cost = direct[slot]
+            if direct_cost < 0:
+                direct_cost = self._direct_cost(universe, slot)
             cached = memo_get(ns)
             if cached is None:
                 cached = self._block_node(universe, closures, ns, memo,
@@ -333,15 +341,23 @@ class BottleneckAnalyzer:
             new_mask = choice_mask & ~servers_mask
             if new_mask != choice_mask:
                 choice_cost = self._mask_cost(universe, new_mask)
-            total = (total[0] + choice_cost[0], total[1] + choice_cost[1])
+            total += choice_cost
             servers_mask |= new_mask
             if total >= _INFINITY:
                 return _INFINITY, 0, pure
         return total, servers_mask, pure
 
-    def _mask_cost(self, universe, mask: int) -> Tuple[int, int]:
+    def _direct_cost(self, universe, slot: int) -> int:
+        """The cost of attacking slot ``slot``'s server, now cached."""
+        vulnerable = self.vulnerability_aware and \
+            self._is_vulnerable(universe.slot_hosts[slot])
+        cost = self._direct[slot] = \
+            _VULNERABLE_COST if vulnerable else _SAFE_COST
+        return cost
+
+    def _mask_cost(self, universe, mask: int) -> int:
         """Combined cost of a concrete slot bitset (used when deduplicating)."""
         hosts = universe.mask_to_hosts(mask)
         safe = sum(1 for host in hosts if not (
             self.vulnerability_aware and self._is_vulnerable(host)))
-        return (safe if self.vulnerability_aware else len(hosts), len(hosts))
+        return (safe << _SAFE_SHIFT) | len(hosts)

@@ -20,7 +20,7 @@ from repro.dns.records import ResourceRecord
 _query_ids = itertools.count(1)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Question:
     """The question section of a DNS message (single-question form)."""
 
@@ -43,7 +43,7 @@ class Question:
         return f"{self.name} {self.rclass} {self.rtype}"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Message:
     """A DNS message: header fields plus the four record sections."""
 
@@ -108,8 +108,12 @@ def make_query(name: NameLike, rtype: Union[RRType, str] = RRType.A,
                rclass: Union[RRClass, str] = RRClass.IN,
                recursion_desired: bool = False) -> Message:
     """Construct a query message with a fresh query id."""
-    return Message(qid=next(_query_ids),
-                   question=Question.create(name, rtype, rclass),
+    if type(name) is DomainName and type(rtype) is RRType and \
+            type(rclass) is RRClass:
+        question = Question(name, rtype, rclass)
+    else:
+        question = Question.create(name, rtype, rclass)
+    return Message(next(_query_ids), question,
                    recursion_desired=recursion_desired)
 
 

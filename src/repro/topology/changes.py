@@ -393,6 +393,10 @@ class ChangeJournal:
         served = getattr(internet, "served_index", None)
         if served is not None:
             served.refresh(apex, self._zone_ns_union(apex))
+        if created:
+            # Imported lazily, as in deploy_dnssec below.
+            from repro.core.dnssec_impact import sign_cut_zone
+            sign_cut_zone(internet, apex)
 
         event = ChangeEvent(
             kind="zone-created" if created else "zone-ns", zone=apex,

@@ -143,6 +143,10 @@ class SyntheticInternet:
     #: current once a churn model has attached one.
     served_index: Optional[object] = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
+    #: The :class:`~repro.core.dnssec_impact.DNSSECDeployment` last
+    #: applied to this Internet; zones a journal cuts later sign by it.
+    dnssec_deployment: Optional[object] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def make_resolver(self, use_glue: bool = True, selection: str = "first",
                       max_queries: int = 4000,

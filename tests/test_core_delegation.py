@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.core.delegation` on the hand-built mini Internet."""
 
 from repro.dns.name import DomainName
+from repro.dns.resolver import ZoneCut
 from repro.core.delegation import (
     DelegationGraphBuilder,
     NAME_KIND,
@@ -155,3 +156,41 @@ def test_separate_graphs_do_not_share_nodes_with_unrelated_names(mini_internet):
     uni = builder.build("www.uni.edu")
     assert ns_node("dns1.uni.edu") not in example.graph
     assert name_node("www.example.com") not in uni.graph
+
+
+# -- settled zone rows -------------------------------------------------------------------
+
+class _ChainTable:
+    """A resolver stand-in that answers zone-cut chains from a table."""
+
+    def __init__(self, chains):
+        self.chains = {DomainName(name): [
+            ZoneCut(DomainName(zone), [DomainName(host) for host in hosts])
+            for zone, hosts in cuts] for name, cuts in chains.items()}
+
+    def zone_cut_chain(self, name):
+        return self.chains.get(name, [])
+
+
+#: ``b.test``'s row is first walked from ``ns1.b.test`` at depth 1, where
+#: its host ``ns1.c.test`` lies past a max_depth of 1, and then from
+#: ``www.b.test`` at depth 0, where the host is in reach.
+_DEPTH_CHAINS = {
+    "www.a.test": [("a.test", ["ns1.b.test"])],
+    "www.b.test": [("b.test", ["ns1.c.test"])],
+    "ns1.b.test": [("b.test", ["ns1.c.test"])],
+    "ns1.c.test": [("c.test", ["ns1.c.test", "ns2.c.test"])],
+}
+
+
+def test_zone_row_walked_past_max_depth_is_walked_again_shallower():
+    """A zone row is settled only once every host on it is expanded: a
+    host first reached past max_depth is expanded when a shallower walk
+    reaches its row again."""
+    warm = DelegationGraphBuilder(_ChainTable(_DEPTH_CHAINS), max_depth=1)
+    assert warm.closure_of("www.a.test") == {DomainName("ns1.b.test"),
+                                              DomainName("ns1.c.test")}
+    fresh = DelegationGraphBuilder(_ChainTable(_DEPTH_CHAINS), max_depth=1)
+    expected = {DomainName("ns1.c.test"), DomainName("ns2.c.test")}
+    assert fresh.closure_of("www.b.test") == expected
+    assert warm.closure_of("www.b.test") == expected

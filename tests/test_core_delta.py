@@ -11,7 +11,9 @@ import json
 
 import pytest
 
+from repro.core.delegation import DelegationGraphBuilder
 from repro.core.delta import DirtyIndex
+from repro.core.dnssec_impact import _deployment_score
 from repro.core.engine import EngineConfig, SurveyEngine
 from repro.core.snapshot import (
     diff_results,
@@ -19,12 +21,21 @@ from repro.core.snapshot import (
     results_to_dict,
     save_results,
 )
-from repro.dns.name import DomainName
-from repro.topology.changes import ChangeJournal, ChangeSet
+from repro.dns.name import DomainName, name_key
+from repro.dns.rdtypes import RRType
+from repro.topology.changes import (
+    ChangeJournal,
+    ChangeSet,
+    zone_nameserver_union,
+)
 from repro.topology.generator import GeneratorConfig, InternetGenerator
 
 #: Two seeds so the equivalence matrix never passes by topological accident.
 SEEDS = (20040722, 1977)
+
+#: The small world the single-scenario tests below survey.
+TINY = GeneratorConfig(seed=42, sld_count=60, directory_name_count=90,
+                       university_count=12)
 
 #: Passes exercised by the matrix: per-name columns (availability incl.
 #: Monte-Carlo, DNSSEC) plus a finalize() cross-record reduce (value).
@@ -367,3 +378,87 @@ def test_empty_journal_patches_everything(delta_world):
     outcome = engine.run_delta(prev, ChangeJournal(internet))
     assert outcome.stats.dirty_names == 0
     assert _snapshot_bytes(outcome.results) == _snapshot_bytes(prev)
+
+
+def _shallow_engine(internet, max_depth):
+    engine = SurveyEngine(internet, config=EngineConfig(popular_count=20))
+    engine.builder.max_depth = max_depth
+    return engine
+
+
+def test_redelegation_round_trip_under_a_small_max_depth_matches_cold(
+        monkeypatch):
+    """A zone goes A -> B -> A over two journalled epochs on builders
+    whose max_depth leaves hosts unexpanded.  Zone rows settled in one
+    epoch must not stand in the next: both deltas, and every closure the
+    warm builder holds, equal a cold engine's."""
+    reached = {}
+    expand = DelegationGraphBuilder._expand_host
+
+    def recording_expand(builder, hostname, hnode, depth):
+        if hostname not in builder._expanded_hosts:
+            reached.setdefault(hostname, []).append(
+                depth > builder.max_depth)
+        expand(builder, hostname, hnode, depth)
+
+    monkeypatch.setattr(DelegationGraphBuilder, "_expand_host",
+                        recording_expand)
+    internet = InternetGenerator(TINY).generate()
+    engine = _shallow_engine(internet, 2)
+    previous = engine.run()
+    # Some host was first reached past the limit and later within it.
+    assert any(visits[0] and not all(visits) for visits in reached.values())
+
+    zone = DomainName("site2.com")
+    before = zone_nameserver_union(internet, zone)
+    after = internet.organizations.by_name("univ2").nameservers[:2]
+    for nameservers in (after, before):
+        journal = ChangeJournal(internet)
+        journal.set_zone_nameservers(zone, nameservers)
+        outcome = engine.run_delta(previous, journal)
+        cold_engine = _shallow_engine(internet, 2)
+        cold = cold_engine.run()
+        assert outcome.dirty
+        assert _snapshot_bytes(outcome.results) == _snapshot_bytes(cold)
+        for record in cold.records:
+            assert engine.builder.closure_of(record.name) == \
+                cold_engine.builder.closure_of(record.name)
+        previous = outcome.results
+
+
+def test_zone_cut_under_a_deployment_signs_like_a_cold_deployment():
+    """A zone cut out of a signed world signs, and gets its DS, exactly
+    when a deployment of the cut world would sign it, so the delta equals
+    a cold survey and a cut the deployment picks validates."""
+    internet = InternetGenerator(TINY).generate()
+    passes = ("dnssec:fraction=0.3",)
+    engine = SurveyEngine(internet, config=EngineConfig(passes=passes))
+    previous = engine.run()
+
+    def signed(apex):
+        return internet.zones[apex].get_rrset(apex, RRType.DNSKEY) \
+            is not None
+
+    # Surveyed names one label below a signed second-level zone.
+    candidates = sorted(
+        (entry.name for entry in internet.directory.entries()
+         if entry.name.depth > 2 and entry.name.parent() in internet.zones
+         and entry.name.parent().depth == 2 and signed(entry.name.parent())
+         and entry.name not in internet.zones), key=name_key)
+    picked = [name for name in candidates
+              if _deployment_score("repro-dnssec", name) < 0.3][:2]
+    left = [name for name in candidates
+            if _deployment_score("repro-dnssec", name) >= 0.3][:1]
+    assert len(picked) == 2 and len(left) == 1
+    journal = ChangeJournal(internet)
+    for apex in picked + left:
+        journal.set_zone_nameservers(
+            apex, zone_nameserver_union(internet, apex.parent())[:2])
+    outcome = engine.run_delta(previous, journal)
+    cold = SurveyEngine(internet, config=EngineConfig(passes=passes)).run()
+
+    assert _snapshot_bytes(outcome.results) == _snapshot_bytes(cold)
+    assert [signed(apex) for apex in picked + left] == [True, True, False]
+    statuses = [outcome.results.record_for(apex).extras["dnssec_status"]
+                for apex in picked + left]
+    assert statuses == ["secure", "secure", "insecure"]

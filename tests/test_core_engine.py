@@ -1,5 +1,6 @@
 """Tests for the staged survey engine: backend parity, closures, caching."""
 
+import gc
 import json
 import random
 
@@ -20,7 +21,8 @@ from repro.core.mincut import BottleneckAnalyzer
 from repro.core.snapshot import load_results, results_to_dict, save_results
 from repro.core.survey import Survey
 from repro.distrib.coordinator import LocalWorkerFleet
-from repro.topology.generator import InternetGenerator
+from repro.topology.changes import ChangeJournal
+from repro.topology.generator import GeneratorConfig, InternetGenerator
 
 
 # -- closure index unit behaviour --------------------------------------------------------
@@ -284,3 +286,57 @@ def test_survey_facade_exposes_engine(small_internet):
     assert survey.engine.builder is survey.builder
     assert survey.engine.resolver is survey.resolver
     assert survey.engine.fingerprinter is survey.fingerprinter
+
+
+# -- collector scope ------------------------------------------------------------------
+
+class _Abort(Exception):
+    pass
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_survey_freezes_the_collector_for_the_call_only(backend):
+    """run() and run_delta() freeze what is alive while they survey and
+    thaw it after, also when the survey raises; a caller's own freeze is
+    left as it was, with none added on top."""
+    internet = InternetGenerator(GeneratorConfig(
+        seed=42, sld_count=60, directory_name_count=90,
+        university_count=12)).generate()
+    engine = SurveyEngine(internet, config=EngineConfig(
+        backend=backend, workers=2, popular_count=10))
+    before = gc.get_freeze_count()
+    frozen = []
+
+    def watch(done, total):
+        frozen.append(gc.get_freeze_count())
+
+    results = engine.run(max_names=30, progress=watch)
+    assert gc.get_freeze_count() == before
+    assert max(frozen) > before
+
+    host = next(iter(results.resolved_records()[0].tcb_servers))
+    journal = ChangeJournal(internet)
+    journal.set_server_software(host, "BIND 8.2.2")
+    frozen.clear()
+    outcome = engine.run_delta(results, journal, max_names=30,
+                               progress=watch)
+    assert outcome.stats.dirty_names > 0
+    assert gc.get_freeze_count() == before
+    assert max(frozen) > before
+
+    def abort(done, total):
+        raise _Abort()
+
+    with pytest.raises(_Abort):
+        engine.run(max_names=30, progress=abort)
+    assert gc.get_freeze_count() == before
+
+    gc.freeze()
+    try:
+        held = gc.get_freeze_count()
+        frozen.clear()
+        engine.run(max_names=30, progress=watch)
+        assert set(frozen) == {held}
+        assert gc.get_freeze_count() == held
+    finally:
+        gc.unfreeze()

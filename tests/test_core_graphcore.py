@@ -14,6 +14,7 @@ analyzer boundary.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 
@@ -31,6 +32,7 @@ from repro.core.graphcore import (
     DependencyUniverse,
     KeyGraph,
     NameTable,
+    NS_CODE,
     ZONE_CODE,
 )
 from repro.core.mincut import BottleneckAnalyzer
@@ -390,3 +392,74 @@ def test_prefix_snapshots_do_not_leak_across_universes():
     assert cut.analyze(view_up).cut_servers == \
         BottleneckAnalyzer().analyze(view_up).cut_servers == \
         {DomainName("ns.up.test"), DomainName("ns2.up.test")}
+
+
+# -- the pruned invalidation walk ------------------------------------------------------
+
+#: Nodes in the walk test's universe: even ids are zones, odd ids hosts.
+WALK_NODES = 7
+_WALK_NODE = st.integers(0, WALK_NODES - 1)
+#: One step: grow an edge, rewrite or clear a row (each invalidating the
+#: row's node, as the builder does), drop a node's memo, or read a closure.
+_WALK_STEP = st.one_of(
+    st.tuples(st.just("add"), _WALK_NODE, _WALK_NODE),
+    st.tuples(st.just("set"), _WALK_NODE,
+              st.lists(_WALK_NODE, max_size=4)),
+    st.tuples(st.just("clear"), _WALK_NODE),
+    st.tuples(st.just("invalidate"), _WALK_NODE),
+    st.tuples(st.just("closure"), _WALK_NODE),
+)
+
+
+def _bfs_mask(universe, node):
+    """The NS-slot mask of everything ``node`` reaches, by plain BFS."""
+    seen = {node}
+    frontier = [node]
+    while frontier:
+        for succ in universe.out[frontier.pop()]:
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    mask = 0
+    for reached in seen:
+        if universe.ns_slots[reached] >= 0:
+            mask |= 1 << universe.ns_slots[reached]
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WALK_STEP, max_size=40))
+def test_pruned_invalidation_walk_keeps_closures_equal_to_bfs(steps):
+    """A drop climbs only through nodes that held a memo and pops only
+    the start node's split.  After any interleaving of edits, drops and
+    reads (cycles included), every closure read and every memo and split
+    the index still holds equal plain reachability and the live rows."""
+    universe = DependencyUniverse()
+    ids = [universe.ensure_id(NS_CODE if node % 2 else ZONE_CODE,
+                              DomainName(f"n{node}.test"))
+           for node in range(WALK_NODES)]
+    closures = ClosureIndex(universe)
+    for op, node, *args in steps:
+        node = ids[node]
+        if op == "add":
+            universe.add_edge_ids(node, ids[args[0]])
+            closures.invalidate_id(node)
+        elif op == "set":
+            universe.set_out_edges(node, [ids[target] for target in args[0]])
+            closures.invalidate_id(node)
+        elif op == "clear":
+            closures.invalidate_id(node)
+            universe.clear_out_edges(node)
+        elif op == "invalidate":
+            closures.invalidate_id(node)
+        else:
+            assert closures.closure_mask_id(node) == \
+                _bfs_mask(universe, node)
+            closures.split_ids(node)
+        for memoized, mask in closures._memo.items():
+            assert mask == _bfs_mask(universe, memoized)
+        for split_node, split in closures._split.items():
+            row = universe.out[split_node]
+            assert split == (
+                [succ for succ in row if universe.kinds[succ] == ZONE_CODE],
+                [succ for succ in row if universe.kinds[succ] == NS_CODE])
