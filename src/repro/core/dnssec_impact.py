@@ -101,6 +101,9 @@ def deploy_dnssec(internet, fraction: float = 1.0,
     differently-seeded deployment over an already-signed Internet would
     validate against the old, larger deployment while reporting the new
     fraction, and is rejected instead.
+
+    The deployment is recorded as ``internet.dnssec_deployment``, so zones
+    cut later sign by it (see :func:`sign_cut_zone`).
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be within [0, 1]")
