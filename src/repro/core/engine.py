@@ -62,6 +62,7 @@ from typing import (
     Callable,
     Container,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -970,8 +971,8 @@ class SurveyEngine:
             mincut_safe=analysis["mincut_safe"],
             mincut_vulnerable=analysis["mincut_vulnerable"],
             classification=analysis["classification"],
-            tcb_servers=set(analysis["tcb_servers"]),
-            mincut_servers=set(analysis["mincut_servers"]),
+            tcb_servers=analysis["tcb_servers"],
+            mincut_servers=analysis["mincut_servers"],
             extras=dict(extras))
 
     def _analyze_view(self, context: WorkerContext, view: TCBView,
@@ -994,7 +995,7 @@ class SurveyEngine:
         mincut_size = 0
         mincut_safe = 0
         mincut_vulnerable = 0
-        mincut_servers: Set[DomainName] = set()
+        mincut_servers: FrozenSet[DomainName] = frozenset()
         classification = "safe"
         if resolved and self.config.include_bottleneck:
             bottleneck = context.analyzer.analyze(view)
@@ -1002,7 +1003,7 @@ class SurveyEngine:
                 mincut_size = bottleneck.size
                 mincut_safe = bottleneck.safe_in_cut
                 mincut_vulnerable = bottleneck.vulnerable_in_cut
-                mincut_servers = set(bottleneck.cut_servers)
+                mincut_servers = bottleneck.cut_servers
                 if bottleneck.fully_vulnerable:
                     classification = "complete"
                 elif bottleneck.one_safe_server and mincut_vulnerable > 0:

@@ -93,9 +93,10 @@ def results_from_dict(payload: Dict[str, object]) -> SurveyResults:
             mincut_safe=int(raw["mincut_safe"]),
             mincut_vulnerable=int(raw["mincut_vulnerable"]),
             classification=raw["classification"],
-            tcb_servers={DomainName(s) for s in raw.get("tcb_servers", [])},
-            mincut_servers={DomainName(s)
-                            for s in raw.get("mincut_servers", [])},
+            tcb_servers=frozenset(DomainName(s)
+                                  for s in raw.get("tcb_servers", [])),
+            mincut_servers=frozenset(DomainName(s)
+                                     for s in raw.get("mincut_servers", [])),
             extras=dict(raw.get("extras", {})),
         ))
 

@@ -36,7 +36,8 @@ import dataclasses
 import json
 import pathlib
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Collection, Dict, Iterable, List, Optional, Tuple,
+                    Union)
 
 from repro.dns.name import DomainName, name_key
 from repro.core.export import (
@@ -283,8 +284,10 @@ def diff_results(a: SurveyResults, b: SurveyResults,
     (they key and order the comparison); records never hydrate, which is
     what makes diffing two mmap'd snapshots O(cells read), not O(parse).
     Two epoch-store views over one keyframe go further: without a given
-    ``dirty``, the union of their overlay rows bounds the comparison (the
-    rows neither overlays read the same keyframe cells on both sides).
+    ``dirty``, the union of their overlay rows bounds and keys the
+    comparison (both hold the keyframe's rows, and the rows neither
+    overlays read the same keyframe cells on both sides), so no
+    world-sized name index is built and ``common`` is the row count.
 
     ``dirty``, when given, bounds the comparison to those names: every
     other name the two sides share must hold the *same* record in both —
@@ -297,27 +300,36 @@ def diff_results(a: SurveyResults, b: SurveyResults,
 
     view_a = _diff_view(a)
     view_b = _diff_view(b)
+    bounded = None
     if dirty is None:
         bound = getattr(view_a, "overlay_bound", None)
-        dirty = None if bound is None else bound(view_b)
-    index_a = view_a.names
-    index_b = view_b.names
-    if _same_names(a, b):
-        common = index_a.keys()
-        only_in_a: List[DomainName] = []
-        only_in_b: List[DomainName] = []
+        bounded = None if bound is None else bound(view_b)
+    only_in_a: List[DomainName] = []
+    only_in_b: List[DomainName] = []
+    if bounded is not None:
+        # Same rows on both sides, and only the overlay rows can differ:
+        # they alone key the comparison.
+        index_a = index_b = bounded
+        common = len(a.records)
+        compared: Collection[DomainName] = bounded.keys()
     else:
-        common = index_a.keys() & index_b.keys()
-        only_in_a = sorted(index_a.keys() - common, key=name_key)
-        only_in_b = sorted(index_b.keys() - common, key=name_key)
-    compared = common if dirty is None else \
-        {name for name in dirty if name in common}
+        index_a = view_a.names
+        index_b = view_b.names
+        if _same_names(a, b):
+            names = index_a.keys()
+        else:
+            names = index_a.keys() & index_b.keys()
+            only_in_a = sorted(index_a.keys() - names, key=name_key)
+            only_in_b = sorted(index_b.keys() - names, key=name_key)
+        common = len(names)
+        compared = names if dirty is None else \
+            {name for name in dirty if name in names}
     shared = sorted(compared, key=name_key)
     numeric_fields, categorical_fields = _diff_fields(a)
     # Pairs left uncompared, per numeric field: the records of ``a``
     # carrying a value, less those that are not clean.
     unchanged = {field: 0 for field in numeric_fields}
-    if len(compared) != len(common):
+    if len(compared) != common:
         outside = [index_a[name] for name in only_in_a]
         outside.extend(index_a[name] for name in compared)
         for field, present in numeric_fields.items():
@@ -378,5 +390,5 @@ def diff_results(a: SurveyResults, b: SurveyResults,
 
     return SnapshotDiff(
         only_in_a=only_in_a, only_in_b=only_in_b,
-        common=len(common), numeric=numeric, transitions=transitions,
+        common=common, numeric=numeric, transitions=transitions,
         changes=changes)

@@ -62,6 +62,7 @@ from typing import (
     AbstractSet,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -425,20 +426,24 @@ class _SetWriter:
                  base_index: Optional[Dict[bytes, int]] = None
                  ) -> None:
         self._pool = pool
-        self._ids: Dict[Tuple[int, ...], int] = {}
+        self._ids: Dict[FrozenSet[DomainName], int] = {}
         self._base = base_index or {}
         self._offsets = array("q", [0])
         self._members = array("q")
         self._local = 0
 
-    def intern(self, hosts) -> int:
-        # Intern in canonical (string-sorted) order: iterating the set
-        # directly would assign first-seen pool ids in hash order, making
-        # the file's bytes vary with PYTHONHASHSEED across processes.
-        key = tuple(sorted(self._pool.intern(text)
-                           for text in sorted(map(str, hosts))))
-        found = self._ids.get(key)
+    def intern(self, hosts: AbstractSet[DomainName]) -> int:
+        # Records share their server frozensets, so a repeated set is
+        # one dict probe (``frozenset`` of a frozenset is the same
+        # object).  Only a set's first sight interns its hosts — in
+        # canonical (string-sorted) order: iterating the set directly
+        # would assign first-seen pool ids in hash order, making the
+        # file's bytes vary with PYTHONHASHSEED across processes.
+        hosts = frozenset(hosts)
+        found = self._ids.get(hosts)
         if found is None:
+            key = sorted(self._pool.intern(text)
+                         for text in sorted(map(str, hosts)))
             base_id = self._base.get(array("q", key).tobytes()) \
                 if self._base else None
             if base_id is not None:
@@ -448,7 +453,7 @@ class _SetWriter:
                 self._local += 1
                 self._members.extend(key)
                 self._offsets.append(len(self._members))
-            self._ids[key] = found
+            self._ids[hosts] = found
         return found
 
     def write(self, writer: _SectionWriter, prefix: str) -> None:
@@ -459,75 +464,113 @@ class _SetWriter:
 class _Pool:
     """Lazy reader-side string pool: decode + DomainName caches per id.
 
-    Negative ids are references into ``base`` (the epoch-0 pool a delta
-    file was written against) and delegate there — landing in the base's
-    caches, which every overlay of the same store shares.
+    Both caches are lists indexed by pool id.  Negative ids are
+    references into ``base`` (the epoch-0 pool a delta file was written
+    against) and delegate there — landing in the base's caches, which
+    every overlay of the same store shares.  An id past the pool's end,
+    a negative id in a file with no base, and pool bytes that are not
+    UTF-8 raise :class:`SnapshotFormatError` naming the section; a
+    cache hit pays for no range or UTF-8 check.
     """
 
-    __slots__ = ("_offsets", "_blob", "_texts", "_names", "_base")
+    __slots__ = ("_offsets", "_blob", "_texts", "_names", "_base", "_where")
 
     def __init__(self, reader: _SectionReader, prefix: str,
                  base: Optional["_Pool"] = None):
         self._offsets = reader.q(prefix + ".off")
         self._blob = reader.raw(prefix + ".blob")
-        self._texts: Dict[int, str] = {}
-        self._names: Dict[int, DomainName] = {}
+        self._texts: List[Optional[str]] = [None] * len(self)
+        self._names: List[Optional[DomainName]] = [None] * len(self)
         self._base = base
+        self._where = f"{reader.path}: string pool {prefix!r}"
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
 
     def text(self, index: int) -> str:
         if index < 0:
-            return self._base.text(-index - 1)
-        found = self._texts.get(index)
+            return _based(self, index).text(-index - 1)
+        try:
+            found = self._texts[index]
+        except IndexError:
+            raise _no_id(self, index) from None
         if found is None:
-            found = bytes(
-                self._blob[self._offsets[index]:self._offsets[index + 1]]
-            ).decode("utf-8")
+            start, end = self._offsets[index], self._offsets[index + 1]
+            try:
+                found = bytes(self._blob[start:end]).decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise SnapshotFormatError(
+                    f"{self._where}: entry {index} is not UTF-8 "
+                    f"({error})") from None
             self._texts[index] = found
         return found
 
     def name(self, index: int) -> DomainName:
         if index < 0:
-            return self._base.name(-index - 1)
-        found = self._names.get(index)
+            return _based(self, index).name(-index - 1)
+        try:
+            found = self._names[index]
+        except IndexError:
+            raise _no_id(self, index) from None
         if found is None:
-            found = DomainName._from_text(self.text(index))
-            self._names[index] = found
+            found = self._names[index] = DomainName._from_text(
+                self.text(index))
         return found
 
 
 class _SetStore:
     """Lazy reader-side set store: one shared frozenset per set id.
 
-    Negative ids delegate to ``base`` exactly as :class:`_Pool` does, so
-    an overlaid record whose TCB membership never changed hands back the
-    very frozenset the base row would.
+    The cache is a list indexed by set id.  Negative ids delegate to
+    ``base`` exactly as :class:`_Pool` does, so an overlaid record whose
+    TCB membership never changed hands back the very frozenset the base
+    row would; bad ids raise as the pool's do.
     """
 
-    __slots__ = ("_offsets", "_members", "_pool", "_frozen", "_base")
+    __slots__ = ("_offsets", "_members", "_pool", "_frozen", "_base",
+                 "_where")
 
     def __init__(self, reader: _SectionReader, prefix: str, pool: _Pool,
                  base: Optional["_SetStore"] = None):
         self._offsets = reader.q(prefix + ".off")
         self._members = reader.q(prefix + ".mem")
         self._pool = pool
-        self._frozen: Dict[int, frozenset] = {}
+        self._frozen: List[Optional[frozenset]] = [None] * len(self)
         self._base = base
+        self._where = f"{reader.path}: set store {prefix!r}"
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
 
     def frozen(self, set_id: int) -> frozenset:
         if set_id < 0:
-            return self._base.frozen(-set_id - 1)
-        found = self._frozen.get(set_id)
+            return _based(self, set_id).frozen(-set_id - 1)
+        try:
+            found = self._frozen[set_id]
+        except IndexError:
+            raise _no_id(self, set_id) from None
         if found is None:
             name = self._pool.name
-            found = frozenset(
+            found = self._frozen[set_id] = frozenset([
                 name(member) for member in
                 self._members[self._offsets[set_id]:
-                              self._offsets[set_id + 1]])
-            self._frozen[set_id] = found
+                              self._offsets[set_id + 1]]])
         return found
+
+
+def _based(store: Union[_Pool, _SetStore], index: int):
+    """The base a negative ``index`` refers into; raises without one."""
+    if store._base is None:
+        raise SnapshotFormatError(
+            f"{store._where}: id {index} refers to a base file, but this "
+            f"file has none")
+    return store._base
+
+
+def _no_id(store: Union[_Pool, _SetStore], index: int
+           ) -> SnapshotFormatError:
+    return SnapshotFormatError(
+        f"{store._where}: id {index} out of range (holds {len(store)})")
 
 
 # -- record column writing --------------------------------------------------------------
@@ -849,6 +892,8 @@ class _RecordReader:
         self._flags = reader.bytes_view("rec.flags")
         self._ints = {column: reader.q(f"rec.{column}")
                       for column in _INT_COLUMNS}
+        self._int_columns = tuple(self._ints[column]
+                                  for column in _INT_COLUMNS)
         self._safety = reader.d("rec.safety")
         self._tcb_sets = reader.q("rec.tcbset")
         self._cut_sets = reader.q("rec.cutset")
@@ -1003,26 +1048,34 @@ class _RecordReader:
                 if self._extra_presence[position][row]}
 
     def hydrate(self, row: int) -> NameRecord:
-        """Materialise one :class:`NameRecord` from the columns."""
+        """Materialise one :class:`NameRecord` from the columns.
+
+        Every cell is read off a column view bound at open.  The server
+        sets are the set store's cached frozensets themselves, shared by
+        every row (and every view over this keyframe) naming the same
+        set id — immutable, so no record copies them.
+        """
         flags = self._flags[row]
-        ints = self._ints
+        text, frozen = self.pool.text, self.sets.frozen
+        (tcb_size, in_bailiwick, vulnerable_in_tcb, compromisable_in_tcb,
+         mincut_size, mincut_safe, mincut_vulnerable) = self._int_columns
         return NameRecord(
-            name=self.name(row),
-            tld=self.pool.text(self._tlds[row]),
-            category=self.pool.text(self._categories[row]),
+            name=self.pool.name(self._names[row]),
+            tld=text(self._tlds[row]),
+            category=text(self._categories[row]),
             is_popular=bool(flags & _FLAG_POPULAR),
             resolved=bool(flags & _FLAG_RESOLVED),
-            tcb_size=ints["tcb_size"][row],
-            in_bailiwick=ints["in_bailiwick"][row],
-            vulnerable_in_tcb=ints["vulnerable_in_tcb"][row],
-            compromisable_in_tcb=ints["compromisable_in_tcb"][row],
+            tcb_size=tcb_size[row],
+            in_bailiwick=in_bailiwick[row],
+            vulnerable_in_tcb=vulnerable_in_tcb[row],
+            compromisable_in_tcb=compromisable_in_tcb[row],
             safety_percentage=self._safety[row],
-            mincut_size=ints["mincut_size"][row],
-            mincut_safe=ints["mincut_safe"][row],
-            mincut_vulnerable=ints["mincut_vulnerable"][row],
-            classification=self.pool.text(self._classifications[row]),
-            tcb_servers=set(self.sets.frozen(self._tcb_sets[row])),
-            mincut_servers=set(self.sets.frozen(self._cut_sets[row])),
+            mincut_size=mincut_size[row],
+            mincut_safe=mincut_safe[row],
+            mincut_vulnerable=mincut_vulnerable[row],
+            classification=text(self._classifications[row]),
+            tcb_servers=frozen(self._tcb_sets[row]),
+            mincut_servers=frozen(self._cut_sets[row]),
             extras=self.extras_for(row))
 
     def aggregate(self, key: str):
@@ -1195,30 +1248,35 @@ class _ColumnDiffView:
 
     :func:`repro.core.snapshot.diff_results` drives this instead of the
     record index when both sides are lazy: ``names`` maps every surveyed
-    name to its row handle (the base reader's shared index, read-only),
-    and :meth:`value` answers per-field cell reads straight from the
-    columns — no :class:`NameRecord` is ever built.
+    name to its row handle (the base reader's shared index, read-only,
+    built on first access), and :meth:`value` answers per-field cell
+    reads straight from the columns — no :class:`NameRecord` is ever
+    built.
     """
 
     def __init__(self, source: _RowSource):
         self._source = source
-        self.names: Dict[DomainName, int] = source.base.name_rows()
+
+    @property
+    def names(self) -> Dict[DomainName, int]:
+        return self._source.base.name_rows()
 
     def value(self, row: int, field: str):
         return self._source.field_value(field, row)
 
-    def overlay_bound(self, other) -> Optional[Set[DomainName]]:
-        """The names that can differ from ``other``, or ``None``.
+    def overlay_bound(self, other) -> Optional[Dict[DomainName, int]]:
+        """The rows that can differ from ``other``, by name, or ``None``.
 
-        Two views over one keyframe reader read the same cell for every
-        row neither overlays, so only the union of their overlay rows can
-        differ.  Views over different keyframes (or stores) are unbounded.
+        Two views over one keyframe reader hold the same rows and read
+        the same cell for every row neither overlays, so only the union
+        of their overlay rows can differ; a row is its own handle on both
+        sides.  Views over different keyframes (or stores) are unbounded.
         """
         if not isinstance(other, _ColumnDiffView) or \
                 other._source.base is not self._source.base:
             return None
         name = self._source.name
-        return {name(row) for row in
+        return {name(row): row for row in
                 self._source.overlays.keys() | other._source.overlays.keys()}
 
 

@@ -25,6 +25,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -70,7 +71,15 @@ def is_cctld(tld: str) -> bool:
 
 @dataclasses.dataclass
 class NameRecord:
-    """Everything the survey learned about one name."""
+    """Everything the survey learned about one name.
+
+    ``tcb_servers`` (the servers the name transitively trusts) and
+    ``mincut_servers`` (the smallest set whose compromise hijacks it) are
+    immutable frozensets, shared rather than copied: the engine stores
+    the TCB view's and the bottleneck's own sets, and a record hydrated
+    from a binary snapshot holds the set store's cached frozenset, one
+    object per distinct set.
+    """
 
     name: DomainName
     tld: str
@@ -86,8 +95,8 @@ class NameRecord:
     mincut_safe: int
     mincut_vulnerable: int
     classification: str
-    tcb_servers: Set[DomainName] = dataclasses.field(default_factory=set)
-    mincut_servers: Set[DomainName] = dataclasses.field(default_factory=set)
+    tcb_servers: FrozenSet[DomainName] = frozenset()
+    mincut_servers: FrozenSet[DomainName] = frozenset()
     #: Columns contributed by engine analysis passes (availability, DNSSEC,
     #: ...).  Values are JSON-scalar (bool/int/float/str) so snapshots and
     #: cross-backend byte-identity hold without special casing.

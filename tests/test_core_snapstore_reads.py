@@ -2,9 +2,11 @@
 
 Every view a store opens over one keyframe shares that keyframe's reader
 (its caches and name indexes), held by the store only by weak reference;
-two views over one keyframe diff by their overlay rows alone; a lookup by
-canonical text never parses; the diff schema of a lazy view comes from
-column metadata; and a malformed container fails at open with a precise
+rows naming one set id hydrate to one shared frozenset; two views over
+one keyframe diff by their overlay rows alone, building no name index; a
+lookup by canonical text never parses; the diff schema of a lazy view
+comes from column metadata; and a malformed container fails at open, and
+a bad pool or set id on first read, with a precise
 :class:`SnapshotFormatError`.  None of it may change a result.
 """
 
@@ -12,9 +14,11 @@ import gc
 import itertools
 import json
 import re
+from array import array
 
 import pytest
 
+from repro.cli import main
 from repro.core.engine import EngineConfig, SurveyEngine
 from repro.core.snapshot import (
     _diff_fields,
@@ -124,7 +128,24 @@ def test_overlay_bound_is_the_union_of_overlay_rows(churn_store):
     for a, b in pairs:
         rows = a._source.overlays.keys() | b._source.overlays.keys()
         bound = a.column_diff_view().overlay_bound(b.column_diff_view())
-        assert bound == {a._source.base.name(row) for row in rows}
+        assert bound == {a._source.base.name(row): row for row in rows}
+
+
+def test_one_keyframe_diff_builds_no_name_index(churn_store):
+    """Views over one keyframe diff by their overlay rows: the keyframe's
+    name -> row index is never built.  Views over different keyframes
+    take the full columnar path, which builds it."""
+    fresh = EpochStore(churn_store.root)
+    views = [fresh.load_epoch(epoch) for epoch in range(fresh.epochs)]
+    base = views[0]._source.base
+    diff = diff_results(views[0], views[-1])
+    assert diff.common == len(views[0].records)
+    assert diff.changed == diff_results(_hydrated(views[0]),
+                                        _hydrated(views[-1])).changed
+    if views[-1]._source.base is base:
+        assert base._name_rows is None
+    else:
+        assert base._name_rows is not None
 
 
 # -- the shared keyframe reader ----------------------------------------------------------
@@ -192,6 +213,58 @@ def test_appends_build_the_reference_indexes_once_per_keyframe(
             for epoch in range(store.epochs)] == \
         [KIND_RESULTS, KIND_DELTA, KIND_RESULTS, KIND_DELTA, KIND_RESULTS]
     assert len(calls) == 2
+
+
+# -- shared server sets ---------------------------------------------------------------
+
+def _rows_sharing_a_set(reader):
+    """Two rows whose TCB column holds one set id."""
+    first = {}
+    for row, set_id in enumerate(reader._tcb_sets):
+        if set_id in first:
+            return first[set_id], row
+        first[set_id] = row
+    raise AssertionError("no two rows share a TCB set")
+
+
+def test_rows_with_one_set_id_hydrate_one_frozenset(tmp_path):
+    store = _churn_store(tmp_path / "store")
+    views = [store.load_epoch(epoch) for epoch in range(store.epochs)]
+    base = views[0]._source.base
+    row, other = _rows_sharing_a_set(base)
+    record = views[0].records[row]
+    assert type(record.tcb_servers) is frozenset
+    assert views[0].records[other].tcb_servers is record.tcb_servers
+    # Across two views over the keyframe: a row neither overlays hands
+    # back the very same object...
+    overlaid = views[1]._source.overlays.keys() | \
+        views[-1]._source.overlays.keys()
+    clean = next(row for row in range(len(base)) if row not in overlaid)
+    first, last = views[1].records[clean], views[-1].records[clean]
+    assert last is not first
+    assert last.tcb_servers is first.tcb_servers
+    assert last.mincut_servers is first.mincut_servers
+    # ...and so does an overlaid row whose TCB kept its membership: the
+    # delta stores a reference into the keyframe's set store.
+    kept = [row for row in views[-1]._source.overlays
+            if views[-1].records[row].tcb_servers ==
+            views[0].records[row].tcb_servers]
+    assert kept
+    for row in kept:
+        assert views[-1].records[row].tcb_servers is \
+            views[0].records[row].tcb_servers
+
+
+def test_surveyed_and_json_records_carry_equal_frozensets(tiny_results):
+    copied = results_from_dict(results_to_dict(tiny_results))
+    for record, copy in zip(tiny_results.records, copied.records):
+        for held in (record, copy):
+            assert type(held.tcb_servers) is frozenset
+            assert type(held.mincut_servers) is frozenset
+        assert copy == record
+    # Names on one delegation chain share the engine's sets, not copies.
+    sets = [record.tcb_servers for record in tiny_results.resolved_records()]
+    assert len({id(held) for held in sets}) < len(sets)
 
 
 # -- record_for -----------------------------------------------------------------------
@@ -426,3 +499,80 @@ def test_a_malformed_shard_fails_the_merge(tiny_results, tmp_path):
         with pytest.raises(SnapshotFormatError, match=message):
             merge_shard_snapshots([broken], tmp_path / "merged.rsnap")
     merge_shard_snapshots([shard], tmp_path / "merged.rsnap")
+
+
+# -- bad pool and set ids ---------------------------------------------------------------
+
+def _edited(source, target, section, edit):
+    """Copy a container with one int64 (or byte) section edited in place."""
+    data = bytearray(_SectionReader(source).raw(section))
+    if section != "strs.blob":
+        data = array("q", bytes(data))
+    edit(data)
+    return _rewrite(source, target, replace={section: bytes(data)})
+
+
+@pytest.fixture(scope="module")
+def plain_snapshot(tiny_results, tmp_path_factory):
+    return save_results_snapshot(
+        tiny_results, tmp_path_factory.mktemp("plain") / "plain.rsnap")
+
+
+def _bad_id_edits(path):
+    """(section, edit, message) for one record's row, one bad id each."""
+    reader = _SectionReader(path)
+    strings = reader.length("strs.off") // 8 - 1
+    row = next(row for row in range(reader.length("rec.name") // 8)
+               if reader.q("rec.tcb_size")[row])
+    name_id = reader.q("rec.name")[row]
+    first_member = reader.q("sets.off")[reader.q("rec.tcbset")[row]]
+    start = reader.q("strs.off")[name_id]
+
+    def put(position, value):
+        def edit(data):
+            data[position] = value
+        return edit
+
+    return row, [
+        ("rec.name", put(row, strings + 7),
+         f"string pool 'strs': id {strings + 7} out of range"),
+        ("rec.tcbset", put(row, -1),
+         "set store 'sets': id -1 refers to a base file"),
+        ("sets.mem", put(first_member, -3),
+         "string pool 'strs': id -3 refers to a base file"),
+        ("strs.blob", put(start, 0xff),
+         f"string pool 'strs': entry {name_id} is not UTF-8"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4),
+                         ids=["rec.name", "rec.tcbset", "sets.mem",
+                              "strs.blob"])
+def test_a_bad_id_fails_the_lookup_precisely(plain_snapshot, tmp_path,
+                                             case):
+    row, edits = _bad_id_edits(plain_snapshot)
+    section, edit, message = edits[case]
+    name = open_results(plain_snapshot).records[row].name
+    broken = _edited(plain_snapshot, tmp_path / "broken.rsnap", section,
+                     edit)
+    with pytest.raises(SnapshotFormatError, match=re.escape(message)):
+        open_results(broken).record_for(name)
+
+
+@pytest.mark.parametrize("case", range(4),
+                         ids=["rec.name", "rec.tcbset", "sets.mem",
+                              "strs.blob"])
+def test_resurvey_from_a_bad_id_exits_2(plain_snapshot, tmp_path, capsys,
+                                        case):
+    _, edits = _bad_id_edits(plain_snapshot)
+    section, edit, message = edits[case]
+    broken = _edited(plain_snapshot, tmp_path / "broken.rsnap", section,
+                     edit)
+    code = main(["resurvey", str(broken), "--seed", str(TINY.seed),
+                 "--sld-count", str(TINY.sld_count),
+                 "--directory-names", str(TINY.directory_name_count),
+                 "--universities", str(TINY.university_count),
+                 "--passes", ",".join(PASSES)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
