@@ -20,11 +20,10 @@ Run with::
 
     python examples/cctld_audit.py                      # audits .ua
     python examples/cctld_audit.py --tld by             # another ccTLD
-    python examples/cctld_audit.py --backend process --workers 4
 
-``--backend`` takes the backends that need no worker fleet, ``serial``
-and ``process``; a socket survey runs through ``repro-dns survey
---backend socket``, which spawns or connects to its workers.
+The survey runs on the serial backend; a socket survey runs through
+``repro-dns survey --backend socket``, which spawns or connects to its
+workers.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--tld", default="ua",
                         help="country-code TLD to audit (default: ua)")
     parser.add_argument("--seed", type=int, default=20040722)
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "process"),
-                        help="survey execution backend")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="shard count for the process backend")
     return parser.parse_args()
 
 
@@ -56,14 +50,13 @@ def main() -> None:
     args = parse_args()
     tld = args.tld.lower()
 
-    print(f"Auditing the .{tld} namespace ({args.backend} backend) ...")
+    print(f"Auditing the .{tld} namespace ...")
     config = GeneratorConfig(seed=args.seed, sld_count=600,
                              directory_name_count=950, university_count=90,
                              hosting_provider_count=20, isp_count=16,
                              alexa_count=150)
     internet = InternetGenerator(config).generate()
-    survey = Survey(internet, popular_count=150, backend=args.backend,
-                    workers=args.workers,
+    survey = Survey(internet, popular_count=150,
                     passes=("availability:up=0.95",))
     results = survey.run(progress=ProgressPrinter())
 

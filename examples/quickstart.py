@@ -12,11 +12,11 @@ Run it with::
 
     python examples/quickstart.py            # default (a couple of minutes)
     python examples/quickstart.py --small    # ~15 seconds
-    python examples/quickstart.py --backend process --workers 4
 
-The survey runs through the staged engine facade: pick any execution
-backend (all of them produce byte-identical results), and watch progress
-stream to stderr while it runs.
+The survey runs through the staged engine facade on the serial backend,
+with progress streaming to stderr while it runs.  ``repro-dns survey
+--backend socket --workers N`` runs the same survey over N worker
+processes, with byte-identical results.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import argparse
 
 from repro import GeneratorConfig, InternetGenerator, Survey
 from repro.cli import ProgressPrinter
-from repro.core.engine import BACKENDS
 from repro.core.report import format_table, sort_groups_descending
 
 
@@ -35,10 +34,6 @@ def parse_args() -> argparse.Namespace:
                         help="use a small topology for a fast demo run")
     parser.add_argument("--seed", type=int, default=20040722,
                         help="RNG seed for the synthetic Internet")
-    parser.add_argument("--backend", default="serial", choices=BACKENDS,
-                        help="survey execution backend")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="shard count for the partitioned backends")
     return parser.parse_args()
 
 
@@ -62,10 +57,8 @@ def main() -> None:
           f"{summary['directory_names']} web-directory names across "
           f"{summary['tlds']} TLDs")
 
-    print(f"Running the survey (resolve, fingerprint, analyse) on the "
-          f"{args.backend!r} backend ...")
-    survey = Survey(internet, popular_count=min(500, len(internet.directory)),
-                    backend=args.backend, workers=args.workers)
+    print("Running the survey (resolve, fingerprint, analyse) ...")
+    survey = Survey(internet, popular_count=min(500, len(internet.directory)))
     results = survey.run(progress=ProgressPrinter())
 
     print("\nHeadline statistics (compare with Section 3 of the paper):")

@@ -3,7 +3,7 @@
 The CLI mirrors how the paper's results would be reproduced from a shell::
 
     repro-dns survey --sld-count 800 --output snapshot.json
-    repro-dns survey --backend process --workers 4 \\
+    repro-dns survey --backend socket --workers 4 \\
         --passes availability,dnssec --output signed.json
     repro-dns report snapshot.json
     repro-dns diff snapshot.json signed.json
@@ -15,13 +15,12 @@ Subcommands
     Generate a synthetic Internet, run the full survey (optionally with
     extra analysis passes), print the headline statistics, and optionally
     write a snapshot.  ``--backend`` picks where the names are surveyed:
-    ``serial`` (the reference), ``process`` (``--workers`` forked
-    children, one stripe of the names each) or ``socket`` (see
-    ``worker``); all three give byte-identical results.  Snapshots are
-    JSON by default (``--compress`` for zlib), or the columnar binary
-    REPRO-SNAP store with ``--format binary``.  Every command that reads
-    a snapshot sniffs the codec from the file's leading bytes, so formats
-    mix freely.
+    ``serial`` (the reference) or ``socket`` (one stripe of the names on
+    each worker, see ``worker``); both give byte-identical results.
+    Snapshots are JSON by default (``--compress`` for zlib), or the
+    columnar binary REPRO-SNAP store with ``--format binary``.  Every
+    command that reads a snapshot sniffs the codec from the file's
+    leading bytes, so formats mix freely.
 ``report``
     Re-print the headline statistics and per-figure summaries from a snapshot
     produced by ``survey``.
@@ -123,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="survey execution backend (all backends "
                              "produce identical results)")
     survey.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker/shard count for the process and "
-                             "socket backends")
+                        help="socket backend: how many local workers to "
+                             "spawn when --worker-addrs is omitted")
     survey.add_argument("--passes", type=str, default=None,
                         help="comma-separated analysis passes, e.g. "
                              "'availability,dnssec' or "
@@ -180,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=BACKENDS,
                           help="re-survey execution backend")
     resurvey.add_argument("--workers", type=_positive_int, default=1,
-                          help="worker/shard count for partitioned backends")
+                          help="socket backend: how many local workers to "
+                               "spawn when --worker-addrs is omitted")
     resurvey.add_argument("--passes", type=str, default=None,
                           help="analysis passes, matching the previous run")
     _add_worker_addr_argument(resurvey)
@@ -221,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=BACKENDS,
                        help="survey execution backend for every epoch")
     churn.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker/shard count for partitioned backends")
+                       help="socket backend: how many local workers to "
+                            "spawn when --worker-addrs is omitted")
     churn.add_argument("--passes", type=str, default=None,
                        help="analysis passes run every epoch, e.g. "
                             "'availability,dnssec:fraction=0.2' (a dnssec "
@@ -413,6 +414,8 @@ def _worker_fleet(args: argparse.Namespace):
         if addrs:
             raise DistribError(
                 "--worker-addrs only applies to --backend socket")
+        if args.workers != 1:
+            raise DistribError("--workers only applies to --backend socket")
         if plans:
             raise DistribError(
                 "--fault-plan only applies to --backend socket")
@@ -590,8 +593,7 @@ def _command_survey(args: argparse.Namespace) -> int:
     internet = _generate_internet(args)
     worker_addrs, fleet = _worker_fleet(args)
     survey = Survey(internet, include_bottleneck=not args.no_bottleneck,
-                    backend=args.backend, workers=args.workers,
-                    passes=build_passes(args.passes),
+                    backend=args.backend, passes=build_passes(args.passes),
                     worker_addrs=worker_addrs, retries=args.retries,
                     min_workers=args.min_workers,
                     auth_token=_auth_token(args))
@@ -630,6 +632,7 @@ def _command_survey_shard(args: argparse.Namespace) -> int:
         raise DistribError("--shard runs on the serial engine (the socket "
                            "backend shards online; merge offline shards "
                            "with 'repro-dns merge')")
+    _worker_fleet(args)  # rejects the socket-only options
     index, count = args.shard
     internet = _generate_internet(args)
     engine = SurveyEngine(internet, config=EngineConfig(
@@ -857,7 +860,7 @@ def _command_resurvey(args: argparse.Namespace) -> int:
     worker_addrs, fleet = _worker_fleet(args)
     engine = SurveyEngine(
         internet,
-        config=EngineConfig(backend=args.backend, workers=args.workers,
+        config=EngineConfig(backend=args.backend,
                             include_bottleneck=not args.no_bottleneck,
                             passes=build_passes(args.passes),
                             worker_addrs=worker_addrs,
@@ -1034,17 +1037,18 @@ def _command_churn(args: argparse.Namespace) -> int:
         except (ValueError, OSError):  # e.g. not on the main thread
             pass
 
-    worker_addrs, fleet = _worker_fleet(args)
-    socket_options = None
-    if args.backend == "socket":
-        socket_options = {"retries": args.retries,
-                          "min_workers": args.min_workers,
-                          "auth_token": _auth_token(args)}
+    fleet = None
     try:
+        # Inside the try: a rejected option must restore the handlers too.
+        worker_addrs, fleet = _worker_fleet(args)
+        socket_options = None
+        if args.backend == "socket":
+            socket_options = {"retries": args.retries,
+                              "min_workers": args.min_workers,
+                              "auth_token": _auth_token(args)}
         try:
             timeline = run_churn_timeline(
                 internet, model, epochs=args.epochs, backend=args.backend,
-                workers=args.workers,
                 include_bottleneck=not args.no_bottleneck,
                 passes=args.passes, max_names=args.max_names,
                 cold_check=args.cold_check, store=args.store,

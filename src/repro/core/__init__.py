@@ -16,7 +16,7 @@ contribution, on top of the DNS / network / topology substrates:
   server controls (Figures 8-9).
 * :mod:`repro.core.survey` -- the survey facade tying it all together.
 * :mod:`repro.core.engine` -- the staged survey engine (discovery, closure,
-  fingerprinting, analysis) with serial / process / socket backends.
+  fingerprinting, analysis) with serial and socket backends.
 * :mod:`repro.core.report` -- CDFs, summary statistics, and per-figure data
   series.
 * :mod:`repro.core.snapshot` -- JSON persistence of survey results.

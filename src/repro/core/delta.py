@@ -20,7 +20,7 @@ mutated zone without depending on the zone is re-surveyed for nothing —
 because over-dirtying only costs time while under-dirtying would silently
 serve stale records.  Working purely in record space (no graph required)
 is what makes it backend-agnostic: the previous results may come from a
-``process``-backend run whose shard universes were never merged, or
+socket-backend run whose worker universes were never merged, or
 straight from a JSON snapshot on disk (the CLI ``resurvey`` path).
 
 Two rules extend the closure argument to the cases it cannot see:

@@ -28,33 +28,25 @@ Execution backends
 
 ``serial``
     One worker context, names processed in directory order.  This is the
-    reference backend: every other backend must produce identical results.
-``process``
-    The names are dealt round-robin over ``workers`` shards
-    (:func:`stripes`), and each shard runs in a forked child process on a
-    worker context of its own (resolver with a cloned cache, builder,
-    fingerprinter, memos), constructed *inside* the child.  Only the
-    shard's output — records by directory index, fingerprints and verdict
-    maps (:meth:`SurveyEngine.survey_stripe`) — returns over the pipe.
-    Requires an OS with the ``fork`` start method (the synthetic Internet
-    is shared by inheritance, not by pickling).
+    reference backend: every other path must produce identical results.
 ``socket``
-    The same striping over ``repro-dns worker`` processes driven over TCP
-    by :class:`~repro.distrib.coordinator.ShardCoordinator`; each worker
-    surveys its stripe on a warm serial engine.
+    The names are dealt round-robin over the ``repro-dns worker``
+    processes at ``worker_addrs`` (:func:`stripes`), driven over TCP by
+    :class:`~repro.distrib.coordinator.ShardCoordinator`; each worker
+    regenerates the world from its seed and surveys its stripe on a warm
+    serial engine, returning records by directory index, fingerprints and
+    verdict maps (:meth:`SurveyEngine.survey_stripe`).
 
-Both partitioned backends fold shard outputs back through one fold
-(:meth:`SurveyEngine.fold_shard`) in shard order, and records are
-reassembled in directory order, so **the same seed yields byte-identical
-results on every backend**.
+The socket backend, like the offline ``survey --shard`` and ``merge``,
+folds shard outputs back through one fold (:meth:`SurveyEngine.fold_shard`)
+in shard order, and records are reassembled in directory order, so **the
+same seed yields byte-identical results on every backend**.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
-import multiprocessing
-import threading
 import time
 from typing import (
     TYPE_CHECKING,
@@ -111,7 +103,6 @@ class EngineConfig:
     """Tuning knobs for a :class:`SurveyEngine` run."""
 
     backend: str = "serial"
-    workers: int = 1
     popular_count: int = 500
     include_bottleneck: bool = True
     use_glue: bool = True
@@ -146,17 +137,9 @@ class EngineConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend: {self.backend!r} "
                              f"(expected one of {BACKENDS})")
-        if self.backend == "process" and \
-                "fork" not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                "the process backend requires the fork start method "
-                "(the synthetic Internet is shared by inheritance); "
-                "use serial or socket on this platform")
         if self.backend == "socket" and not self.worker_addrs:
             raise ValueError("the socket backend needs worker_addrs "
                              "(host:port of each repro-dns worker)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.retry_backoff < 0:
@@ -169,21 +152,15 @@ class EngineConfig:
                 f"min_workers ({self.min_workers}) exceeds the "
                 f"{len(self.worker_addrs)} configured workers")
 
-    def effective_shards(self) -> int:
-        """How many shards a partitioned backend should use."""
-        if self.backend == "socket":
-            return len(self.worker_addrs)
-        return max(self.workers, 1)
-
 
 class WorkerContext:
-    """Per-shard execution state: resolver, builder, fingerprinter, memos.
+    """An engine's execution state: resolver, builder, fingerprinter, memos.
 
-    The serial backend uses a single context; the process backend builds
-    one per shard inside each child, so no mutable state crosses shard
-    boundaries.  Every cross-name cache here (the per-chain analyses, the
-    analyzers' prefix snapshots) is keyed on the builder's closure-index
-    version, so universe growth retires them all at once.
+    An engine surveys on a single context (a socket worker holds its own
+    engine, so no mutable state crosses shard boundaries).  Every
+    cross-name cache here (the per-chain analyses, the analyzers' prefix
+    snapshots) is keyed on the builder's closure-index version, so
+    universe growth retires them all at once.
     """
 
     def __init__(self, internet, database: VulnerabilityDatabase, resolver,
@@ -471,13 +448,14 @@ class SurveyEngine:
         self.config.validate()
         self.passes: Tuple[AnalysisPass, ...] = \
             build_passes(self.config.passes)
-        # World setup (e.g. DNSSEC deployment) must precede every worker
-        # context — and every process-backend fork — so all backends see
-        # the same universe.
+        # World setup (e.g. DNSSEC deployment) must precede the worker
+        # context, so every backend sees the same universe.
         for pass_ in self.passes:
             pass_.prepare(internet)
-        self._root = self._make_worker_context(
-            internet.make_resolver(use_glue=self.config.use_glue))
+        self._root = WorkerContext(
+            internet, self.database,
+            internet.make_resolver(use_glue=self.config.use_glue),
+            passes=self.passes)
         # Socket backend state: the coordinator connects lazily (first
         # dispatch) and the delta path parks each epoch's dirty set here
         # for the work orders.
@@ -516,18 +494,11 @@ class SurveyEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _make_worker_context(self, resolver=None) -> WorkerContext:
-        """A fresh worker context (shards clone the primary's resolver)."""
-        if resolver is None:
-            resolver = self._root.resolver.clone()
-        return WorkerContext(self.internet, self.database, resolver,
-                             passes=self.passes)
-
     # -- facade-compatible accessors ----------------------------------------------
 
     @property
     def resolver(self):
-        """The primary worker's resolver (shards clone from it)."""
+        """The primary worker's resolver."""
         return self._root.resolver
 
     @property
@@ -607,10 +578,6 @@ class SurveyEngine:
                     aggregator.add_record(index, self._survey_entry(
                         context, entry, entry.name in popular))
                 aggregator.merge_context(context)
-            elif backend == "process":
-                self._run_process_shards(
-                    stripes(indexed, self.config.effective_shards()),
-                    popular, aggregator)
             else:
                 # Even a single socket worker goes over the wire: the
                 # point of the backend is *where* the survey runs, not
@@ -631,15 +598,14 @@ class SurveyEngine:
         that patched the same records — so finalizer output is too.
         """
         backend = self.config.backend
+        workers = len(self.config.worker_addrs) if backend == "socket" else 1
         metadata = {
             "popular_count": self.config.popular_count,
             "include_bottleneck": self.config.include_bottleneck,
             "names_requested": requested,
             "backend": backend,
-            "workers": (len(self.config.worker_addrs)
-                        if backend == "socket" else self.config.workers),
-            "shards": (1 if backend == "serial"
-                       else self.config.effective_shards()),
+            "workers": workers,
+            "shards": workers,
             "passes": [pass_.name for pass_ in self.passes],
         }
         for pass_ in self.passes:
@@ -828,12 +794,9 @@ class SurveyEngine:
         banner changes additionally retire the affected fingerprint and
         vulnerability verdicts, and any verdict-sensitive cache (per-chain
         analyses, analyzer prefix snapshots, validator zone caches) when
-        verdicts or signatures may have changed.  The process backend
-        builds its shard contexts *after* this, by cloning the
-        invalidated primary resolver, so every backend sees the same
-        post-change world.  ``run_delta``, a socket worker replaying the
-        coordinator's mutation specs, and a resumed churn run all call
-        this.
+        verdicts or signatures may have changed.  ``run_delta``, a socket
+        worker replaying the coordinator's mutation specs, and a resumed
+        churn run all call this.
         """
         for deployment in changes.dnssec_deployments:
             for pass_ in self.passes:
@@ -867,9 +830,8 @@ class SurveyEngine:
         their directory indices, and copies of the context's fingerprint
         and verdict maps.  ``popular`` and ``meta`` are left empty for a
         shard file's writer to fill.  ``progress`` is called after every
-        name.  The process backend's children, socket workers and
-        ``survey --shard`` all survey through here; :meth:`fold_shard`
-        folds the result back.
+        name.  Socket workers and ``survey --shard`` survey through here;
+        :meth:`fold_shard` folds the result back.
         """
         from repro.core.snapstore import ShardPayload
 
@@ -900,36 +862,6 @@ class SurveyEngine:
         root.fingerprinter.adopt(shard.fingerprints)
         root.vulnerability_map.update(shard.vulnerability_map)
         root.compromisable_map.update(shard.compromisable_map)
-
-    def _run_process_shards(
-            self, shards: List[Sequence[Tuple[int, DirectoryEntry]]],
-            popular: Set[DomainName], aggregator: SurveyAggregator) -> None:
-        """Run shards in forked children; fold their outputs in shard order.
-
-        The engine (and the synthetic Internet it closes over) reaches each
-        child by fork inheritance through a module global — nothing about
-        the world is pickled.  Each child surveys its stripe on a fresh
-        :class:`WorkerContext`.  Ordered ``imap`` folds each shard as soon
-        as every earlier shard has, so progress advances shard by shard.
-        The child universes are not shipped back (they would dwarf the
-        survey itself), so post-run ``engine.builder`` inspection only
-        sees the primary context's discoveries.
-        """
-        global _FORK_STATE
-        context = multiprocessing.get_context("fork")
-        processes = min(self.config.workers, len(shards))
-        # The lock spans the pool's whole lifetime: _FORK_STATE is a module
-        # global read at fork time, so concurrent process-backend surveys in
-        # one interpreter must not interleave set/fork/clear.
-        with _FORK_LOCK:
-            _FORK_STATE = (self, shards, popular)
-            try:
-                with context.Pool(processes=processes) as pool:
-                    for shard in pool.imap(_process_shard_main,
-                                           range(len(shards)), chunksize=1):
-                        self.fold_shard(aggregator, shard)
-            finally:
-                _FORK_STATE = None
 
     # -- stages -------------------------------------------------------------------------
 
@@ -1047,23 +979,3 @@ class SurveyEngine:
         analysis["extras"] = extras
         return analysis
 
-
-#: Fork-inherited state for the process backend: (engine, shards, popular).
-_FORK_STATE: Optional[Tuple["SurveyEngine",
-                            List[Sequence[Tuple[int, DirectoryEntry]]],
-                            Set[DomainName]]] = None
-
-#: Serialises process-backend runs within one interpreter (see
-#: :meth:`SurveyEngine._run_process_shards`).
-_FORK_LOCK = threading.Lock()
-
-
-def _process_shard_main(shard_index: int) -> "ShardPayload":
-    """Survey one stripe inside a forked child, on a fresh worker context.
-
-    The context clones the fork-inherited primary resolver's cache and
-    owns its builder, fingerprinter, memos and pass state.
-    """
-    engine, shards, popular = _FORK_STATE
-    return engine.survey_stripe(engine._make_worker_context(),
-                                shards[shard_index], popular)

@@ -26,8 +26,8 @@ Node keys versus node ids
 -------------------------
 
 Integer ids are *process-local and builder-local*: two worker shards
-discovering the same universe assign different ids to the same node, and the
-``process`` backend must therefore never ship raw ids over the pipe.  The
+discovering the same universe assign different ids to the same node, and a
+socket worker must therefore never ship raw ids over the wire.  The
 NodeKey tuple API (``add_edge``, ``successors``, ``nodes``, ``edges``, ...)
 remains the stable, name-based boundary — ids live only inside one builder's
 closure index, analyzers, and memos, and are translated back to

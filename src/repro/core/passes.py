@@ -12,14 +12,15 @@ to snapshots, reports, and diffs).
 Lifecycle
 ---------
 
-1. **prepare(internet)** — once per engine, before any worker context (and
-   before any ``process``-backend fork), so world mutations such as a DNSSEC
-   deployment are visible to every backend identically.
-2. **make_state(worker)** — once per worker context (the serial engine has
-   one; partitioned backends one per shard; the ``process`` backend one per
-   child).  This is where per-worker mutable state lives: validators wired
-   to the worker's resolver, analyzers whose cross-name caches key on the
-   builder's closure-index version so universe growth retires them.
+1. **prepare(internet)** — once per engine, before its worker context, so
+   world mutations such as a DNSSEC deployment are visible to every backend
+   identically (a socket worker's engine prepares its own copy of the
+   world).
+2. **make_state(worker)** — once per worker context (every engine has
+   one, so a socket survey has one per worker).  This is where per-worker
+   mutable state lives: validators wired to the worker's resolver,
+   analyzers whose cross-name caches key on the builder's closure-index
+   version so universe growth retires them.
 3. **analyze(ctx, state)** — per name.  A pass with ``chain_cacheable=True``
    (the default) promises its output is a pure function of the name's
    direct-zone chain given a fixed universe; the engine then runs it once
@@ -64,7 +65,7 @@ class PassContext:
 
     ``builtin`` holds the built-in stage-4 columns (``classification``,
     ``tcb_size``, ``mincut_size``, ...) — passes run after them.  ``worker``
-    is the engine's per-shard :class:`~repro.core.engine.WorkerContext`
+    is the engine's :class:`~repro.core.engine.WorkerContext`
     (resolver, builder, vulnerability maps, ``internet``).
     """
 

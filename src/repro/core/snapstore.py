@@ -334,8 +334,17 @@ class _SectionReader:
     def bytes_view(self, name: str) -> memoryview:
         return self.raw(name).cast("B")
 
-    def json(self, name: str):
-        return json.loads(bytes(self.raw(name)).decode("utf-8"))
+    def json(self, name: str, what: str = "section"):
+        """The section decoded as UTF-8 JSON.
+
+        Bytes that do not decode raise :class:`SnapshotFormatError`
+        naming the file and the section (``what`` says what it holds).
+        """
+        try:
+            return json.loads(bytes(self.raw(name)).decode("utf-8"))
+        except ValueError as error:  # UnicodeDecodeError, JSONDecodeError
+            raise SnapshotFormatError(
+                f"{self.path}: corrupt {what} {name!r}: {error}") from None
 
     def verify(self) -> None:
         """Re-walk the payload crc32; raises on checksum mismatch."""
@@ -847,10 +856,7 @@ def _check_record_sections(reader: _SectionReader) -> List[Dict[str, str]]:
     for name, width in _KIND_SECTIONS.get(reader.kind, ()):
         expect(name, width)
     length("ex.dir")
-    try:
-        directory = reader.json("ex.dir")
-    except ValueError as error:
-        fail(f"corrupt extras directory: {error}")
+    directory = reader.json("ex.dir", "extras directory")
     if not isinstance(directory, list):
         fail("corrupt extras directory: not a list")
     for position, entry in enumerate(directory):

@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     from repro.vulns.database import VulnerabilityDatabase
 
 #: Execution backends a :class:`Survey` (its engine) runs on.
-BACKENDS: Tuple[str, ...] = ("serial", "process", "socket")
+BACKENDS: Tuple[str, ...] = ("serial", "socket")
 
 
 class _Absent:
@@ -814,12 +814,10 @@ class Survey:
     include_bottleneck:
         Whether to run the (slightly more expensive) min-cut analysis.
     backend:
-        Execution backend: ``"serial"`` (default), ``"process"`` (forked
-        children, one per shard), or ``"socket"`` (``repro-dns worker``
-        processes at ``worker_addrs``).  All backends produce identical
-        results for the same seed.
-    workers:
-        Shard count (and child processes) for the process backend.
+        Execution backend: ``"serial"`` (default) or ``"socket"``
+        (``repro-dns worker`` processes at ``worker_addrs``, one stripe of
+        the names each).  Both produce identical results for the same
+        seed.
     passes:
         Extra analysis passes to run per name — pass instances or spec
         strings such as ``"availability"`` (see :mod:`repro.core.passes`).
@@ -828,7 +826,7 @@ class Survey:
     def __init__(self, internet, vulnerability_db: Optional[VulnerabilityDatabase] = None,
                  popular_count: int = 500, include_bottleneck: bool = True,
                  use_glue: bool = True, backend: str = "serial",
-                 workers: int = 1, passes: Sequence = (),
+                 passes: Sequence = (),
                  worker_addrs: Sequence[str] = (), retries: int = 0,
                  min_workers: int = 1, auth_token: Optional[str] = None):
         from repro.core.engine import EngineConfig, SurveyEngine
@@ -837,8 +835,7 @@ class Survey:
         self.include_bottleneck = include_bottleneck
         self.engine = SurveyEngine(
             internet, vulnerability_db,
-            EngineConfig(backend=backend, workers=workers,
-                         popular_count=popular_count,
+            EngineConfig(backend=backend, popular_count=popular_count,
                          include_bottleneck=include_bottleneck,
                          use_glue=use_glue, passes=tuple(passes),
                          worker_addrs=tuple(worker_addrs),

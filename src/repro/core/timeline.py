@@ -433,7 +433,7 @@ class _BaselineStats:
 
 
 def run_churn_timeline(internet, model: ChurnModel, epochs: int,
-                       backend: str = "serial", workers: int = 1,
+                       backend: str = "serial",
                        include_bottleneck: bool = True,
                        passes: Union[str, Sequence[str], None] = None,
                        popular_count: int = 500,
@@ -516,7 +516,7 @@ def run_churn_timeline(internet, model: ChurnModel, epochs: int,
                       run_backend: Optional[str] = None) -> EngineConfig:
         run_backend = run_backend or backend
         extra = dict(socket_options or {}) if run_backend == "socket" else {}
-        return EngineConfig(backend=run_backend, workers=workers,
+        return EngineConfig(backend=run_backend,
                             include_bottleneck=include_bottleneck,
                             popular_count=popular_count,
                             passes=build_passes(list(specs)),
@@ -533,7 +533,7 @@ def run_churn_timeline(internet, model: ChurnModel, epochs: int,
 
     try:
         return _run_epoch_loop(internet, model, epochs, engine,
-                               engine_config, pass_specs, backend, workers,
+                               engine_config, pass_specs, backend,
                                include_bottleneck, popular_count, max_names,
                                cold_check, epoch_store, keyframe_every,
                                worker_addrs, progress, resume, should_stop)
@@ -562,22 +562,30 @@ def _check_resumable_store(epoch_store: EpochStore, epochs: int) -> None:
 
 
 def _cold_audit(snapshot: TimelineSnapshot, results, internet,
-                engine_config, pass_specs, backend, model,
-                max_names) -> None:
-    """Run the serial cold reference survey and record the comparison."""
+                engine_config, pass_specs, model, max_names) -> None:
+    """Run the serial cold reference survey and record the comparison.
+
+    The metadata keys saying where the survey ran (backend, workers,
+    shards) are left out of the comparison: a socket epoch is audited
+    against a serial survey.
+    """
     cold_specs = _with_dnssec_fraction(pass_specs, model.dnssec_fraction)
     # The audit reference is always serial: an independent cold
     # engine must not contend for (or rebuild) the busy workers.
     cold_engine = SurveyEngine(
-        internet, config=engine_config(
-            cold_specs,
-            run_backend="serial" if backend == "socket" else None))
+        internet, config=engine_config(cold_specs, run_backend="serial"))
     cold_started = time.perf_counter()
     cold = cold_engine.run(max_names=max_names)
     snapshot.cold_elapsed_s = round(time.perf_counter() - cold_started, 6)
-    snapshot.cold_identical = (
-        json.dumps(results_to_dict(results), sort_keys=True)
-        == json.dumps(results_to_dict(cold), sort_keys=True))
+    snapshot.cold_identical = _audited_bytes(results) == _audited_bytes(cold)
+
+
+def _audited_bytes(results) -> str:
+    payload = results_to_dict(results)
+    payload["metadata"] = {key: value for key, value
+                           in payload["metadata"].items()
+                           if key not in ("backend", "workers", "shards")}
+    return json.dumps(payload, sort_keys=True)
 
 
 def _check_resume_compatibility(engine, baseline_results,
@@ -667,7 +675,7 @@ def _replay_committed_epochs(internet, model, engine, engine_config,
                                  elapsed, model.dnssec_fraction, dirty)
         if cold_check:
             _cold_audit(snapshot, results, internet, engine_config,
-                        pass_specs, backend, model, max_names)
+                        pass_specs, model, max_names)
         snapshots.append(snapshot)
         if progress is not None:
             progress(epoch, snapshot)
@@ -675,7 +683,7 @@ def _replay_committed_epochs(internet, model, engine, engine_config,
 
 
 def _run_epoch_loop(internet, model, epochs, engine, engine_config,
-                    pass_specs, backend, workers, include_bottleneck,
+                    pass_specs, backend, include_bottleneck,
                     popular_count, max_names, cold_check, epoch_store,
                     keyframe_every, worker_addrs, progress, resume,
                     should_stop) -> Timeline:
@@ -718,7 +726,7 @@ def _run_epoch_loop(internet, model, epochs, engine, engine_config,
                                  model.dnssec_fraction, outcome.dirty)
         if cold_check:
             _cold_audit(snapshot, outcome.results, internet, engine_config,
-                        pass_specs, backend, model, max_names)
+                        pass_specs, model, max_names)
         if epoch_store is not None:
             # The dirty set bounds the changed-row scan: clean rows are
             # unchanged by the delta contract and are never compared.
@@ -733,7 +741,7 @@ def _run_epoch_loop(internet, model, epochs, engine, engine_config,
         config={
             "epochs": epochs,
             "backend": backend,
-            "workers": workers,
+            "workers": len(worker_addrs) if backend == "socket" else 1,
             "include_bottleneck": include_bottleneck,
             "passes": list(pass_specs),
             "popular_count": popular_count,

@@ -4,10 +4,10 @@
 creation it ships a BUILD frame describing the world (the seeded
 ``GeneratorConfig``) and the engine options, so each worker regenerates
 the identical synthetic Internet and holds a warm serial engine.  Each
-:meth:`run_shards` call stripes the indexed entries with the process
-backend's :func:`~repro.core.engine.stripes`, ships one ``KIND_ORDER``
-frame per shard in parallel, then folds the returned ``KIND_SHARD``
-columns **in shard order** through the process backend's fold
+:meth:`run_shards` call stripes the indexed entries with
+:func:`~repro.core.engine.stripes`, ships one ``KIND_ORDER`` frame per
+shard in parallel, then folds the returned ``KIND_SHARD`` columns **in
+shard order** through the engine's fold
 (:meth:`~repro.core.engine.SurveyEngine.fold_shard`), so the merged
 :class:`~repro.core.survey.SurveyResults` is byte-identical to the
 serial backend's.
@@ -561,9 +561,9 @@ class ShardCoordinator:
                    dirty: Sequence = ()) -> None:
         """Survey ``indexed`` entries across the workers and fold results.
 
-        Stripes and folds exactly as the process backend does, so results
-        are byte-identical to the serial engine over the same (possibly
-        delta-invalidated) world.
+        Stripes as ``survey --shard`` does and folds as ``merge`` does, so
+        results are byte-identical to the serial engine over the same
+        (possibly delta-invalidated) world.
         """
         if self._closed:
             raise DistribError("coordinator already closed")

@@ -134,22 +134,6 @@ class ResolverCache:
         if self._owners is not None:
             self._owners.discard(key[0].labels, key)
 
-    def clone(self) -> "ResolverCache":
-        """An independent snapshot of this cache.
-
-        Entries are copied (records lists included) so the clone can be
-        handed to another survey shard without sharing mutable state; the
-        clone starts with fresh statistics.
-        """
-        twin = ResolverCache(max_entries=self.max_entries,
-                             negative_ttl=self.negative_ttl)
-        twin._entries = {
-            key: CacheEntry(records=list(entry.records), rcode=entry.rcode,
-                            inserted_at=entry.inserted_at,
-                            expires_at=entry.expires_at)
-            for key, entry in self._entries.items()}
-        return twin
-
     def flush(self) -> None:
         """Drop every entry (stats are preserved)."""
         self._entries.clear()

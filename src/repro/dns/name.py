@@ -115,12 +115,12 @@ class DomainName:
     def _from_text(cls, text: str) -> "DomainName":
         """Construct from already-canonical presentation text, trusted.
 
-        The unpickling fast path (see :meth:`__reduce__`): the text was
-        produced by our own ``__str__``, so labels are split without
-        re-running the per-label validation regex, and the cached
-        presentation string is seeded directly — the hot shard-merge path
-        of the ``process`` survey backend reconstructs every record name
-        through here.
+        The text was produced by our own ``__str__``, so labels are split
+        without re-running the per-label validation regex, and the cached
+        presentation string is seeded directly.  The binary snapshot
+        store's string pool (``repro.core.snapstore._Pool``) builds every
+        name it reads through here, and so does unpickling (see
+        :meth:`__reduce__`).
         """
         name = object.__new__(cls)
         labels = () if text == "." else tuple(text.split("."))
@@ -191,9 +191,8 @@ class DomainName:
     def __reduce__(self):
         # The immutability guard (__setattr__ raises) breaks pickle's default
         # slot-state protocol, so reconstruct through the trusted
-        # presentation-text fast path; the process survey backend ships
-        # DomainName instances between workers over pipes, and re-validating
-        # every label with the constructor regex dominated that merge.
+        # presentation-text fast path that snapstore's _Pool reads names
+        # with.
         return (DomainName._from_text, (str(self),))
 
     def __len__(self) -> int:

@@ -193,24 +193,6 @@ class IterativeResolver:
 
     # -- public API -------------------------------------------------------------
 
-    def clone(self) -> "IterativeResolver":
-        """A new resolver with the same configuration and a warm cache.
-
-        The clone's cache is an independent snapshot of this resolver's,
-        so a survey shard can use it without touching the original.  The
-        RNG state is copied so a cloned ``selection="random"`` resolver
-        replays the same choices.
-        """
-        rng = random.Random()
-        rng.setstate(self._rng.getstate())
-        return IterativeResolver(
-            self.network,
-            {name: list(addresses)
-             for name, addresses in self.root_hints.items()},
-            cache=self.cache.clone(), use_glue=self.use_glue,
-            selection=self.selection,
-            max_queries=self.max_queries, max_depth=self.max_depth, rng=rng)
-
     def invalidate_zones(self, apexes: Sequence[NameLike]) -> None:
         """Drop cached walk state that a change to the given zones stales.
 

@@ -9,11 +9,15 @@ Two substrates are provided:
 * ``small_internet`` / ``small_survey`` -- a session-scoped generated
   Internet and its survey results, shared by the integration-style tests so
   the (comparatively expensive) survey runs only once.
+
+``worker_trio`` serves three socket-backend workers from threads of the
+test process, so partitioned surveys run without spawning processes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -229,3 +233,17 @@ def small_survey(small_internet):
     """Survey results over the session-scoped synthetic Internet."""
     survey = Survey(small_internet, popular_count=60)
     return survey.run()
+
+
+@pytest.fixture
+def worker_trio():
+    """Three WorkerServers on loopback, each served from a thread."""
+    from repro.distrib.worker import WorkerServer
+    servers = [WorkerServer() for _ in range(3)]
+    threads = [threading.Thread(target=server.serve_forever, daemon=True)
+               for server in servers]
+    for thread in threads:
+        thread.start()
+    yield [server.address for server in servers]
+    for thread in threads:
+        thread.join(timeout=5)

@@ -1,6 +1,7 @@
 """Tests for the ``repro-dns`` command-line interface."""
 
 import json
+import signal
 
 import pytest
 
@@ -78,30 +79,25 @@ def test_inspect_unknown_name(capsys):
     assert "could not walk" in capsys.readouterr().out
 
 
-def test_survey_backend_and_workers_flags(capsys):
-    exit_code = main(["survey", "--max-names", "25", "--backend", "process",
-                      "--workers", "2", *TINY])
-    assert exit_code == 0
-    assert "mean_tcb_size" in capsys.readouterr().out
-
-
 def test_survey_rejects_deleted_backend(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["survey", "--backend", "thread", *TINY])
-    assert excinfo.value.code == 2
-    error = capsys.readouterr().err
-    assert "argument --backend: invalid choice: 'thread'" in error
-    assert all(backend in error for backend in ("serial", "process",
-                                                "socket"))
+    for deleted in ("thread", "process"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["survey", "--backend", deleted, *TINY])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument --backend: invalid choice: '{deleted}'" in error
+        assert "(choose from 'serial', 'socket')" in error
 
 
-def test_survey_backends_agree_on_headline(capsys):
+def test_survey_backends_agree_on_headline(capsys, worker_trio):
     outputs = {}
-    for backend in ("serial", "process"):
-        main(["survey", "--max-names", "30", "--backend", backend,
-              "--workers", "3", *TINY])
+    for backend in ("serial", "socket"):
+        addrs = ["--worker-addrs", ",".join(worker_trio)] \
+            if backend == "socket" else []
+        main(["survey", "--max-names", "30", "--backend", backend, *addrs,
+              *TINY])
         outputs[backend] = capsys.readouterr().out
-    assert outputs["serial"] == outputs["process"]
+    assert outputs["serial"] == outputs["socket"]
 
 
 def test_survey_progress_flag_prints_to_stderr(capsys):
@@ -110,13 +106,6 @@ def test_survey_progress_flag_prints_to_stderr(capsys):
     captured = capsys.readouterr()
     assert "surveyed 20/20 names" in captured.err
     assert "surveyed 20/20 names" not in captured.out
-
-
-def test_survey_process_backend(capsys):
-    exit_code = main(["survey", "--max-names", "25", "--backend", "process",
-                      "--workers", "2", *TINY])
-    assert exit_code == 0
-    assert "mean_tcb_size" in capsys.readouterr().out
 
 
 def test_survey_passes_flag_prints_pass_summary(capsys):
@@ -506,6 +495,26 @@ def test_worker_addrs_rejected_off_socket_backend(capsys):
                       "--max-names", "5", *TINY])
     assert exit_code == 2
     assert "only applies to --backend socket" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["survey", "resurvey", "churn"])
+def test_workers_rejected_off_socket_backend(command, tmp_path, capsys):
+    """``--workers`` sizes a spawned socket fleet and nothing else; the
+    rejection leaves churn's signal handlers as it found them."""
+    args = [command, "--workers", "2", "--max-names", "5", *TINY]
+    if command == "resurvey":
+        previous = tmp_path / "previous.json"
+        assert main(["survey", "--max-names", "5", "--output",
+                     str(previous), *TINY]) == 0
+        args.insert(1, str(previous))
+    elif command == "churn":
+        args += ["--epochs", "1"]
+    capsys.readouterr()
+    handler = signal.getsignal(signal.SIGINT)
+    assert main(args) == 2
+    assert capsys.readouterr().err == \
+        "error: --workers only applies to --backend socket\n"
+    assert signal.getsignal(signal.SIGINT) is handler
 
 
 def test_survey_socket_backend_spawns_local_fleet(tmp_path, capsys):

@@ -146,17 +146,19 @@ def test_mutation_touched_a_cyclic_scc(delta_world):
     assert closures.closure_mask_id(node_a) == closures.closure_mask_id(node_b)
 
 
-@pytest.mark.parametrize("backend", ("process",))
+@pytest.mark.parametrize("backend", ("socket",))
 def test_fresh_engine_delta_matches_cold_on_every_backend(delta_world,
-                                                          backend):
+                                                          backend,
+                                                          worker_trio):
     """A fresh engine on the mutated world re-surveys dirty names on any
     partitioned backend and still reproduces the cold snapshot (modulo the
     backend-config metadata keys, as in the full-run parity tests)."""
     internet, prev = delta_world["internet"], delta_world["prev"]
     journal, cold = delta_world["journal"], delta_world["cold"]
-    engine = SurveyEngine(internet, config=EngineConfig(
-        backend=backend, workers=3, passes=PASSES_AFTER))
-    outcome = engine.run_delta(prev, journal)
+    with SurveyEngine(internet, config=EngineConfig(
+            backend=backend, worker_addrs=tuple(worker_trio),
+            passes=PASSES_AFTER)) as engine:
+        outcome = engine.run_delta(prev, journal)
     assert outcome.stats.dirty_names == delta_world["outcome"].stats.dirty_names
     assert _snapshot_bytes(outcome.results, drop_backend_keys=True) == \
         _snapshot_bytes(cold, drop_backend_keys=True)

@@ -167,7 +167,7 @@ def test_backends_produce_identical_results(small_internet):
         for backend in BACKENDS:
             addrs = fleet.addresses if backend == "socket" else ()
             survey = Survey(internet, popular_count=20, backend=backend,
-                            workers=3, worker_addrs=addrs)
+                            worker_addrs=addrs)
             try:
                 outputs[backend] = survey.run(max_names=90)
             finally:
@@ -192,7 +192,7 @@ def test_backends_produce_identical_pass_columns(small_internet):
         for backend in BACKENDS:
             addrs = fleet.addresses if backend == "socket" else ()
             survey = Survey(internet, popular_count=20, backend=backend,
-                            workers=3, worker_addrs=addrs,
+                            worker_addrs=addrs,
                             passes=("availability:samples=25", "dnssec"))
             try:
                 outputs[backend] = survey.run(max_names=80)
@@ -208,10 +208,13 @@ def test_backends_produce_identical_pass_columns(small_internet):
             ["availability", "dnssec"]
 
 
-def test_process_backend_merges_shard_maps(small_internet):
-    survey = Survey(small_internet, popular_count=5, backend="process",
-                    workers=3)
-    results = survey.run(max_names=45)
+def test_socket_backend_merges_shard_maps(small_internet, worker_trio):
+    survey = Survey(small_internet, popular_count=5, backend="socket",
+                    worker_addrs=worker_trio)
+    try:
+        results = survey.run(max_names=45)
+    finally:
+        survey.close()
     vulnerability_map, compromisable_map = survey.engine.vulnerability_maps()
     discovered = {host for record in results.resolved_records()
                   for host in record.tcb_servers}
@@ -219,16 +222,6 @@ def test_process_backend_merges_shard_maps(small_internet):
     assert discovered <= set(vulnerability_map)
     assert discovered <= set(compromisable_map)
     assert set(results.fingerprints) >= discovered
-
-
-def test_process_backend_progress_is_monotonic(small_internet):
-    calls = []
-    survey = Survey(small_internet, popular_count=5, backend="process",
-                    workers=2)
-    survey.run(max_names=20,
-               progress=lambda done, total: calls.append((done, total)))
-    assert [done for done, _ in calls] == list(range(1, 21))
-    assert all(total == 20 for _, total in calls)
 
 
 def test_engine_records_match_fresh_per_name_analysis(small_internet):
@@ -255,11 +248,11 @@ def test_engine_records_match_fresh_per_name_analysis(small_internet):
         assert set(bottleneck.cut_servers) == record.mincut_servers
 
 
-def test_engine_snapshot_round_trip(small_internet, tmp_path):
-    engine = SurveyEngine(small_internet,
-                          config=EngineConfig(backend="process", workers=2,
-                                              popular_count=10))
-    results = engine.run(max_names=40)
+def test_engine_snapshot_round_trip(small_internet, tmp_path, worker_trio):
+    with SurveyEngine(small_internet, config=EngineConfig(
+            backend="socket", worker_addrs=tuple(worker_trio),
+            popular_count=10)) as engine:
+        results = engine.run(max_names=40)
     path = save_results(results, tmp_path / "engine.json")
     loaded = load_results(path)
     assert loaded.headline() == results.headline()
@@ -270,13 +263,11 @@ def test_engine_snapshot_round_trip(small_internet, tmp_path):
 # -- engine configuration ----------------------------------------------------------------
 
 def test_engine_config_rejects_unknown_backend():
-    assert BACKENDS == ("serial", "process", "socket")
-    for backend in ("gpu", "thread", "sharded"):
+    assert BACKENDS == ("serial", "socket")
+    for backend in ("gpu", "thread", "sharded", "process"):
         with pytest.raises(ValueError, match=r"expected one of "
-                           r"\('serial', 'process', 'socket'\)"):
+                           r"\('serial', 'socket'\)"):
             EngineConfig(backend=backend).validate()
-    with pytest.raises(ValueError):
-        EngineConfig(workers=0).validate()
     with pytest.raises(ValueError, match="needs worker_addrs"):
         EngineConfig(backend="socket").validate()
 
@@ -294,16 +285,24 @@ class _Abort(Exception):
     pass
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_survey_freezes_the_collector_for_the_call_only(backend):
+@pytest.mark.parametrize("backend", ["serial", "socket"])
+def test_survey_freezes_the_collector_for_the_call_only(backend, request):
     """run() and run_delta() freeze what is alive while they survey and
     thaw it after, also when the survey raises; a caller's own freeze is
     left as it was, with none added on top."""
     internet = InternetGenerator(GeneratorConfig(
         seed=42, sld_count=60, directory_name_count=90,
         university_count=12)).generate()
+    addrs = ()
+    if backend == "socket":
+        # Workers in processes of their own: thread-served ones would free
+        # objects this process froze, and the freeze count would drop.
+        fleet = LocalWorkerFleet(2)
+        request.addfinalizer(fleet.stop)
+        addrs = tuple(fleet.start())
     engine = SurveyEngine(internet, config=EngineConfig(
-        backend=backend, workers=2, popular_count=10))
+        backend=backend, worker_addrs=addrs, popular_count=10))
+    request.addfinalizer(engine.close)
     before = gc.get_freeze_count()
     frozen = []
 

@@ -236,7 +236,7 @@ def test_value_pass_finalize_identical_across_backends(small_internet):
             engine = SurveyEngine(
                 internet,
                 config=EngineConfig(popular_count=10, backend=backend,
-                                    workers=3, passes=("value",),
+                                    passes=("value",),
                                     worker_addrs=tuple(addrs)))
             try:
                 results = engine.run(max_names=60)

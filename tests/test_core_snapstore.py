@@ -39,9 +39,9 @@ from repro.topology.generator import GeneratorConfig, InternetGenerator
 #: Two seeds so the codec matrix never passes by topological accident.
 SEEDS = (20040722, 1977)
 
-#: The serial reference and the partitioned process backend must both
+#: The serial reference and the partitioned socket backend must both
 #: produce snapshots the two codecs round-trip.
-BACKENDS = ("serial", "process")
+BACKENDS = ("serial", "socket")
 
 #: Passes chosen for column coverage: float extras (availability), string
 #: extras (dnssec_status), and a finalize() cross-record reduce (value).
@@ -69,10 +69,12 @@ def codec_world(request):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_binary_and_json_roundtrip_identically(codec_world, backend,
-                                               tmp_path):
-    engine = SurveyEngine(codec_world, config=EngineConfig(
-        backend=backend, workers=3, passes=PASSES))
-    results = engine.run()
+                                               tmp_path, request):
+    addrs = tuple(request.getfixturevalue("worker_trio")) \
+        if backend == "socket" else ()
+    with SurveyEngine(codec_world, config=EngineConfig(
+            backend=backend, worker_addrs=addrs, passes=PASSES)) as engine:
+        results = engine.run()
     reference = _snapshot_bytes(results)
 
     json_path = save_results(results, tmp_path / "snap.json")

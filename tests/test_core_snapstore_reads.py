@@ -38,6 +38,7 @@ from repro.core.snapstore import (
     pack_shard_result,
     save_results_snapshot,
     sniff_kind,
+    unpack_shard_result,
 )
 from repro.core.survey import SurveyResults
 from repro.core.timeline import run_churn_timeline
@@ -456,6 +457,37 @@ def test_a_corrupt_extras_directory_fails_at_open(tiny_snapshot, tmp_path,
                       replace={"ex.dir": directory})
     with pytest.raises(SnapshotFormatError, match=message):
         open_results(broken)
+
+
+def _overwrite(source, target, section, data):
+    """Copy a container with ``data`` written over the start of one
+    section in place, so the section table still holds."""
+    offset, length = _SectionReader(source)._sections[section]
+    assert len(data) <= length
+    payload = bytearray(source.read_bytes())
+    payload[offset:offset + len(data)] = data
+    target.write_bytes(payload)
+    return target
+
+
+@pytest.mark.parametrize("damage", [b"\xff\xfe", b"]]"],
+                         ids=["not-utf8", "not-json"])
+def test_a_damaged_meta_section_fails_precisely(tiny_snapshot, tiny_results,
+                                                tmp_path, damage):
+    broken = _overwrite(tiny_snapshot, tmp_path / "meta.rsnap", "meta",
+                        damage)
+    with pytest.raises(SnapshotFormatError, match=re.escape(
+            f"{broken}: corrupt section 'meta'")):
+        open_results(broken).metadata
+    records = tiny_results.records
+    shard = pack_shard_result(
+        list(range(len(records))), records, tiny_results.fingerprints,
+        {}, {}, tiny_results.popular_names, meta={"shard": "0/1"},
+        path=tmp_path / "shard.rsnap")
+    broken = _overwrite(shard, tmp_path / "broken.rsnap", "meta", damage)
+    with pytest.raises(SnapshotFormatError, match=re.escape(
+            f"{broken}: corrupt section 'meta'")):
+        unpack_shard_result(broken)
 
 
 def test_an_unknown_extras_kind_fails_at_open(tiny_snapshot, tmp_path):

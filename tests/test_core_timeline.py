@@ -27,8 +27,8 @@ from repro.topology.generator import GeneratorConfig, InternetGenerator
 #: Two seeds so nothing passes by topological accident.
 SEEDS = (4242, 1977)
 
-#: Two backends: the serial reference and a partitioned one.
-BACKENDS = ("serial", "process")
+#: Two backends: the serial reference and the partitioned one.
+BACKENDS = ("serial", "socket")
 
 RATES = ChurnRates(transfer=1.0, death=0.5, upgrade=1.0, downgrade=0.5,
                    region=1.0, dnssec=0.15)
@@ -74,15 +74,17 @@ def test_every_epoch_matches_its_cold_survey(audited_timeline):
 
 @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_partitioned_backends_stay_delta_correct(seed, backend):
-    """The epoch loop holds its cold contract off the serial backend too."""
+def test_partitioned_backends_stay_delta_correct(seed, backend, worker_trio):
+    """The epoch loop holds its cold contract off the serial backend too,
+    and its config records the workers that served it."""
     world = _world(seed)
     timeline = run_churn_timeline(world, _model(world), epochs=EPOCHS,
-                                  backend=backend, workers=3,
+                                  backend=backend, worker_addrs=worker_trio,
                                   passes=PASSES, popular_count=15,
                                   cold_check=True)
     assert all(snapshot.cold_identical
                for snapshot in timeline.snapshots[1:])
+    assert timeline.config["workers"] == len(worker_trio) == 3
 
 
 def _timing_free(timeline):

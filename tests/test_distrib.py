@@ -29,7 +29,6 @@ from repro.distrib.wire import (FRAME_BUILD, FRAME_ERROR, FRAME_HEADER_SIZE,
                                 FRAME_SURVEY, WIRE_MAGIC, _FRAME_HEADER,
                                 pack_work_order, parse_address, recv_frame,
                                 send_frame, unpack_work_order)
-from repro.distrib.worker import WorkerServer
 from repro.topology.changes import ChangeJournal
 from repro.topology.generator import GeneratorConfig, InternetGenerator
 
@@ -137,19 +136,6 @@ def test_work_order_round_trip():
 
 
 # -- in-process worker fleet --------------------------------------------------------------
-
-
-@pytest.fixture
-def worker_trio():
-    """Three WorkerServers on loopback, each served from a thread."""
-    servers = [WorkerServer() for _ in range(3)]
-    threads = [threading.Thread(target=server.serve_forever, daemon=True)
-               for server in servers]
-    for thread in threads:
-        thread.start()
-    yield [server.address for server in servers]
-    for thread in threads:
-        thread.join(timeout=5)
 
 
 def test_socket_cold_survey_identical_to_serial(small_internet, worker_trio):

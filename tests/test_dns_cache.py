@@ -117,20 +117,6 @@ def test_entry_never_served_after_expiry(ttl, query_time):
         assert entry is not None
 
 
-def test_cache_clone_snapshots_entries():
-    cache = ResolverCache(max_entries=500, negative_ttl=123)
-    cache.put("example.com", RRType.A, [_a_record(ttl=60)], now=0.0)
-    twin = cache.clone()
-    assert len(twin) == len(cache) == 1
-    assert twin.max_entries == 500
-    assert twin.negative_ttl == 123
-    # Mutating the clone leaves the original untouched.
-    twin.put("other.com", RRType.A, [_a_record(ttl=60)], now=0.0)
-    assert len(twin) == 2
-    assert len(cache) == 1
-    assert twin.stats.insertions == 1
-
-
 # -- purge by index against a scan of every entry ---------------------------------------
 
 OWNERS = st.sampled_from(["example.com", "www.example.com", "a.b.example.com",

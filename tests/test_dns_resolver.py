@@ -231,16 +231,3 @@ def test_invalidate_zones_drops_prefixes_on_the_apex_line(mini_internet):
     # Invalidating a TLD drops everything below it too.
     resolver.invalidate_zones(["edu"])
     assert cached() == {"hostco.com", "net", "edunic.net"}
-
-
-def test_resolver_clone_is_independent(mini_internet):
-    resolver = mini_internet.make_resolver()
-    resolver.resolve("www.example.com")
-    clone = resolver.clone()
-    assert clone is not resolver
-    assert clone.cache is not resolver.cache
-    assert len(clone.cache) == len(resolver.cache)
-    trace = clone.resolve("www.example.com")
-    assert trace.succeeded
-    assert trace.query_count == 0, "clone must start with a warm cache"
-
