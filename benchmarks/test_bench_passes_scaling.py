@@ -33,13 +33,23 @@ def _warm_builder(internet, names):
 
 
 def _analyze_legacy(builder, names):
-    """Graph copy + fresh-analyzer availability + exhaustive SPOF scan."""
+    """Graph copy + fresh-analyzer availability + exhaustive SPOF scan.
+
+    The scan checks resolution once per TCB member failed alone; a name
+    that does not resolve with every server up reports its whole TCB, as
+    ``single_points_of_failure`` does.
+    """
     analyzer = AvailabilityAnalyzer(0.95)
     out = []
     for name in names:
         graph = builder.build(name)
-        out.append((analyzer.resolution_probability(graph),
-                    len(analyzer.single_points_of_failure_exhaustive(graph))))
+        tcb = graph.tcb()
+        if analyzer.resolvable_with_failures(graph, set()):
+            spofs = [host for host in tcb
+                     if not analyzer.resolvable_with_failures(graph, {host})]
+        else:
+            spofs = list(tcb)
+        out.append((analyzer.resolution_probability(graph), len(spofs)))
     return out
 
 

@@ -55,6 +55,7 @@ record/snapshot boundary (equal masks share one frozenset).  Root servers
 from __future__ import annotations
 
 from typing import (
+    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -109,18 +110,18 @@ class ClosureIndex:
     For every node the index answers "which non-excluded nameserver hostnames
     are reachable from here?" as an integer bitset over NS slots (and, via
     :meth:`closure`, as a shared :class:`frozenset`).  Closures are computed
-    with an iterative Tarjan SCC pass — mutually dependent zones (mutual
-    secondaries) collapse into one component sharing one closure — and
-    memoized per node id, so surveying name *N+1* only ever explores the
-    part of the universe that no earlier name reached.  Unions of bitsets
-    are single big-int ORs; nothing in the hot path hashes a
-    :class:`DomainName`.
+    over the strongly connected components of :meth:`components` —
+    mutually dependent zones (mutual secondaries) collapse into one
+    component sharing one closure — and memoized per node id, so surveying
+    name *N+1* only ever explores the part of the universe that no earlier
+    name reached.  Unions of bitsets are single big-int ORs; nothing in
+    the hot path hashes a :class:`DomainName`.
 
     The builder keeps the memo correct as the universe grows: whenever a node
     that already existed gains a new out-edge, the memo entries of that node
     and of everything that can reach it are dropped (see :meth:`invalidate`),
     and :attr:`version` is bumped so caches derived from the structure
-    (the engine's per-chain analyses, the analyzers' prefix snapshots)
+    (the engine's per-chain analyses, the analyzers' cached state)
     retire with them.
     """
 
@@ -194,72 +195,70 @@ class ClosureIndex:
         cached = memo.get(node)
         if cached is not None:
             return cached
-        graph = self._graph
-        out = graph.out
-        ns_slots = graph.ns_slots
+        out = self._graph.out
+        ns_slots = self._graph.ns_slots
+        memo_get = memo.get
+        # Components come in reverse topological order, so every successor
+        # outside a component is already memoized and the component's
+        # closure is the union (bitwise OR) of its members' own
+        # contribution bits and those successor closures.
+        for members in self.components(node, memo):
+            shared = 0
+            for member in members:
+                slot = ns_slots[member]
+                if slot >= 0:
+                    shared |= self._slot_bit(slot)
+                for succ in out[member]:
+                    shared |= memo_get(succ, 0)
+            for member in members:
+                memo[member] = shared
+            self.computations += len(members)
+        return memo[node]
 
-        # Iterative Tarjan: SCCs are closed in reverse topological order, so
-        # when a component is popped every successor outside it is already
-        # memoized and the component's closure is the union (bitwise OR) of
-        # its members' own contribution bits and those successor closures.
-        index: Dict[int, int] = {}
-        low: Dict[int, int] = {}
-        on_stack: Set[int] = set()
-        scc_stack: List[int] = []
-        partial: Dict[int, int] = {}
-        work: List[Tuple[int, Iterator[int]]] = []
-        counter = 0
+    def components(self, node: int, done: Container[int]
+                   ) -> Iterator[List[int]]:
+        """Strongly connected components reachable from ``node``.
 
-        def open_node(n: int) -> None:
-            nonlocal counter
-            index[n] = low[n] = counter
-            counter += 1
-            scc_stack.append(n)
-            on_stack.add(n)
-            slot = ns_slots[n]
-            partial[n] = self._slot_bit(slot) if slot >= 0 else 0
-            work.append((n, iter(out[n])))
-
-        open_node(node)
+        An iterative Tarjan pass over the universe's out-edges.  The walk
+        does not enter nodes in ``done`` (whatever the caller has already
+        evaluated), and it yields each component in reverse topological
+        order: when a component comes out, every successor outside it is
+        in ``done`` or in a component yielded before.
+        """
+        out = self._graph.out
+        index: Dict[int, int] = {node: 0}
+        low: Dict[int, int] = {node: 0}
+        on_stack: Set[int] = {node}
+        stack: List[int] = [node]
+        work: List[Tuple[int, Iterator[int]]] = [(node, iter(out[node]))]
         while work:
             current, successors = work[-1]
-            descended = False
             for succ in successors:
-                done = memo.get(succ)
-                if done is not None:
-                    partial[current] |= done
-                elif succ not in index:
-                    open_node(succ)
-                    descended = True
+                if succ in done:
+                    continue
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(out[succ])))
                     break
-                elif succ in on_stack:
-                    if index[succ] < low[current]:
-                        low[current] = index[succ]
-            if descended:
-                continue
-            work.pop()
-            if low[current] == index[current]:
-                members: List[int] = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    members.append(member)
-                    if member == current:
-                        break
-                shared = 0
-                for member in members:
-                    shared |= partial.pop(member)
-                for member in members:
-                    memo[member] = shared
-                self.computations += len(members)
-            if work:
-                parent = work[-1][0]
-                if low[current] < low[parent]:
-                    low[parent] = low[current]
-                finished = memo.get(current)
-                if finished is not None:
-                    partial[parent] |= finished
-        return memo[node]
+                if succ in on_stack and index[succ] < low[current]:
+                    low[current] = index[succ]
+            else:
+                work.pop()
+                if low[current] == index[current]:
+                    members: List[int] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        members.append(member)
+                        if member == current:
+                            break
+                    yield members
+                if work:
+                    parent = work[-1][0]
+                    if low[current] < low[parent]:
+                        low[parent] = low[current]
 
     # -- adjacency splits --------------------------------------------------------------
 
@@ -669,6 +668,9 @@ class DelegationGraphBuilder:
         self.resolver = resolver
         self.excluded_suffixes = tuple(DomainName(s) for s in excluded_suffixes)
         self.max_depth = max_depth
+        #: Set once a walk stops at ``max_depth``: rows then depend on the
+        #: depth a host was first reached at, which a delta cannot replay.
+        self.depth_truncated = False
         self._universe = DependencyUniverse()
         self._closures = ClosureIndex(self._universe, self.excluded_suffixes)
         self._chain_cache: Dict[DomainName, List[ZoneCut]] = {}
@@ -896,6 +898,7 @@ class DelegationGraphBuilder:
         if hostname in self._expanded_hosts:
             return
         if depth > self.max_depth:
+            self.depth_truncated = True
             return
         self._expanded_hosts.add(hostname)
         for cut in self.chain(hostname):

@@ -647,8 +647,16 @@ class SurveyEngine:
         byte-identical to a cold ``SurveyEngine(...).run()`` over the
         mutated world with the same configuration.  Delta bookkeeping
         therefore lives in the returned :class:`DeltaStats`, never in the
-        results metadata.
+        results metadata.  A builder whose walk stopped at its
+        ``max_depth`` cannot keep it, so such an engine raises
+        :class:`ValueError`.
         """
+        if self.builder.depth_truncated:
+            raise ValueError(
+                f"run_delta needs a cold survey: a walk stopped at "
+                f"max_depth={self.builder.max_depth}, so rows depend on the "
+                f"depth each host was first reached at, which a delta "
+                f"cannot replay")
         started = time.perf_counter()
         changes = journal.changes(since=since) \
             if hasattr(journal, "changes") else journal

@@ -156,9 +156,11 @@ class AvailabilityPass(AnalysisPass):
 
     Runs :class:`~repro.core.availability.AvailabilityAnalyzer` directly on
     the engine's :class:`~repro.core.delegation.TCBView` — no graph copies.
-    One analyzer per worker carries its prefix snapshots across names, so
-    the TLD subtree each chain starts with is walked once per closure-index
-    version.
+    One analyzer per worker carries its state across names, keyed on the
+    closure-index version: the analytic recursion's prefix snapshots, so
+    the TLD subtree each chain starts with is walked once per version, and
+    the single-point-of-failure fixpoint's per-node memo, so each node is
+    evaluated once per version.
 
     Columns: ``availability`` (analytic probability), ``availability_spof``
     (number of single points of failure), and ``availability_mc`` when

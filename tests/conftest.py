@@ -17,6 +17,7 @@ test process, so partitioned surveys run without spawning processes.
 from __future__ import annotations
 
 import dataclasses
+import socket
 import threading
 
 import pytest
@@ -237,7 +238,13 @@ def small_survey(small_internet):
 
 @pytest.fixture
 def worker_trio():
-    """Three WorkerServers on loopback, each served from a thread."""
+    """Three WorkerServers on loopback, each served from a thread.
+
+    Teardown sends SHUTDOWN to every worker still serving, since a test
+    may leave some without a coordinator to stop them."""
+    from repro.distrib import WireError
+    from repro.distrib.wire import (FRAME_SHUTDOWN, parse_address,
+                                    recv_frame, send_frame)
     from repro.distrib.worker import WorkerServer
     servers = [WorkerServer() for _ in range(3)]
     threads = [threading.Thread(target=server.serve_forever, daemon=True)
@@ -245,5 +252,15 @@ def worker_trio():
     for thread in threads:
         thread.start()
     yield [server.address for server in servers]
+    for server, thread in zip(servers, threads):
+        if not thread.is_alive():
+            continue
+        try:
+            with socket.create_connection(parse_address(server.address),
+                                          timeout=5.0) as connection:
+                send_frame(connection, FRAME_SHUTDOWN)
+                recv_frame(connection, timeout=5.0)
+        except (OSError, WireError):
+            pass  # it stopped between the check and the connect
     for thread in threads:
         thread.join(timeout=5)

@@ -1,20 +1,30 @@
-"""Plain reference recursions for the delegation-graph analyses.
+"""The delegation-graph analyses as the paper defines them, written plainly.
 
-Each function evaluates one recursion exactly as the module docstring of
-:mod:`repro.core.mincut` or :mod:`repro.core.availability` states it,
-written directly over a NodeKey graph (anything with ``successors``:
-:class:`~repro.core.graphcore.KeyGraph`, ``networkx.DiGraph``, or a
-:class:`~repro.core.graphcore.DependencyUniverse`).  The recursions keep
-only a per-call memo and the in-progress cycle guard — a dependency loop
-is cut where the walk re-enters it, exactly as the analyzers do — and
-nothing else: no bitsets, prefix resume, zone-term replay or interning.
-Tests check the integer analyzers against these functions.
+Every function works directly over a NodeKey graph (anything with
+``successors``: :class:`~repro.core.graphcore.KeyGraph`,
+``networkx.DiGraph``, or a :class:`~repro.core.graphcore.DependencyUniverse`),
+with no bitsets, prefix resume, zone-term replay or interning.  Tests check
+the integer analyzers against these functions.
+
+* :func:`resolves` is the definition of resolution with failed servers:
+  the greatest fixpoint of "a server resolves when it has not failed and
+  all of its zones resolve; a zone resolves when any of its servers
+  resolves; a name resolves when all of its zones resolve", computed by a
+  worklist that starts from "everything resolves" and removes what breaks
+  a rule.  :func:`single_points_of_failure` and :func:`monte_carlo` are
+  stated through it: one failure at a time, and one drawn down set per
+  sample.
+* :func:`min_cut` and :func:`availability` restate the recursions of
+  :mod:`repro.core.mincut` and :mod:`repro.core.availability`, because
+  their cycle rule (a loop is cut where the walk re-enters it) is part of
+  what they compute.  They keep a per-call memo and the in-progress cycle
+  guard, and nothing else.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.delegation import NS_KIND, ZONE_KIND, NodeKey, name_node
 from repro.dns.name import DomainName
@@ -102,8 +112,17 @@ def min_cut(graph, target, vulnerable: Iterable[DomainName] = (),
 
 # -- availability ------------------------------------------------------------------------
 
-def _avail_walk(graph, up: UpFunction, memo: Dict[NodeKey, float]):
-    """``avail`` over ``graph``, memoised in ``memo``."""
+def availability(graph, target, up: UpFunction) -> float:
+    """``avail(target)``, 0.0 for a name with no known zone.
+
+    avail(name)   = product over zones Z of name of avail_zone(Z)
+    avail_zone(Z) = 1 - product over nameservers H of Z of
+                          (1 - up(H) * avail(H))
+    """
+    node = name_node(target)
+    if not _zones(graph, node):
+        return 0.0
+    memo: Dict[NodeKey, float] = {}
 
     def avail(node: NodeKey, in_progress: FrozenSet[NodeKey]) -> float:
         if node in memo:
@@ -125,27 +144,61 @@ def _avail_walk(graph, up: UpFunction, memo: Dict[NodeKey, float]):
         memo[node] = probability
         return probability
 
-    return avail
+    return avail(node, frozenset())
 
 
-def availability(graph, target, up: UpFunction) -> float:
-    """``avail(target)``, 0.0 for a name with no known zone.
+# -- resolution: the greatest fixpoint ---------------------------------------------------
 
-    avail(name)   = product over zones Z of name of avail_zone(Z)
-    avail_zone(Z) = 1 - product over nameservers H of Z of
-                          (1 - up(H) * avail(H))
+def resolves(graph, target, failed: Iterable[DomainName] = ()) -> bool:
+    """Does ``target`` resolve with every server in ``failed`` down?
+
+    The greatest fixpoint over the nodes the target reaches: start with
+    every node resolving, and take away each node that breaks its rule
+    until none does.  A name with no known zone does not resolve.
     """
-    node = name_node(target)
-    if not _zones(graph, node):
-        return 0.0
-    return _avail_walk(graph, up, {})(node, frozenset())
-
-
-def resolvable(graph, target, failed: Iterable[DomainName] = ()) -> bool:
-    """Does ``target`` resolve with every server in ``failed`` down?"""
     failed = frozenset(DomainName(host) for host in failed)
-    return availability(
-        graph, target, lambda host: 0.0 if host in failed else 1.0) > 0.5
+    start = name_node(target)
+    if not _zones(graph, start):
+        return False
+    nodes = {start}
+    predecessors: Dict[NodeKey, List[NodeKey]] = {}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for succ in graph.successors(node):
+            predecessors.setdefault(succ, []).append(node)
+            if succ not in nodes:
+                nodes.add(succ)
+                stack.append(succ)
+
+    resolving = set(nodes)
+
+    def holds(node: NodeKey) -> bool:
+        kind, name = node
+        if kind == ZONE_KIND:
+            return any(ns in resolving for ns in _nameservers(graph, node))
+        if kind == NS_KIND and name in failed:
+            return False
+        return all(zone in resolving for zone in _zones(graph, node))
+
+    work = list(nodes)
+    while work:
+        node = work.pop()
+        if node in resolving and not holds(node):
+            resolving.discard(node)
+            work.extend(predecessors.get(node, ()))
+    return start in resolving
+
+
+def single_points_of_failure(graph, target, tcb: Iterable[DomainName]
+                             ) -> FrozenSet[DomainName]:
+    """All of ``tcb`` if ``target`` does not resolve with every server up,
+    else the members of ``tcb`` whose failure alone stops it resolving."""
+    tcb = frozenset(tcb)
+    if not resolves(graph, target):
+        return tcb
+    return frozenset(host for host in tcb
+                     if not resolves(graph, target, {host}))
 
 
 def monte_carlo(graph, target, tcb: Iterable[DomainName], up: UpFunction,
@@ -156,45 +209,6 @@ def monte_carlo(graph, target, tcb: Iterable[DomainName], up: UpFunction,
     successes = 0
     for _ in range(samples):
         down = {host for host in hosts if rng.random() >= up(host)}
-        if resolvable(graph, target, down):
+        if resolves(graph, target, down):
             successes += 1
     return successes / samples
-
-
-def single_points_of_failure(graph, target, tcb: Iterable[DomainName]
-                             ) -> FrozenSet[DomainName]:
-    """``kill(target)``, or all of ``tcb`` if the name never resolves.
-
-    kill(name)   = union over zones Z of name of kill_zone(Z)
-    kill_zone(Z) = intersection over the nameservers H of Z that resolve
-                   with every server up of ({H} | kill(H))
-    """
-    if not resolvable(graph, target):
-        return frozenset(tcb)
-    memo: Dict[NodeKey, FrozenSet[DomainName]] = {}
-    reach = _avail_walk(graph, lambda _host: 1.0, {})
-
-    def kill(node: NodeKey, in_progress: FrozenSet[NodeKey]):
-        if node in memo:
-            return memo[node]
-        if node in in_progress:
-            # The looping branch counts as reachable, so nothing inside
-            # the loop kills it.
-            return frozenset()
-        in_progress = in_progress | {node}
-        kills: set = set()
-        for zone in _zones(graph, node):
-            zone_kill = None
-            for ns in _nameservers(graph, zone):
-                if reach(ns, in_progress) <= 0.5:
-                    continue
-                term = frozenset({ns[1]}) | kill(ns, in_progress)
-                zone_kill = term if zone_kill is None else zone_kill & term
-                if not zone_kill:
-                    break
-            if zone_kill:
-                kills |= zone_kill
-        memo[node] = frozenset(kills)
-        return memo[node]
-
-    return kill(name_node(target), frozenset())

@@ -392,8 +392,10 @@ def test_redelegation_round_trip_under_a_small_max_depth_matches_cold(
         monkeypatch):
     """A zone goes A -> B -> A over two journalled epochs on builders
     whose max_depth leaves hosts unexpanded.  Zone rows settled in one
-    epoch must not stand in the next: both deltas, and every closure the
-    warm builder holds, equal a cold engine's."""
+    epoch must not stand in the next: after each epoch's
+    ``apply_changes``, every closure the warm builder holds equals a cold
+    engine's.  (``run_delta`` refuses such a builder; the builder-level
+    update is what stays in use.)"""
     reached = {}
     expand = DelegationGraphBuilder._expand_host
 
@@ -417,15 +419,54 @@ def test_redelegation_round_trip_under_a_small_max_depth_matches_cold(
     for nameservers in (after, before):
         journal = ChangeJournal(internet)
         journal.set_zone_nameservers(zone, nameservers)
-        outcome = engine.run_delta(previous, journal)
+        changes = journal.changes()
+        dirty = set(DirtyIndex.of(previous).dirty_names(changes))
+        assert dirty
+        engine.apply_changes(changes, dirty)
         cold_engine = _shallow_engine(internet, 2)
         cold = cold_engine.run()
-        assert outcome.dirty
-        assert _snapshot_bytes(outcome.results) == _snapshot_bytes(cold)
         for record in cold.records:
             assert engine.builder.closure_of(record.name) == \
                 cold_engine.builder.closure_of(record.name)
-        previous = outcome.results
+        previous = cold
+
+
+#: A world where a walk truncated at max_depth 3 first reaches hosts at
+#: depths a delta's stale-host re-walk does not replay.
+DEEP = GeneratorConfig(seed=20040722, sld_count=150,
+                       directory_name_count=240, university_count=32,
+                       hosting_provider_count=10, isp_count=8, alexa_count=40)
+
+
+def _redelegate_site1(internet) -> ChangeJournal:
+    journal = ChangeJournal(internet)
+    journal.set_zone_nameservers(
+        DomainName("site1.com"),
+        internet.organizations.by_name("univ1").nameservers[:2])
+    return journal
+
+
+def test_delta_refuses_a_builder_truncated_at_max_depth():
+    """A row depends on the depth its host was first reached at, so a
+    delta over a truncated walk would differ from a cold survey: it is
+    refused, naming max_depth."""
+    internet = InternetGenerator(DEEP).generate()
+    engine = _shallow_engine(internet, 3)
+    previous = engine.run()
+    assert engine.builder.depth_truncated
+    with pytest.raises(ValueError, match="max_depth=3"):
+        engine.run_delta(previous, _redelegate_site1(internet))
+
+
+def test_delta_runs_at_the_default_max_depth():
+    internet = InternetGenerator(DEEP).generate()
+    engine = SurveyEngine(internet, config=EngineConfig(popular_count=20))
+    previous = engine.run()
+    assert not engine.builder.depth_truncated
+    outcome = engine.run_delta(previous, _redelegate_site1(internet))
+    cold = SurveyEngine(internet, config=EngineConfig(popular_count=20)).run()
+    assert outcome.dirty
+    assert _snapshot_bytes(outcome.results) == _snapshot_bytes(cold)
 
 
 def test_zone_cut_under_a_deployment_signs_like_a_cold_deployment():

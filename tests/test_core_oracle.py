@@ -2,20 +2,23 @@
 
 Hypothesis draws small AND/OR delegation graphs (1–4 names, 1–5 zones,
 1–6 hosts) with cycles, dead zones (no nameservers) and unreachable hosts,
-plus per-host vulnerability flags and up-probabilities.  Every analysis
-must agree exactly with the plain oracle recursion, three times over: on
+plus per-host vulnerability flags, up-probabilities and failed sets.
+Min-cut and analytic availability must equal the oracle's plain
+recursions.  Single points of failure, ``resolvable_with_failures`` and
+Monte Carlo must equal the greatest-fixpoint definitions of resolution,
+single failure by single failure and drawn down set by drawn down set;
+those checks run at 2,000 examples.  Each check runs three times over: on
 a :class:`DelegationGraph` lowered at the analyzer boundary with a fresh
 analyzer; on :class:`TCBView`\\ s of one shared universe walked by warm
-analyzers that keep their prefix snapshots across names; and on a universe
+analyzers that keep their cached state across names; and on a universe
 grown name by name under those same warm analyzers, where only the closure
-index's version retires a snapshot that growth made stale.
+index's version retires cached state that growth made stale.
 """
 
 import dataclasses
 import random
 from typing import Dict, FrozenSet, List, Tuple
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
@@ -118,13 +121,16 @@ def _check_min_cut(analyzer, subject, generic, world, aware):
         (safe, len(servers) - safe)
 
 
-def _check_availability(analyzer, subject, generic, world, seed):
-    target = subject.target
+def _check_analytic(analyzer, subject, generic, world):
     assert analyzer.resolution_probability(subject) == \
-        oracle.availability(generic, target, world.up_of)
+        oracle.availability(generic, subject.target, world.up_of)
+
+
+def _check_fixpoint(analyzer, subject, generic, world, seed):
+    target = subject.target
     for failed in world.failed_sets:
         assert analyzer.resolvable_with_failures(subject, set(failed)) == \
-            oracle.resolvable(generic, target, failed)
+            oracle.resolves(generic, target, failed)
     assert analyzer.single_points_of_failure(subject) == \
         oracle.single_points_of_failure(generic, target, subject.tcb())
     assert analyzer.monte_carlo(subject, samples=MC_SAMPLES,
@@ -133,19 +139,51 @@ def _check_availability(analyzer, subject, generic, world, seed):
                            MC_SAMPLES, rng=random.Random(seed))
 
 
+def _growing(world, data):
+    """Grow one universe name by name, as the builder does: each new edge
+    goes in through ``add_edge`` and invalidates its source in the closure
+    index.  Yields (views of every name added so far, the generic graph as
+    it now stands) after each step.
+
+    Step i adds name i; every edge lands at some step, a name's own edges
+    no earlier than the name.  Edges added later grow nodes the analyzers
+    have already walked and cached.
+    """
+    count = len(world.names)
+    name_steps = {name_node(name): step
+                  for step, name in enumerate(world.names)}
+    steps: List[List[Tuple[tuple, tuple]]] = [[] for _ in range(count)]
+    for source, target in world.edges:
+        first = name_steps.get(source, 0)
+        steps[data.draw(st.integers(first, count - 1))].append(
+            (source, target))
+    universe = DependencyUniverse()
+    closures = ClosureIndex(universe)
+    generic = KeyGraph()
+    for step, edges in enumerate(steps):
+        name = world.names[step]
+        universe.add_node(name_node(name))
+        generic.add_node(name_node(name))
+        for source, target in edges:
+            universe.add_edge(source, target)
+            generic.add_edge(source, target)
+            closures.invalidate_id(universe.find_key(source))
+        yield ([_view(universe, closures, added)
+                for added in world.names[:step + 1]], generic)
+
+
 @settings(max_examples=250, deadline=None)
 @given(worlds())
 def test_lowered_graph_analyses_match_oracle(world):
     generic = world.key_graph()
     vulnerability = {host: True for host in world.vulnerable}
-    for seed, name in enumerate(world.names):
+    for name in world.names:
         graph = DelegationGraph(name, generic)
         for aware in (True, False):
             _check_min_cut(BottleneckAnalyzer(vulnerability,
                                               vulnerability_aware=aware),
                            graph, generic, world, aware)
-        _check_availability(world.availability_analyzer(),
-                            graph, generic, world, seed)
+        _check_analytic(world.availability_analyzer(), graph, generic, world)
 
 
 @settings(max_examples=250, deadline=None)
@@ -160,54 +198,55 @@ def test_warm_analyzers_match_oracle(world):
     availability = world.availability_analyzer()
     # Walk every name twice, so the second pass resumes from warm prefix
     # snapshots and replays their zone terms.
-    for seed, view in enumerate(views + views[::-1]):
+    for view in views + views[::-1]:
         for aware, analyzer in cuts.items():
             _check_min_cut(analyzer, view, generic, world, aware)
-        _check_availability(availability, view, generic, world, seed)
+        _check_analytic(availability, view, generic, world)
 
 
 @settings(max_examples=250, deadline=None)
 @given(worlds(), st.data())
 def test_warm_analyzers_match_oracle_on_growing_universe(world, data):
-    """Grow one universe name by name, as the builder does: each new edge
-    goes in through ``add_edge`` and invalidates its source in the closure
-    index.  After every step the warm analyzers must answer each name added
-    so far exactly as the oracle does on the graph as it now stands."""
-    # Step i adds name i; every edge lands at some step, a name's own edges
-    # no earlier than the name.  Edges added later grow nodes the analyzers
-    # have already walked and snapshotted.
-    count = len(world.names)
-    name_steps = {name_node(name): step
-                  for step, name in enumerate(world.names)}
-    steps: List[List[Tuple[tuple, tuple]]] = [[] for _ in range(count)]
-    for source, target in world.edges:
-        first = name_steps.get(source, 0)
-        steps[data.draw(st.integers(first, count - 1))].append(
-            (source, target))
-    universe = DependencyUniverse()
-    closures = ClosureIndex(universe)
-    generic = KeyGraph()
+    """After every growth step the warm analyzers must answer each name
+    added so far exactly as the oracle does on the graph as it now
+    stands."""
     vulnerability = {host: True for host in world.vulnerable}
     cut = BottleneckAnalyzer(vulnerability)
     availability = world.availability_analyzer()
-    for step, edges in enumerate(steps):
-        name = world.names[step]
-        universe.add_node(name_node(name))
-        generic.add_node(name_node(name))
-        for source, target in edges:
-            universe.add_edge(source, target)
-            generic.add_edge(source, target)
-            closures.invalidate_id(universe.find_key(source))
-        for seed, added in enumerate(world.names[:step + 1]):
-            view = _view(universe, closures, added)
+    for views, generic in _growing(world, data):
+        for view in views:
             _check_min_cut(cut, view, generic, world, True)
-            _check_availability(availability, view, generic, world, seed)
+            _check_analytic(availability, view, generic, world)
 
 
-# -- a known SPOF disagreement, pinned ----------------------------------------------------
+@settings(max_examples=2000, deadline=None)
+@given(worlds(), st.data())
+def test_fixpoint_analyses_match_gfp_definitions(world, data):
+    """SPOFs, ``resolvable_with_failures`` and Monte Carlo equal the
+    greatest-fixpoint definitions on all three routes: lowered graphs
+    with fresh analyzers, warm views walked twice, and a growing
+    universe."""
+    generic = world.key_graph()
+    for seed, name in enumerate(world.names):
+        _check_fixpoint(world.availability_analyzer(),
+                        DelegationGraph(name, generic), generic, world, seed)
+    warm = world.availability_analyzer()
+    views = world.views()
+    for seed, view in enumerate(views + views[::-1]):
+        _check_fixpoint(warm, view, generic, world, seed)
+    warm = world.availability_analyzer()
+    for grown_views, grown in _growing(world, data):
+        for seed, view in enumerate(grown_views):
+            _check_fixpoint(warm, view, grown, world, seed)
+
+
+# -- a cyclic graph whose answer a walk order could change ----------------------------
 
 def _cyclic_spof_graph() -> DelegationGraph:
-    """12 edges where the two SPOF methods disagree (``z1.t`` has no NS)."""
+    """12 edges, several cycles and a dead zone (``z1.t`` has no NS).  By
+    the greatest fixpoint, ``ns2.t`` needs the dead zone ``z1.t``, so
+    ``z4.t`` resolves only through ``ns3.t``, which needs ``z4.t``:
+    failing either of ``ns1.t`` and ``ns3.t`` stops ``www.t``."""
     graph = KeyGraph()
     for source, target in [
             (name_node("www.t"), zone_node("z0.t")),
@@ -235,28 +274,30 @@ def test_kill_set_spof_on_cyclic_graph_matches_oracle():
                                            graph.tcb()) == expected
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="single_points_of_failure_exhaustive memoises ns1.t's value "
-           "along the walk's path through the cycle and reports {ns1.t}; "
-           "settling which answer the paper's definition gives belongs to "
-           "the ROADMAP item 'Paper-definition oracle, exact min-cut, and "
-           "differential fuzzing'")
-def test_exhaustive_spof_agrees_with_kill_set_on_cyclic_graph():
+def test_single_failure_scan_agrees_with_kill_set_on_cyclic_graph():
     graph = _cyclic_spof_graph()
     analyzer = AvailabilityAnalyzer(1.0)
-    assert analyzer.single_points_of_failure_exhaustive(graph) == \
-        analyzer.single_points_of_failure(graph)
+    scanned = {host for host in graph.tcb()
+               if not analyzer.resolvable_with_failures(graph, {host})}
+    assert scanned == analyzer.single_points_of_failure(graph) == \
+        {DomainName("ns1.t"), DomainName("ns3.t")}
+
+
+def test_failed_loop_member_stops_resolution_on_cyclic_graph():
+    graph = _cyclic_spof_graph()
+    failed = {DomainName("ns3.t")}
+    assert not oracle.resolves(graph.graph, "www.t", failed)
+    assert not AvailabilityAnalyzer(1.0).resolvable_with_failures(graph,
+                                                                  failed)
 
 
 def test_spof_prefix_resume_keeps_first_zone_state_only():
     """Two names share their first zone.  The first name's later zone
-    reaches ``y.t`` only through a cycle with ``x.t``, so its walk
-    memoises ``y.t`` as reachable while ``x.t`` is in progress; ``x.t``
-    has a dead zone.  The second name's later zone offers ``y.t`` beside
-    ``h.t``, and walked on its own, ``y.t`` does not resolve, leaving
-    ``h.t`` a single point of failure.  A warm analyzer resuming the
-    second name from the first name's snapshot must agree."""
+    reaches ``y.t`` only through a cycle with ``x.t``; ``x.t`` has a dead
+    zone, so neither resolves.  The second name's later zone offers
+    ``y.t`` beside ``h.t``, leaving ``h.t`` a single point of failure.  A
+    warm analyzer that evaluated the first name must answer the second as
+    a fresh one does."""
     world = World(
         names=["www0.t", "www1.t"],
         edges=[(name_node("www0.t"), zone_node("z0.t")),

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracle
 from repro.dns.name import DomainName
 from repro.core.availability import AvailabilityAnalyzer
 from repro.core.dnssec_impact import (
@@ -118,7 +119,8 @@ def test_availability_columns_match_legacy_graph_path(pass_survey):
         assert record.extras["availability"] == pytest.approx(
             analyzer.resolution_probability(graph), abs=1e-12)
         assert record.extras["availability_spof"] == \
-            len(analyzer.single_points_of_failure_exhaustive(graph))
+            len(oracle.single_points_of_failure(graph.graph, record.name,
+                                                graph.tcb()))
 
 
 def test_dnssec_detected_implies_hijackable_and_secure(pass_survey):
