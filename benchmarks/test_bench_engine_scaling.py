@@ -30,7 +30,7 @@ def _warm_builder(internet, names):
 
 
 def test_bench_legacy_tcb_extraction(benchmark, bench_internet, paper_survey):
-    """Per-name TCB via nx.descendants + subgraph copy (the old hot path)."""
+    """Per-name TCB via a per-name graph copy (the old hot path)."""
     names = [record.name for record in
              paper_survey.resolved_records()[:SAMPLE]]
     builder = _warm_builder(bench_internet, names)

@@ -1,12 +1,12 @@
 """Availability analysis on TCBView vs. the legacy graph-copy path.
 
-Before the AnalysisPass framework, studying the paper's availability side
-meant materialising a full per-name ``DelegationGraph`` (``nx.descendants``
-plus a subgraph copy) and walking it with a fresh analyzer — which is why
-`core/availability` could only run at toy scale.  As an engine pass the same
-analysis reads the zero-copy ``TCBView`` backed by the memoized closure
-index, resumes each chain from a warm analyzer's per-TLD prefix snapshot,
-and gets the engine's per-chain cache on top.  These benches pin the difference down
+The legacy path builds a per-name ``DelegationGraph`` (``builder.build``
+lowers the name's part of the builder's universe into a universe of its
+own) and runs a fresh analyzer on it, with an exhaustive single-failure
+scan for the SPOFs.  As an engine pass the same analysis reads the
+zero-copy ``TCBView`` backed by the memoized closure index, resumes each
+chain from a warm analyzer's per-TLD prefix snapshot, and gets the
+engine's per-chain cache on top.  These benches pin the difference down
 and assert the acceptance floor.
 """
 

@@ -97,10 +97,13 @@ def main() -> None:
             operators[org.kind.value] += 1
         if server is not None:
             regions[server.region] += 1
-    print(format_table(sorted(operators.items(), key=lambda kv: -kv[1]),
+    def by_count(item):
+        return (-item[1], item[0])
+
+    print(format_table(sorted(operators.items(), key=by_count),
                        headers=("operator kind", "servers in closure")))
     print()
-    print(format_table(sorted(regions.items(), key=lambda kv: -kv[1]),
+    print(format_table(sorted(regions.items(), key=by_count),
                        headers=("region", "servers in closure")))
 
     worst = max(audited, key=lambda record: record.tcb_size)

@@ -46,13 +46,13 @@ It is an approximation twice over: shared dependencies are treated as
 independent, and a dependency loop counts as reachable — the looping
 branch contributes only the server's own up-probability.
 
-The analyzer accepts any :class:`~repro.core.delegation.DelegationView`
-and runs on the dense node ids and NS slots its
-:meth:`~repro.core.delegation.DelegationView.int_core` hands over: the
-survey engine's zero-copy :class:`~repro.core.delegation.TCBView` shares
-the builder's universe, and a materialised
-:class:`~repro.core.delegation.DelegationGraph` lowers itself into a
-throwaway one.
+The analyzer accepts any :class:`~repro.core.delegation.TCBView` and runs
+on the dense node ids and NS slots its
+:meth:`~repro.core.delegation.TCBView.int_core` hands over: the survey
+engine's zero-copy views share the builder's universe, and a
+:class:`~repro.core.delegation.DelegationGraph` owns the universe it was
+lowered into when it was made, so repeated calls on one graph reuse one
+core.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from typing import (
 )
 
 from repro.dns.name import DomainName
-from repro.core.delegation import DelegationView
+from repro.core.delegation import TCBView
 from repro.core.graphcore import NS_CODE, ZONE_CODE
 
 #: A per-server up-probability map or a single probability applied to all.
@@ -142,7 +142,7 @@ class AvailabilityAnalyzer:
         self._avail_zc: Optional[Dict[int, float]] = None
         self._avail_base: Optional[Dict[int, float]] = None
 
-    def _lower(self, graph: DelegationView):
+    def _lower(self, graph: TCBView):
         """``graph.int_core()``, with the analyzer bound to its universe.
 
         Memo keys and slots are universe-local ids, so a new universe
@@ -191,7 +191,7 @@ class AvailabilityAnalyzer:
 
     # -- analytic evaluation -----------------------------------------------------------
 
-    def resolution_probability(self, graph: DelegationView) -> float:
+    def resolution_probability(self, graph: TCBView) -> float:
         """Probability that the view's target name resolves.
 
         Shared dependencies are treated as independent, so the value is an
@@ -351,16 +351,16 @@ class AvailabilityAnalyzer:
                         changed = cyclic
         return memo[target_id]
 
-    def monte_carlo(self, graph: DelegationView, samples: int = 500,
+    def monte_carlo(self, graph: TCBView, samples: int = 500,
                     rng: Optional[random.Random] = None) -> float:
         """Estimate availability by sampling failure scenarios.
 
         The draw order is fixed — per sample, one draw per host of
-        ``graph.tcb()`` in sorted order — so a given seed yields the same
-        estimate as drawing a down set per sample and calling
-        :meth:`resolvable_with_failures` on it.  The sweep is bit-parallel:
-        lane *s* of a server's down mask is sample *s*'s draw, and one
-        fixpoint evaluates every sample at once.
+        ``graph.tcb()``, the target's closure, in sorted order — so a given
+        seed yields the same estimate as drawing a down set per sample and
+        calling :meth:`resolvable_with_failures` on it.  The sweep is
+        bit-parallel: lane *s* of a server's down mask is sample *s*'s
+        draw, and one fixpoint evaluates every sample at once.
         """
         if samples <= 0:
             raise ValueError("samples must be positive")
@@ -381,7 +381,7 @@ class AvailabilityAnalyzer:
         down = self._down(core, lambda ns: own.get(ns, 0), {})
         return (((1 << samples) - 1) & ~down).bit_count() / samples
 
-    def resolvable_with_failures(self, graph: DelegationView,
+    def resolvable_with_failures(self, graph: TCBView,
                                  failed: Set[DomainName]) -> bool:
         """Exact check: does the name resolve when ``failed`` servers are down?"""
         core = self._lower(graph)
@@ -389,7 +389,7 @@ class AvailabilityAnalyzer:
         own = {find_id(NS_CODE, host): 1 for host in failed}
         return not self._down(core, lambda ns: own.get(ns, 0), {}) & 1
 
-    def single_points_of_failure(self, graph: DelegationView
+    def single_points_of_failure(self, graph: TCBView
                                  ) -> FrozenSet[DomainName]:
         """Servers whose individual loss makes the name unresolvable.
 
@@ -406,10 +406,10 @@ class AvailabilityAnalyzer:
         down = self._down(core, lambda ns: 1 << ns_slots[ns],
                           self._cached(closures)[1])
         if down == -1:
-            return frozenset(graph.tcb())
+            return graph.tcb_frozen()
         return frozenset(universe.mask_to_hosts(down))
 
-    def report(self, graph: DelegationView, samples: int = 0,
+    def report(self, graph: TCBView, samples: int = 0,
                rng: Optional[random.Random] = None) -> AvailabilityReport:
         """Full availability report (analytic, optional Monte Carlo, SPOFs)."""
         analytic = self.resolution_probability(graph)

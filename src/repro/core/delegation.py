@@ -14,19 +14,19 @@ learns in a shared *universe* graph so that work is never repeated across the
 hundreds of thousands of names in a survey.  Two projections of the universe
 are offered:
 
-* :meth:`DelegationGraphBuilder.build` materialises a full
-  :class:`DelegationGraph` (a copied subgraph) for interactive inspection
-  and hijack-path extraction;
 * :meth:`DelegationGraphBuilder.tcb_view` returns a zero-copy
   :class:`TCBView` whose TCB comes from a memoized per-node closure index
   (:class:`ClosureIndex`) — the fast path the survey engine uses, which
   never copies a graph and never recomputes a closure that is already
-  known.
+  known;
+* :meth:`DelegationGraphBuilder.build` returns a :class:`DelegationGraph`
+  for interactive inspection, export and hijack-path extraction: the same
+  view over a universe of its own, into which the name's reachable part
+  is lowered once, when the graph is made.
 
-The analyses run on one integer representation only, reached through
-:meth:`DelegationView.int_core`: a :class:`TCBView` hands over the
-builder's universe, and a :class:`DelegationGraph` lowers itself into a
-throwaway one.
+Both are one view class over ``(universe, closure index, target id, TCB
+mask)``, so the TCB is the target's closure either way, and the analyses
+run on the integer core :meth:`TCBView.int_core` hands over.
 
 Graph encoding
 --------------
@@ -72,7 +72,6 @@ from repro.dns.name import DomainName, NameLike, SubtreeIndex
 from repro.dns.resolver import IterativeResolver, ZoneCut
 from repro.core.graphcore import (
     DependencyUniverse,
-    KeyGraph,
     NAME_CODE,
     NS_CODE,
     ZONE_CODE,
@@ -334,30 +333,32 @@ class ClosureIndex:
             self.version += 1
 
 
-class DelegationView:
-    """Read-only accessors shared by :class:`DelegationGraph` / :class:`TCBView`.
+class TCBView:
+    """A per-name view over an integer universe: the one view class.
 
-    Subclasses provide ``target`` (the surveyed name), ``graph`` (a digraph
-    in the module's NodeKey encoding that contains at least everything
-    reachable from the target — a :class:`~repro.core.graphcore.KeyGraph`,
-    the shared :class:`~repro.core.graphcore.DependencyUniverse`, or any
-    object with the same ``successors``/``nodes`` surface, e.g. a
-    ``networkx.DiGraph`` built by a test), ``excluded_suffixes``, and an
-    implementation of :meth:`tcb` and :meth:`int_core`.  All structure
-    accessors follow successor edges from the target, so they observe
-    exactly the nodes a per-name subgraph copy would contain even when
-    ``graph`` is the whole shared universe.
+    A view is ``(universe, closure index, target id, TCB mask)``.  The TCB
+    is the target's closure: an NS-slot bitset from the
+    :class:`ClosureIndex`, fixed at construction time, whose names are
+    materialised lazily (and shared across views with equal masks).  The
+    builder's :meth:`~DelegationGraphBuilder.tcb_view` shares the builder's
+    universe, so ask it for a fresh view after the universe has grown; a
+    :class:`DelegationGraph` is this view over a universe of its own.
+
+    ``graph`` is the universe.  Its NodeKey ``successors`` / ``nodes`` /
+    ``edges`` surface serves the structure accessors below, the exporters
+    and the hijack paths.  The accessors follow successor edges from the
+    target, so they see only what the target reaches even when the
+    universe is the builder's.
     """
 
-    target: DomainName
-    graph: object
-    excluded_suffixes: Tuple[DomainName, ...]
+    def __init__(self, target: NameLike, universe: DependencyUniverse,
+                 mask: int, *, structure: ClosureIndex, target_id: int):
+        self.target = DomainName(target)
+        self.graph = universe
+        self._mask = mask
+        self._core = (universe, structure, target_id)
 
     # -- TCB ------------------------------------------------------------------
-
-    def tcb(self) -> Set[DomainName]:
-        """The trusted computing base: nameservers the target depends on."""
-        raise NotImplementedError
 
     def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
         """(universe, closure index, target id) for the integer analyses.
@@ -367,15 +368,38 @@ class DelegationView:
         this core; the ids in it are universe-local and must never cross a
         process boundary.
         """
-        raise NotImplementedError
+        return self._core
+
+    def tcb_mask(self) -> int:
+        """The TCB as an NS-slot bitset (do not persist across processes)."""
+        return self._mask
+
+    def tcb(self) -> Set[DomainName]:
+        """The trusted computing base: the nameservers the target reaches.
+
+        Root servers are excluded, matching the paper's TCB accounting.
+        """
+        return set(self.tcb_frozen())
 
     def tcb_size(self) -> int:
         """Number of nameservers in the TCB."""
-        return len(self.tcb())
+        return self._mask.bit_count()
 
-    def _is_excluded(self, hostname: DomainName) -> bool:
-        return any(hostname.is_subdomain_of(suffix)
-                   for suffix in self.excluded_suffixes)
+    def tcb_frozen(self) -> FrozenSet[DomainName]:
+        """The TCB as the shared (do-not-mutate) frozenset."""
+        return self._core[1].mask_set(self._mask)
+
+    def in_bailiwick_servers(self) -> Set[DomainName]:
+        """TCB members whose hostname lies inside the target's own zone.
+
+        These are the servers "administered by the nameowner" in the paper's
+        terminology (2.2 on average, versus a TCB of 46).
+        """
+        zone = self.authoritative_zone()
+        if zone is None:
+            return set()
+        return set(self.graph.mask_to_hosts(
+            self._mask & self.graph.slots_under(zone)))
 
     # -- structure accessors (chain keys, hijack paths) ----------------------------
 
@@ -399,17 +423,6 @@ class DelegationView:
         if not zones:
             return None
         return max(zones, key=lambda z: z.depth)
-
-    def in_bailiwick_servers(self) -> Set[DomainName]:
-        """TCB members whose hostname lies inside the target's own zone.
-
-        These are the servers "administered by the nameowner" in the paper's
-        terminology (2.2 on average, versus a TCB of 46).
-        """
-        zone = self.authoritative_zone()
-        if zone is None:
-            return set()
-        return {host for host in self.tcb() if host.is_subdomain_of(zone)}
 
     def dependency_path(self, hostname: NameLike) -> List[NodeKey]:
         """A shortest dependency path from the target to ``hostname``.
@@ -447,70 +460,52 @@ class DelegationView:
             frontier = next_frontier
         return []
 
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.target!s}, "
+                f"{self.tcb_size()} nameservers)")
 
-class DelegationGraph(DelegationView):
-    """The delegation graph of a single domain name.
 
-    Wraps a digraph whose nodes follow the NodeKey encoding described in the
-    module docstring (a :class:`~repro.core.graphcore.KeyGraph` when built
-    by the builder; hand-built graphs with the same ``successors``/``nodes``
-    surface work too), and provides the accessors the analyses need (TCB
-    extraction, zone/nameserver views, dependency paths).
+class DelegationGraph(TCBView):
+    """The delegation graph of a single domain name, in a universe it owns.
+
+    The constructor lowers what the target reaches in ``graph`` — the
+    builder's universe, or any digraph in the NodeKey encoding with the
+    ``successors`` surface, e.g. a ``networkx.DiGraph`` built by a test —
+    into a fresh :class:`~repro.core.graphcore.DependencyUniverse`, once.
+    Every row is added in ``graph``'s own successor order, because the
+    analyses break ties by that order.  ``graph`` itself is not changed.
     """
 
     def __init__(self, target: NameLike, graph,
                  excluded_suffixes: Sequence[str] = DEFAULT_EXCLUDED_SUFFIXES):
-        self.target = DomainName(target)
-        self.graph = graph
-        self.excluded_suffixes = tuple(DomainName(s) for s in excluded_suffixes)
-        if name_node(self.target) not in graph:
-            graph.add_node(name_node(self.target))
-
-    # -- basic views -----------------------------------------------------------
+        universe = DependencyUniverse()
+        source = name_node(target)
+        target_id = universe.ensure_key(source)
+        if source in graph:
+            seen = {source}
+            stack = [source]
+            while stack:
+                node = stack.pop()
+                node_id = universe.ensure_key(node)
+                for succ in graph.successors(node):
+                    universe.add_edge_ids(node_id, universe.ensure_key(succ))
+                    if succ not in seen:
+                        seen.add(succ)
+                        stack.append(succ)
+        structure = ClosureIndex(universe, excluded_suffixes)
+        super().__init__(target, universe,
+                         structure.closure_mask_id(target_id),
+                         structure=structure, target_id=target_id)
 
     def nameservers(self, include_excluded: bool = False) -> List[DomainName]:
         """All nameserver hostnames in the graph."""
-        hosts = [key[1] for key in self.graph.nodes if key[0] == NS_KIND]
-        if not include_excluded:
-            hosts = [h for h in hosts if not self._is_excluded(h)]
-        return sorted(hosts)
+        if include_excluded:
+            return sorted(self.graph.slot_hosts)
+        return sorted(self.tcb_frozen())
 
     def zones(self) -> List[DomainName]:
         """All zone apexes in the graph."""
         return sorted(key[1] for key in self.graph.nodes if key[0] == ZONE_KIND)
-
-    def tcb(self) -> Set[DomainName]:
-        """The trusted computing base: nameservers the target depends on.
-
-        Root servers are excluded, matching the paper's TCB accounting.
-        """
-        return {key[1] for key in self.graph.nodes
-                if key[0] == NS_KIND and not self._is_excluded(key[1])}
-
-    def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
-        """Lower the graph into a throwaway integer universe.
-
-        Only the nodes the target reaches are interned, and every node's
-        row is added in the graph's own successor order, because the
-        analyses break ties by that order.  Works for any graph with the
-        ``successors`` surface (:class:`~repro.core.graphcore.KeyGraph`,
-        ``networkx.DiGraph``).
-        """
-        universe = DependencyUniverse()
-        source = name_node(self.target)
-        target_id = universe.ensure_key(source)
-        seen = {source}
-        stack = [source]
-        while stack:
-            node = stack.pop()
-            node_id = universe.ensure_key(node)
-            for succ in self.graph.successors(node):
-                universe.add_edge_ids(node_id, universe.ensure_key(succ))
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        return (universe, ClosureIndex(universe, self.excluded_suffixes),
-                target_id)
 
     def node_count(self) -> int:
         """Total nodes (names + zones + nameservers) in the graph."""
@@ -519,61 +514,6 @@ class DelegationGraph(DelegationView):
     def edge_count(self) -> int:
         """Total dependency edges in the graph."""
         return self.graph.number_of_edges()
-
-    def __repr__(self) -> str:
-        return (f"DelegationGraph({self.target!s}, "
-                f"{self.tcb_size()} nameservers, "
-                f"{len(self.zones())} zones)")
-
-
-class TCBView(DelegationView):
-    """A zero-copy per-name view backed by the shared integer universe.
-
-    Provides everything the TCB report and the analyses need without
-    materialising a copied subgraph.  The TCB itself is an NS-slot bitset
-    from the builder's :class:`ClosureIndex`, fixed at construction time;
-    names are materialised from it lazily (and shared across views with
-    equal masks).  Ask the builder for a fresh view (or a full
-    :class:`DelegationGraph`) after the universe has grown.
-    """
-
-    def __init__(self, target: NameLike, universe: DependencyUniverse,
-                 mask: int, excluded_suffixes: Sequence[str] =
-                 DEFAULT_EXCLUDED_SUFFIXES, *, structure: ClosureIndex,
-                 target_id: int):
-        self.target = DomainName(target)
-        self.graph = universe
-        self.excluded_suffixes = tuple(DomainName(s) for s in excluded_suffixes)
-        self._mask = mask
-        self._structure = structure
-        self._target_id = target_id
-
-    def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
-        return (self.graph, self._structure, self._target_id)
-
-    def tcb_mask(self) -> int:
-        """The TCB as an NS-slot bitset (do not persist across processes)."""
-        return self._mask
-
-    def tcb(self) -> Set[DomainName]:
-        return set(self.tcb_frozen())
-
-    def tcb_size(self) -> int:
-        return self._mask.bit_count()
-
-    def tcb_frozen(self) -> FrozenSet[DomainName]:
-        """The TCB as the shared (do-not-mutate) frozenset."""
-        return self._structure.mask_set(self._mask)
-
-    def in_bailiwick_servers(self) -> Set[DomainName]:
-        zone = self.authoritative_zone()
-        if zone is None:
-            return set()
-        return set(self.graph.mask_to_hosts(
-            self._mask & self.graph.slots_under(zone)))
-
-    def __repr__(self) -> str:
-        return f"TCBView({self.target!s}, {self.tcb_size()} nameservers)"
 
 
 class _ChainIndex:
@@ -701,15 +641,15 @@ class DelegationGraphBuilder:
         return self._closures
 
     def build(self, name: NameLike) -> DelegationGraph:
-        """Build (or retrieve from the universe) the graph for ``name``.
+        """Discover ``name`` and lower what it reaches into its own graph.
 
-        Materialises a copied per-name subgraph — use :meth:`tcb_view` when
-        only the TCB / bottleneck accessors are needed.
+        The :class:`DelegationGraph` owns a copy of the name's part of the
+        universe — use :meth:`tcb_view` when only the TCB / bottleneck
+        accessors are needed.
         """
         target = DomainName(name)
-        source_id = self._ensure_name(target)
-        subgraph = self._universe.subgraph_copy(source_id)
-        return DelegationGraph(target, subgraph,
+        self._ensure_name(target)
+        return DelegationGraph(target, self._universe,
                                excluded_suffixes=self.excluded_suffixes)
 
     def tcb_view(self, name: NameLike) -> TCBView:
@@ -718,7 +658,6 @@ class DelegationGraphBuilder:
         source_id = self._ensure_name(target)
         mask = self._closures.closure_mask_id(source_id)
         return TCBView(target, self._universe, mask,
-                       excluded_suffixes=self.excluded_suffixes,
                        structure=self._closures, target_id=source_id)
 
     def closure_of(self, name: NameLike) -> FrozenSet[DomainName]:

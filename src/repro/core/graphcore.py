@@ -16,11 +16,13 @@ This module provides the compact core those loops now run on:
   iteration order matches what a ``networkx.DiGraph`` built by the same
   edge sequence would produce), reverse edges for ancestor invalidation,
   and a dense *nameserver slot* per NS node (the bit position used by
-  bitset closures, TCB masks, and Monte-Carlo masks);
-* :class:`KeyGraph` — a tiny insertion-ordered digraph over ``(kind,
-  DomainName)`` node keys, used for materialised per-name subgraph copies
-  (:meth:`~repro.core.delegation.DelegationGraphBuilder.build`) so that
-  ``core.delegation`` no longer needs ``networkx`` at all.
+  bitset closures, TCB masks, and Monte-Carlo masks).
+
+Every per-name graph is a universe too: the builder's shared one behind a
+:class:`~repro.core.delegation.TCBView`, or the one a
+:class:`~repro.core.delegation.DelegationGraph` lowers the name's
+reachable part into when it is made.  Nothing in ``core.delegation``
+needs ``networkx``.
 
 Node keys versus node ids
 -------------------------
@@ -29,7 +31,7 @@ Integer ids are *process-local and builder-local*: two worker shards
 discovering the same universe assign different ids to the same node, and a
 socket worker must therefore never ship raw ids over the wire.  The
 NodeKey tuple API (``add_edge``, ``successors``, ``nodes``, ``edges``, ...)
-remains the stable, name-based boundary — ids live only inside one builder's
+remains the stable, name-based boundary — ids live only inside one universe's
 closure index, analyzers, and memos, and are translated back to
 :class:`~repro.dns.name.DomainName` at the record/snapshot boundary.
 """
@@ -335,76 +337,3 @@ class DependencyUniverse:
                     stack.append(target)
                     order.append(target)
         return order
-
-    def subgraph_copy(self, source: int) -> "KeyGraph":
-        """A materialised :class:`KeyGraph` of everything ``source`` reaches."""
-        members = self.reachable_ids(source)
-        members.sort()  # insertion (discovery) order, matching the universe
-        keep = set(members)
-        graph = KeyGraph()
-        for node_id in members:
-            graph.add_node(self.key_of(node_id))
-        for node_id in members:
-            source_key = self.key_of(node_id)
-            for target in self.out[node_id]:
-                if target in keep:
-                    graph.add_edge(source_key, self.key_of(target))
-        return graph
-
-
-class KeyGraph:
-    """A minimal insertion-ordered digraph over ``(kind, DomainName)`` keys.
-
-    Implements the same ``networkx.DiGraph`` surface subset as
-    :class:`DependencyUniverse` — enough for :class:`DelegationGraph` (and
-    its lowering into a throwaway universe for the analyses) and the
-    exporters — without importing networkx.  Materialised per-name subgraph
-    copies are built on this class.
-    """
-
-    __slots__ = ("_succ", "_pred")
-
-    def __init__(self) -> None:
-        self._succ: Dict[NodeKey, Dict[NodeKey, None]] = {}
-        self._pred: Dict[NodeKey, Dict[NodeKey, None]] = {}
-
-    def add_node(self, key: NodeKey) -> None:
-        if key not in self._succ:
-            self._succ[key] = {}
-            self._pred[key] = {}
-
-    def add_edge(self, source: NodeKey, target: NodeKey) -> None:
-        self.add_node(source)
-        self.add_node(target)
-        self._succ[source][target] = None
-        self._pred[target][source] = None
-
-    def has_edge(self, source: NodeKey, target: NodeKey) -> bool:
-        return target in self._succ.get(source, ())
-
-    def __contains__(self, key) -> bool:
-        return key in self._succ
-
-    def __len__(self) -> int:
-        return len(self._succ)
-
-    @property
-    def nodes(self):
-        return self._succ.keys()
-
-    @property
-    def edges(self) -> Iterator[Tuple[NodeKey, NodeKey]]:
-        return ((source, target) for source, targets in self._succ.items()
-                for target in targets)
-
-    def successors(self, key: NodeKey) -> Iterator[NodeKey]:
-        return iter(self._succ[key])
-
-    def predecessors(self, key: NodeKey) -> Iterator[NodeKey]:
-        return iter(self._pred[key])
-
-    def number_of_nodes(self) -> int:
-        return len(self._succ)
-
-    def number_of_edges(self) -> int:
-        return sum(len(targets) for targets in self._succ.values())

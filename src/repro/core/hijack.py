@@ -123,10 +123,11 @@ class HijackAnalyzer:
         Returns an empty list when the TCB has no vulnerable member.  The
         path alternates zones and nameservers and reads as a narrative:
         the name is served by zone X, whose server Y lives in zone Z, which
-        is served by the vulnerable machine W.
+        is served by the vulnerable machine W.  Of the nearest vulnerable
+        servers, the one that sorts first wins.
         """
-        vulnerable = [host for host in graph.tcb()
-                      if self.vulnerability_map.get(host, False)]
+        vulnerable = sorted(host for host in graph.tcb()
+                            if self.vulnerability_map.get(host, False))
         if not vulnerable:
             return []
         best_nodes: List = []

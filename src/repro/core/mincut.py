@@ -19,11 +19,10 @@ machine itself or by taking over the resolution of its hostname
 :class:`BottleneckAnalyzer` evaluates this recursion directly on the
 delegation graph with memoisation and cycle guards.  It runs on dense node
 ids from the :class:`~repro.core.graphcore.DependencyUniverse` that
-:meth:`~repro.core.delegation.DelegationView.int_core` hands over (the
-survey engine's :class:`~repro.core.delegation.TCBView` shares the
-builder's universe; a materialised
-:class:`~repro.core.delegation.DelegationGraph` lowers itself into a
-throwaway one).  Candidate cuts are NS-slot bitsets (union = big-int OR,
+:meth:`~repro.core.delegation.TCBView.int_core` hands over (the survey
+engine's views share the builder's universe; a
+:class:`~repro.core.delegation.DelegationGraph` owns the universe it was
+lowered into when it was made).  Candidate cuts are NS-slot bitsets (union = big-int OR,
 dedup = AND-NOT), and nothing in the loop hashes a
 :class:`~repro.dns.name.DomainName`.
 

@@ -1,8 +1,11 @@
 """Trusted computing base analysis (Figures 2-6 of the paper).
 
-A name's TCB is the set of nameservers in its delegation graph.  This module
-turns a :class:`~repro.core.delegation.DelegationGraph` plus a per-server
-vulnerability map into a :class:`TCBReport`: the per-name record the survey
+A name's TCB is the transitive closure of the nameservers reachable from
+the name in its delegation graph.  This module turns a per-name view (a
+:class:`~repro.core.delegation.TCBView` or
+:class:`~repro.core.delegation.DelegationGraph`, whose TCB is that closure
+as a bitset) plus a per-server vulnerability map into a
+:class:`TCBReport`: the per-name record the survey
 aggregates into the TCB-size CDF (Figure 2), the per-TLD averages (Figures 3
 and 4), the vulnerable-servers-in-TCB CDF (Figure 5), and the TCB safety
 percentage CDF (Figure 6).
@@ -14,7 +17,7 @@ import dataclasses
 from typing import Dict, Mapping, Optional, Set
 
 from repro.dns.name import DomainName
-from repro.core.delegation import DelegationView
+from repro.core.delegation import TCBView
 
 
 @dataclasses.dataclass
@@ -100,7 +103,7 @@ class TCBReport:
         }
 
 
-def compute_tcb_report(graph: DelegationView,
+def compute_tcb_report(graph: TCBView,
                        vulnerability_map: Optional[Mapping[DomainName, bool]] = None,
                        compromisable_map: Optional[Mapping[DomainName, bool]] = None
                        ) -> TCBReport:
@@ -109,10 +112,9 @@ def compute_tcb_report(graph: DelegationView,
     Parameters
     ----------
     graph:
-        The name's delegation view (a materialised
-        :class:`~repro.core.delegation.DelegationGraph` or the engine's
-        :class:`~repro.core.delegation.TCBView`, whose bitset-backed
-        ``tcb_frozen`` avoids one set copy here).
+        The name's view: the engine's zero-copy
+        :class:`~repro.core.delegation.TCBView` or a
+        :class:`~repro.core.delegation.DelegationGraph`.
     vulnerability_map:
         Mapping from hostname to "has a known vulnerability".  Hostnames
         missing from the map are treated as safe — the paper's optimistic
@@ -124,8 +126,7 @@ def compute_tcb_report(graph: DelegationView,
     vulnerability_map = vulnerability_map or {}
     if compromisable_map is None:
         compromisable_map = vulnerability_map
-    tcb_frozen = getattr(graph, "tcb_frozen", None)
-    servers = set(tcb_frozen()) if tcb_frozen is not None else graph.tcb()
+    servers = graph.tcb()
     vulnerable = {host for host in servers if vulnerability_map.get(host, False)}
     compromisable = {host for host in servers
                      if compromisable_map.get(host, False)}

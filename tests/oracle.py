@@ -1,9 +1,10 @@
 """The delegation-graph analyses as the paper defines them, written plainly.
 
 Every function works directly over a NodeKey graph (anything with
-``successors``: :class:`~repro.core.graphcore.KeyGraph`,
-``networkx.DiGraph``, or a :class:`~repro.core.graphcore.DependencyUniverse`),
-with no bitsets, prefix resume, zone-term replay or interning.  Tests check
+``successors``: a ``networkx.DiGraph``, or a
+:class:`~repro.core.graphcore.DependencyUniverse` such as the one a
+:class:`~repro.core.delegation.DelegationGraph` owns), with no bitsets,
+prefix resume, zone-term replay or interning.  Tests check
 the integer analyzers against these functions.
 
 * :func:`resolves` is the definition of resolution with failed servers:

@@ -1,9 +1,18 @@
 """Tests for :mod:`repro.core.delegation` on the hand-built mini Internet."""
 
+import random
+
+import networkx as nx
+
+import oracle
 from repro.dns.name import DomainName
 from repro.dns.resolver import ZoneCut
+from repro.core.availability import AvailabilityAnalyzer
 from repro.core.delegation import (
+    ClosureIndex,
+    DelegationGraph,
     DelegationGraphBuilder,
+    TCBView,
     NAME_KIND,
     NS_KIND,
     ZONE_KIND,
@@ -11,6 +20,9 @@ from repro.core.delegation import (
     ns_node,
     zone_node,
 )
+from repro.core.export import to_ascii_tree
+from repro.core.graphcore import DependencyUniverse
+from repro.core.mincut import BottleneckAnalyzer
 
 
 def make_builder(mini_internet) -> DelegationGraphBuilder:
@@ -156,6 +168,130 @@ def test_separate_graphs_do_not_share_nodes_with_unrelated_names(mini_internet):
     uni = builder.build("www.uni.edu")
     assert ns_node("dns1.uni.edu") not in example.graph
     assert name_node("www.example.com") not in uni.graph
+
+
+#: ``to_ascii_tree`` of ``www.uni.edu``'s built graph.
+UNI_TREE = """\
+name www.uni.edu
+  zone edu
+    ns ns1.edunic.net
+      zone edunic.net
+        ns ns1.edunic.net (see above)
+      zone net
+        ns ns1.gtld.net
+          zone gtld.net
+            ns ns1.gtld.net (see above)
+            ns ns2.gtld.net
+              zone gtld.net (see above)
+              zone net (see above)
+          zone net (see above)
+        ns ns2.gtld.net (see above)
+  zone uni.edu
+    ns dns1.partner.edu
+      zone edu (see above)
+      zone partner.edu
+        ns dns1.partner.edu (see above)
+        ns dns2.partner.edu
+          zone edu (see above)
+          zone partner.edu (see above)
+    ns dns1.uni.edu
+      zone edu (see above)
+      zone uni.edu (see above)
+    ns dns2.uni.edu
+      zone edu (see above)
+      zone uni.edu (see above)"""
+
+
+def test_build_holds_exactly_what_the_name_reaches(mini_internet):
+    """A built graph's nodes and edges are the part of the builder's
+    universe the name reaches, row for row."""
+    builder = make_builder(mini_internet)
+    sizes = {"www.example.com": (10, 20), "www.uni.edu": (14, 27),
+             "www.hostco.com": (9, 18), "www.partner.edu": (11, 20),
+             "www.nonexistent.zz": (1, 0)}
+    for name, (node_count, edge_count) in sizes.items():
+        graph = builder.build(name)
+        universe = builder.universe
+        reached = {name_node(name)}
+        stack = [name_node(name)]
+        edges = set()
+        while stack:
+            node = stack.pop()
+            for succ in universe.successors(node):
+                edges.add((node, succ))
+                if succ not in reached:
+                    reached.add(succ)
+                    stack.append(succ)
+        assert set(graph.graph.nodes) == reached
+        assert set(graph.graph.edges) == edges
+        for node in reached:
+            assert list(graph.graph.successors(node)) == \
+                list(universe.successors(node))
+        assert (graph.node_count(), graph.edge_count()) == \
+            (node_count, edge_count)
+    assert to_ascii_tree(builder.build("www.uni.edu")) == UNI_TREE
+
+
+def _two_name_graph() -> nx.DiGraph:
+    """``www0.t -> z0.t -> a.t`` beside ``www1.t -> z1.t -> b.t``."""
+    graph = nx.DiGraph()
+    for index, host in enumerate(("a.t", "b.t")):
+        graph.add_edge(name_node(f"www{index}.t"), zone_node(f"z{index}.t"))
+        graph.add_edge(zone_node(f"z{index}.t"), ns_node(host))
+    return graph
+
+
+def test_delegation_graph_tcb_is_the_closure_on_a_multi_name_graph():
+    graph = _two_name_graph()
+    delegation = DelegationGraph("www0.t", graph)
+    assert delegation.tcb() == {DomainName("a.t")}
+    assert delegation.nameservers() == [DomainName("a.t")]
+    assert delegation.zones() == [DomainName("z0.t")]
+    # The same closure the shared universe's view reports.
+    universe = DependencyUniverse()
+    for source, target in graph.edges:
+        universe.add_edge(source, target)
+    closures = ClosureIndex(universe)
+    target_id = universe.find_key(name_node("www0.t"))
+    view = TCBView("www0.t", universe, closures.closure_mask_id(target_id),
+                   structure=closures, target_id=target_id)
+    assert view.tcb_frozen() == delegation.tcb_frozen()
+
+
+def test_monte_carlo_draws_only_over_the_targets_closure():
+    """``www0.t``'s samples draw for ``a.t`` alone: the same estimate as
+    drawing a down set over {a.t} per sample."""
+    graph = _two_name_graph()
+    analyzer = AvailabilityAnalyzer(0.5)
+    expected = oracle.monte_carlo(graph, "www0.t", {DomainName("a.t")},
+                                  analyzer.up_probability, samples=64,
+                                  rng=random.Random(11))
+    assert analyzer.monte_carlo(DelegationGraph("www0.t", graph), samples=64,
+                                rng=random.Random(11)) == expected
+
+
+def test_delegation_graph_leaves_the_callers_graph_alone():
+    graph = _two_name_graph()
+    before = (list(graph.nodes), list(graph.edges))
+    ghost = DelegationGraph("ghost.t", graph)
+    assert ghost.tcb_size() == 0 and ghost.node_count() == 1
+    DelegationGraph("www1.t", graph)
+    assert (list(graph.nodes), list(graph.edges)) == before
+
+
+def test_delegation_graph_is_lowered_once(mini_internet):
+    """Analyzers called again and again on one graph reuse its core."""
+    graph = make_builder(mini_internet).build("www.uni.edu")
+    core = graph.int_core()
+    assert core[0] is graph.graph
+    availability = AvailabilityAnalyzer(0.9)
+    cut = BottleneckAnalyzer()
+    for host in graph.tcb():
+        availability.resolvable_with_failures(graph, {host})
+        availability.single_points_of_failure(graph)
+        cut.analyze(graph)
+        assert graph.int_core() is core
+    assert availability._universe is cut._universe is graph.graph
 
 
 # -- settled zone rows -------------------------------------------------------------------

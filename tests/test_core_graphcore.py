@@ -7,12 +7,13 @@ self-looped (in-bailiwick NS), and never-resolvable (dead zone) ones: the
 bitset closures must equal a plain BFS, and the integer analyses (min-cut,
 analytic availability, bit-parallel Monte-Carlo, SPOF kill sets) must agree
 exactly with the generic NodeKey recursions of ``tests/oracle.py``, both on
-a :class:`TCBView` and on a :class:`DelegationGraph` lowered at the
-analyzer boundary.
+a :class:`TCBView` and on a :class:`DelegationGraph`, which lowers the
+``networkx`` graph into a universe of its own when it is made.
 """
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +31,6 @@ from repro.core.delegation import (
 )
 from repro.core.graphcore import (
     DependencyUniverse,
-    KeyGraph,
     NameTable,
     NS_CODE,
     ZONE_CODE,
@@ -82,20 +82,6 @@ def test_universe_assigns_ns_slots_in_discovery_order():
     assert universe.ns_slots[zone_id] == -1
     assert universe.mask_to_hosts(0b11) == [DomainName("ns1.a.test"),
                                             DomainName("ns2.a.test")]
-
-
-def test_keygraph_mirrors_digraph_surface():
-    graph = KeyGraph()
-    graph.add_edge(name_node("www.a.test"), zone_node("a.test"))
-    graph.add_edge(zone_node("a.test"), ns_node("ns.a.test"))
-    assert name_node("www.a.test") in graph
-    assert graph.has_edge(zone_node("a.test"), ns_node("ns.a.test"))
-    assert list(graph.successors(zone_node("a.test"))) == \
-        [ns_node("ns.a.test")]
-    assert list(graph.predecessors(zone_node("a.test"))) == \
-        [name_node("www.a.test")]
-    assert graph.number_of_nodes() == 3
-    assert graph.number_of_edges() == 2
 
 
 # -- integer analyses vs. the generic oracle ------------------------------------------
@@ -164,7 +150,7 @@ VULNERABLE = {
 def _twin(edges):
     """Build the same topology as (int universe + index, generic graph)."""
     universe = DependencyUniverse()
-    generic = KeyGraph()
+    generic = nx.DiGraph()
     for source, target in edges:
         universe.add_edge(source, target)
         generic.add_edge(source, target)
@@ -262,6 +248,8 @@ def test_undiscovered_name_is_unresolvable():
     universe, closures, generic = _twin(TOPOLOGIES["chain"])
     view = _int_view(universe, closures, "ghost.test")
     graph = DelegationGraph("ghost.test", generic)
+    # The oracle walks the generic graph, which must hold the name.
+    generic.add_node(name_node("ghost.test"))
     analyzer = AvailabilityAnalyzer(0.99)
     assert analyzer.resolution_probability(view) == \
         analyzer.resolution_probability(graph) == \
@@ -275,7 +263,7 @@ def test_prefix_resume_matches_fresh_analysis_across_many_names():
     prefix-resume + zone-replay machinery) must equal the oracle on each
     name's own subgraph."""
     universe = DependencyUniverse()
-    generic = KeyGraph()
+    generic = nx.DiGraph()
 
     def edge(source, target):
         universe.add_edge(source, target)
@@ -305,7 +293,7 @@ def test_prefix_resume_matches_fresh_analysis_across_many_names():
     def per_name_subgraph(name):
         """What builder.build() would materialise: the reachable copy."""
         source = name_node(name)
-        copy = KeyGraph()
+        copy = nx.DiGraph()
         copy.add_node(source)
         seen = {source}
         stack = [source]

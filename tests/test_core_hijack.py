@@ -2,8 +2,16 @@
 
 import random
 
+import networkx as nx
+
 from repro.dns.name import DomainName
-from repro.core.delegation import DelegationGraphBuilder
+from repro.core.delegation import (
+    DelegationGraph,
+    DelegationGraphBuilder,
+    name_node,
+    ns_node,
+    zone_node,
+)
 from repro.core.hijack import HijackAnalyzer, HijackSimulator
 from repro.core.survey import Survey
 from repro.topology.anecdotes import FBI_WEB_NAME
@@ -107,6 +115,23 @@ def test_partial_hijack_diverts_some_queries(mini_internet):
     outcome = simulator.attempt("www.example.com", trials=40,
                                 rng=random.Random(3))
     assert 0 < outcome.diverted < outcome.trials
+
+
+def test_attack_path_tie_goes_to_the_first_sorted_hostname():
+    """Six vulnerable servers at equal depth: the path ends at the one
+    that sorts first, whatever order the graph lists them in."""
+    hosts = [f"ns{index}.host{index}.t" for index in (5, 3, 0, 4, 1, 2)]
+    for order in (hosts, hosts[::-1]):
+        graph = nx.DiGraph()
+        graph.add_edge(name_node("www.site.t"), zone_node("site.t"))
+        for host in order:
+            graph.add_edge(zone_node("site.t"), ns_node(host))
+        vulnerable = {DomainName(host): True for host in hosts}
+        path = HijackAnalyzer(vulnerable).attack_path(
+            DelegationGraph("www.site.t", graph))
+        assert [step.entity for step in path] == [
+            DomainName("www.site.t"), DomainName("site.t"),
+            DomainName("ns0.host0.t")]
 
 
 def test_compromise_unknown_server_is_counted_as_zero(mini_internet):

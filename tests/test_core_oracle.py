@@ -8,8 +8,8 @@ recursions.  Single points of failure, ``resolvable_with_failures`` and
 Monte Carlo must equal the greatest-fixpoint definitions of resolution,
 single failure by single failure and drawn down set by drawn down set;
 those checks run at 2,000 examples.  Each check runs three times over: on
-a :class:`DelegationGraph` lowered at the analyzer boundary with a fresh
-analyzer; on :class:`TCBView`\\ s of one shared universe walked by warm
+a :class:`DelegationGraph`, which lowers the graph into a universe of its
+own when it is made, with a fresh analyzer; on :class:`TCBView`\\ s of one shared universe walked by warm
 analyzers that keep their cached state across names; and on a universe
 grown name by name under those same warm analyzers, where only the closure
 index's version retires cached state that growth made stale.
@@ -19,6 +19,7 @@ import dataclasses
 import random
 from typing import Dict, FrozenSet, List, Tuple
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 import oracle
@@ -32,7 +33,7 @@ from repro.core.delegation import (
     ns_node,
     zone_node,
 )
-from repro.core.graphcore import DependencyUniverse, KeyGraph
+from repro.core.graphcore import DependencyUniverse
 from repro.core.mincut import BottleneckAnalyzer
 
 #: Monte-Carlo samples per name (the sweep is exact, so few suffice).
@@ -48,8 +49,8 @@ class World:
     default_up: float
     failed_sets: List[FrozenSet[DomainName]]
 
-    def key_graph(self) -> KeyGraph:
-        graph = KeyGraph()
+    def digraph(self) -> nx.DiGraph:
+        graph = nx.DiGraph()
         for name in self.names:
             graph.add_node(name_node(name))
         for source, target in self.edges:
@@ -159,7 +160,7 @@ def _growing(world, data):
             (source, target))
     universe = DependencyUniverse()
     closures = ClosureIndex(universe)
-    generic = KeyGraph()
+    generic = nx.DiGraph()
     for step, edges in enumerate(steps):
         name = world.names[step]
         universe.add_node(name_node(name))
@@ -175,7 +176,7 @@ def _growing(world, data):
 @settings(max_examples=250, deadline=None)
 @given(worlds())
 def test_lowered_graph_analyses_match_oracle(world):
-    generic = world.key_graph()
+    generic = world.digraph()
     vulnerability = {host: True for host in world.vulnerable}
     for name in world.names:
         graph = DelegationGraph(name, generic)
@@ -189,7 +190,7 @@ def test_lowered_graph_analyses_match_oracle(world):
 @settings(max_examples=250, deadline=None)
 @given(worlds())
 def test_warm_analyzers_match_oracle(world):
-    generic = world.key_graph()
+    generic = world.digraph()
     views = world.views()
     vulnerability = {host: True for host in world.vulnerable}
     cuts = {aware: BottleneckAnalyzer(vulnerability,
@@ -226,7 +227,7 @@ def test_fixpoint_analyses_match_gfp_definitions(world, data):
     greatest-fixpoint definitions on all three routes: lowered graphs
     with fresh analyzers, warm views walked twice, and a growing
     universe."""
-    generic = world.key_graph()
+    generic = world.digraph()
     for seed, name in enumerate(world.names):
         _check_fixpoint(world.availability_analyzer(),
                         DelegationGraph(name, generic), generic, world, seed)
@@ -247,7 +248,7 @@ def _cyclic_spof_graph() -> DelegationGraph:
     the greatest fixpoint, ``ns2.t`` needs the dead zone ``z1.t``, so
     ``z4.t`` resolves only through ``ns3.t``, which needs ``z4.t``:
     failing either of ``ns1.t`` and ``ns3.t`` stops ``www.t``."""
-    graph = KeyGraph()
+    graph = nx.DiGraph()
     for source, target in [
             (name_node("www.t"), zone_node("z0.t")),
             (zone_node("z0.t"), ns_node("ns3.t")),
@@ -315,7 +316,7 @@ def test_spof_prefix_resume_keeps_first_zone_state_only():
                (zone_node("z2.t"), ns_node("y.t")),
                (zone_node("z2.t"), ns_node("h.t"))],
         vulnerable=frozenset(), up={}, default_up=1.0, failed_sets=[])
-    generic = world.key_graph()
+    generic = world.digraph()
     analyzer = world.availability_analyzer()
     spofs = [analyzer.single_points_of_failure(view)
              for view in world.views()]
