@@ -363,11 +363,13 @@ def _add_worker_addr_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=0,
                         help="socket backend: per-incident retry budget "
                              "before a worker is declared dead and its "
-                             "shard reassigned to a survivor (0, the "
-                             "default, aborts the run on any failure)")
+                             "shard reassigned to a survivor (the default "
+                             "0 is a zero budget: a worker's first failure "
+                             "aborts the run)")
     parser.add_argument("--min-workers", type=_positive_int, default=1,
                         help="socket backend: abort once fewer than this "
-                             "many workers survive (with --retries > 0)")
+                             "many workers survive (only --retries > 0 "
+                             "can lose a worker)")
     parser.add_argument("--auth-token", type=str, default=None,
                         help="socket backend: shared secret for the HELLO "
                              "auth handshake (defaults to "

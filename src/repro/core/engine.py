@@ -105,7 +105,6 @@ class EngineConfig:
     backend: str = "serial"
     popular_count: int = 500
     include_bottleneck: bool = True
-    use_glue: bool = True
     #: Analysis passes: spec strings or AnalysisPass instances (resolved by
     #: the engine via :func:`repro.core.passes.build_passes`).
     passes: Sequence = ()
@@ -119,9 +118,9 @@ class EngineConfig:
     #: Socket backend: separate timeout for BUILD exchanges (world
     #: regeneration is slow); None means use ``response_timeout``.
     build_timeout: Optional[float] = None
-    #: Socket backend: per-incident retry budget.  0 (the default) keeps
-    #: the strict abort-on-any-failure behaviour; >0 enables
-    #: reconnect-and-rebuild recovery and shard reassignment.
+    #: Socket backend: per-incident retry budget.  0 (the default) is a
+    #: zero budget, so a worker's first failure aborts the run; >0 spends
+    #: it on reconnect-and-rebuild recovery and shard reassignment.
     retries: int = 0
     #: Socket backend: base backoff (seconds) between retries; doubles
     #: per attempt with seed-deterministic jitter.
@@ -454,7 +453,7 @@ class SurveyEngine:
             pass_.prepare(internet)
         self._root = WorkerContext(
             internet, self.database,
-            internet.make_resolver(use_glue=self.config.use_glue),
+            internet.make_resolver(),
             passes=self.passes)
         # Socket backend state: the coordinator connects lazily (first
         # dispatch) and the delta path parks each epoch's dirty set here

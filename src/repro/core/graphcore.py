@@ -321,19 +321,3 @@ class DependencyUniverse:
 
     def number_of_edges(self) -> int:
         return self._edge_count
-
-    # -- projections -----------------------------------------------------------------
-
-    def reachable_ids(self, source: int) -> List[int]:
-        """Every node reachable from ``source`` (source included), DFS order."""
-        seen = {source}
-        stack = [source]
-        out = self.out
-        order = [source]
-        while stack:
-            for target in out[stack.pop()]:
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-                    order.append(target)
-        return order

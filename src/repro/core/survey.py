@@ -825,7 +825,7 @@ class Survey:
 
     def __init__(self, internet, vulnerability_db: Optional[VulnerabilityDatabase] = None,
                  popular_count: int = 500, include_bottleneck: bool = True,
-                 use_glue: bool = True, backend: str = "serial",
+                 backend: str = "serial",
                  passes: Sequence = (),
                  worker_addrs: Sequence[str] = (), retries: int = 0,
                  min_workers: int = 1, auth_token: Optional[str] = None):
@@ -837,7 +837,7 @@ class Survey:
             internet, vulnerability_db,
             EngineConfig(backend=backend, popular_count=popular_count,
                          include_bottleneck=include_bottleneck,
-                         use_glue=use_glue, passes=tuple(passes),
+                         passes=tuple(passes),
                          worker_addrs=tuple(worker_addrs),
                          retries=retries, min_workers=min_workers,
                          auth_token=auth_token))

@@ -19,16 +19,15 @@ apply only the tail they have not seen.  The epoch's complete dirty-name
 set rides along so every worker invalidates its warm state for *all*
 dirty names, not just the ones striped onto it this epoch.
 
-**Failure handling is policy-driven.**  With the default
-``RetryPolicy()`` (``retries=0``) any worker failure — connect refusal,
-timeout, truncated or corrupt frame, an ERROR frame carrying the
-worker's exception — aborts the whole run promptly: the coordinator
-closes every connection (unblocking any thread still waiting on a
-slower worker) and raises a :class:`~repro.distrib.wire.DistribError`
-naming the worker and cause.  No partial results are ever folded into
-the caller's aggregator on the failure path.
-
-With ``retries > 0`` the coordinator *recovers* instead:
+**Failure handling is one path with a retry budget.**  Startup
+(connect, auth, BUILD, PING) and every survey share one parallel
+fan-out that aborts everything on the first error, closing every
+connection so no thread stays blocked on a slower worker; no partial
+results are ever folded into the caller's aggregator.  With the default
+``RetryPolicy()`` (``retries=0``, a zero budget) a worker's first
+failure — connect refusal, timeout, truncated or corrupt frame, an
+ERROR frame carrying the worker's exception — is raised as it is,
+naming the worker and cause.  With ``retries > 0`` it *recovers*:
 
 * A transient failure (wire error, connection loss, or a worker ERROR
   flagged ``retryable``) drops the connection and retries the exchange
@@ -42,16 +41,17 @@ With ``retries > 0`` the coordinator *recovers* instead:
   stays in shard order, so reassignment preserves byte-identity with
   the serial backend.
 * The run degrades down to a ``min_workers`` floor; below it, the run
-  aborts with a precise error naming the dead workers.
+  aborts with a precise error naming each dead worker and its last
+  failure.
 * Everything the recovery machinery did is tallied in a structured
   :class:`FaultReport` (retries, rebuilds, reassignments, dead workers,
   recovery seconds) surfaced through :meth:`wire_stats` and the survey
   metadata.
 
 Non-retryable worker errors (a deterministic handler failure, an auth
-rejection) abort immediately in both modes — retrying would only repeat
-them.  When an ``auth_token`` is set, every connection starts with an
-HMAC HELLO handshake before any other frame (see
+rejection) abort immediately whatever the budget — retrying would only
+repeat them.  When an ``auth_token`` is set, every connection starts
+with an HMAC HELLO handshake before any other frame (see
 :mod:`repro.distrib.wire`).
 """
 
@@ -68,7 +68,7 @@ import threading
 import time
 import random
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import stripes
 from repro.core.snapstore import SnapshotFormatError, unpack_shard_result
@@ -104,7 +104,7 @@ class RetryPolicy:
     ``retries`` is the per-incident budget: how many times one exchange
     may be re-attempted (reconnecting and re-building as needed) before
     the worker is declared dead and its shard reassigned.  ``retries=0``
-    is the strict legacy mode — any failure aborts the whole run.
+    is a zero budget: a worker's first failure aborts the whole run.
 
     Backoff before the k-th retry is ``min(backoff_max, backoff_base *
     2**k)`` scaled by a jitter factor in [0.5, 1.0) drawn from a RNG
@@ -132,6 +132,9 @@ class FaultReport:
     reassignments: int = 0
     dead_workers: List[str] = dataclasses.field(default_factory=list)
     recovery_seconds: float = 0.0
+    #: Each dead worker's last failure, for the floor errors only; kept
+    #: out of :meth:`to_dict`, whose keys the snapshot metadata carries.
+    causes: Dict[str, str] = dataclasses.field(default_factory=dict)
 
     def any(self) -> bool:
         return bool(self.retries or self.rebuilds or self.reassignments
@@ -145,6 +148,11 @@ class FaultReport:
             "dead_workers": list(self.dead_workers),
             "recovery_seconds": round(self.recovery_seconds, 3),
         }
+
+    def dead_summary(self) -> str:
+        """Each dead worker beside the failure that killed it."""
+        return ", ".join(f"{label} ({self.causes[label]})"
+                         for label in self.dead_workers)
 
 
 class ShardCoordinator:
@@ -171,9 +179,7 @@ class ShardCoordinator:
         self._connect_timeout = connect_timeout
         self._response_timeout = response_timeout
         #: BUILD (world regeneration) can take far longer than a survey
-        #: reply; None means "same as response_timeout" so short stall
-        #: timeouts in tests do not change legacy behaviour unless a
-        #: rebuild-aware timeout is requested explicitly.
+        #: reply; None means "same as response_timeout".
         self._build_timeout = (response_timeout if build_timeout is None
                                else build_timeout)
         self.policy = retry_policy or RetryPolicy()
@@ -185,7 +191,6 @@ class ShardCoordinator:
                 f"{len(self._labels)} configured workers")
         self._min_workers = min_workers
         self._auth_token = auth_token
-        self._recovering = self.policy.retries > 0
         self._sockets: List[Optional[socket.socket]] = \
             [None] * len(self._labels)
         self._alive = [True] * len(self._labels)
@@ -207,22 +212,10 @@ class ShardCoordinator:
             "engine": {
                 "popular_count": engine.config.popular_count,
                 "include_bottleneck": engine.config.include_bottleneck,
-                "use_glue": engine.config.use_glue,
                 "passes": self._pass_specs(engine),
             },
         }, sort_keys=True).encode("utf-8")
-
-        if not self._recovering:
-            for position in range(len(self._labels)):
-                try:
-                    self._connect(position)
-                except DistribError:
-                    self._abort()
-                    raise
-            self._broadcast(FRAME_BUILD, [self._build] * len(self._labels),
-                            FRAME_OK)
-        else:
-            self._prepare_workers()
+        self._prepare_workers()
 
     @staticmethod
     def _pass_specs(engine) -> List[str]:
@@ -276,8 +269,11 @@ class ShardCoordinator:
         A fresh connection always gets a fresh BUILD: a restarted worker
         is indistinguishable from a dropped connection, and re-building
         a live one is safe — the next work order carries the full spec
-        history, which the rebuilt worker replays from scratch.
+        history, which the rebuilt worker replays from scratch.  A closed
+        coordinator never reconnects.
         """
+        if self._closed:
+            raise DistribError("coordinator already closed")
         if self._sockets[position] is not None:
             return
         self._connect(position)
@@ -299,6 +295,7 @@ class ShardCoordinator:
             if self._alive[position]:
                 self._alive[position] = False
                 self.fault_report.dead_workers.append(self._labels[position])
+                self.fault_report.causes[self._labels[position]] = reason
 
     def _alive_positions(self) -> List[int]:
         with self._state_lock:
@@ -330,27 +327,20 @@ class ShardCoordinator:
                 f"got {FRAME_NAMES[reply_type]}")
         return reply
 
-    def _request(self, position: int, frame_type: int, payload: bytes,
-                 expect: int) -> bytes:
-        """Legacy single-attempt exchange (abort-all callers)."""
-        return self._exchange(position, frame_type, payload, expect,
-                              self._response_timeout)
-
     def _exchange_with_retry(self, position: int, frame_type: int,
                              payload: bytes, expect: int,
                              timeout: float) -> bytes:
         """Exchange with reconnect/rebuild retries per the policy.
 
-        Raises :class:`WorkerLostError` (after marking the worker dead)
-        once the budget is exhausted; non-retryable worker errors and
-        auth rejections propagate immediately.
+        With a zero budget the first failure propagates as it is.
+        Otherwise :class:`WorkerLostError` is raised (after marking the
+        worker dead) once the budget is exhausted.  Non-retryable worker
+        errors and auth rejections always propagate immediately.
         """
         label = self._labels[position]
         attempt = 0
         recovery_start: Optional[float] = None
         while True:
-            if self._closed:
-                raise DistribError("coordinator already closed")
             try:
                 with self._worker_locks[position]:
                     self._ensure_ready(position)
@@ -369,6 +359,8 @@ class ShardCoordinator:
             except (WireError, WorkerUnreachable, OSError) as error:
                 failure = error
                 self._drop(position)
+            if not self.policy.retries:
+                raise failure
             if recovery_start is None:
                 recovery_start = time.monotonic()
             if attempt >= self.policy.retries:
@@ -384,96 +376,67 @@ class ShardCoordinator:
             time.sleep(self.policy.backoff(label, attempt))
             attempt += 1
 
-    def _prepare_workers(self) -> None:
-        """Recovery-mode startup: connect/auth/build with retries.
+    def _fan_out(self, task: Callable[[int], object],
+                 labels: Sequence[str]) -> List:
+        """Run ``task(k)`` for every ``labels[k]`` in parallel.
 
-        A worker that stays unreachable is marked dead here and its
-        shards are reassigned from the first epoch; the run only aborts
-        if the floor is broken.  The PING after BUILD doubles as the
-        first heartbeat.
+        The first error aborts everything: closing every socket unblocks
+        threads still waiting on slower workers.  A task that returns
+        None without raising aborts too — compacting the replies would
+        fold shard k's columns at position j.
         """
+        results: List[object] = [None] * len(labels)
         first_error: Optional[BaseException] = None
-        with ThreadPoolExecutor(max_workers=len(self._labels)) as pool:
-            futures = {pool.submit(self._prepare_worker, position): position
-                       for position in range(len(self._labels))}
+        with ThreadPoolExecutor(max_workers=len(labels)) as pool:
+            futures = {pool.submit(task, index): index
+                       for index in range(len(labels))}
             for future in as_completed(futures):
                 try:
-                    future.result()
+                    results[futures[future]] = future.result()
                 except BaseException as error:
                     if first_error is None:
                         first_error = error
-                        self._abort()
-        if first_error is not None:
-            raise first_error
-        alive = self._alive_positions()
-        if len(alive) < self._min_workers:
-            dead = ", ".join(self.fault_report.dead_workers)
-            self._abort()
-            raise DistribError(
-                f"only {len(alive)} of {len(self._labels)} workers "
-                f"reachable, below the min-workers floor "
-                f"{self._min_workers} (dead: {dead})")
-
-    def _prepare_worker(self, position: int) -> None:
-        try:
-            self._exchange_with_retry(position, FRAME_PING, b"", FRAME_OK,
-                                      self._response_timeout)
-        except WorkerLostError:
-            pass  # floor is enforced by the caller
-
-    def ping(self) -> List[bool]:
-        """Heartbeat every worker; False marks dead or unresponsive."""
-        health = []
-        for position in range(len(self._labels)):
-            if not self._alive[position]:
-                health.append(False)
-                continue
-            try:
-                with self._worker_locks[position]:
-                    self._ensure_ready(position)
-                    self._exchange(position, FRAME_PING, b"", FRAME_OK,
-                                   self._response_timeout)
-                health.append(True)
-            except (DistribError, OSError):
-                self._drop(position)
-                health.append(False)
-        return health
-
-    def _broadcast(self, frame_type: int, payloads: Sequence[bytes],
-                   expect: int) -> List[bytes]:
-        """Send one frame to every worker in parallel; abort-all on error."""
-        replies: List[Optional[bytes]] = [None] * len(payloads)
-        first_error: Optional[BaseException] = None
-        with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
-            futures = {
-                pool.submit(self._request, position, frame_type,
-                            payloads[position], expect): position
-                for position in range(len(payloads))}
-            for future in as_completed(futures):
-                try:
-                    replies[futures[future]] = future.result()
-                except BaseException as error:
-                    if first_error is None:
-                        first_error = error
-                        # Closing every socket unblocks threads still
-                        # waiting on slower workers.
                         self._abort()
         if first_error is not None:
             if isinstance(first_error, DistribError):
                 raise first_error
             raise DistribError(f"worker exchange failed: "
                                f"{first_error}") from first_error
-        for position, reply in enumerate(replies):
-            if reply is None:
-                # A missing reply without an exception would misalign the
-                # shard fold (shard k's columns applied at position j).
+        for index, result in enumerate(results):
+            if result is None:
                 self._abort()
                 raise DistribError(
-                    f"worker {self._labels[position]} produced neither a "
-                    f"reply nor an error for its "
-                    f"{FRAME_NAMES.get(frame_type, frame_type)} frame; "
-                    f"aborting before the shard fold can misalign")
-        return list(replies)  # type: ignore[arg-type]
+                    f"{labels[index]} produced neither a reply nor an "
+                    f"error; aborting before the shard fold can misalign")
+        return results
+
+    def _prepare_workers(self) -> None:
+        """Connect, authenticate, BUILD and PING every worker.
+
+        The PING after BUILD doubles as the first heartbeat.  With a
+        retry budget, a worker that stays unreachable is marked dead
+        here and its shards are reassigned from the first epoch; the
+        run only aborts if the floor is broken.
+        """
+        self._fan_out(self._prepare_worker,
+                      [f"worker {label}" for label in self._labels])
+        alive = self._alive_positions()
+        if len(alive) < self._min_workers:
+            self._abort()
+            raise DistribError(
+                f"only {len(alive)} of {len(self._labels)} workers "
+                f"reachable, below the min-workers floor "
+                f"{self._min_workers} "
+                f"(dead: {self.fault_report.dead_summary()})")
+
+    def _prepare_worker(self, position: int) -> bool:
+        """Ready one worker; False if it was lost (the caller checks)."""
+        try:
+            self._exchange_with_retry(position, FRAME_PING, b"", FRAME_OK,
+                                      self._response_timeout)
+        except WorkerLostError:
+            return False
+        return True
 
     # -- delta composition ---------------------------------------------------------------
 
@@ -507,11 +470,10 @@ class ShardCoordinator:
         """
         alive = self._alive_positions()
         if len(alive) < self._min_workers or not alive:
-            dead = ", ".join(self.fault_report.dead_workers)
             raise DistribError(
                 f"only {len(alive)} of {len(self._labels)} workers still "
                 f"alive, below the min-workers floor {self._min_workers} "
-                f"(dead: {dead})")
+                f"(dead: {self.fault_report.dead_summary()})")
         if self._alive[shard_index]:
             return shard_index
         return alive[shard_index % len(alive)]
@@ -529,33 +491,12 @@ class ShardCoordinator:
                     self.fault_report.reassignments += 1
                 # Loop: _assign picks a survivor (or raises at the floor).
 
-    def _run_orders(self, orders: Sequence[bytes]) -> List[bytes]:
-        """Recovery-mode scheduler: every shard retried/reassigned."""
-        results: List[Optional[bytes]] = [None] * len(orders)
-        first_error: Optional[BaseException] = None
-        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
-            futures = {
-                pool.submit(self._run_order, shard_index, order): shard_index
-                for shard_index, order in enumerate(orders)}
-            for future in as_completed(futures):
-                try:
-                    results[futures[future]] = future.result()
-                except BaseException as error:
-                    if first_error is None:
-                        first_error = error
-                        self._abort()
-        if first_error is not None:
-            if isinstance(first_error, DistribError):
-                raise first_error
-            raise DistribError(f"worker exchange failed: "
-                               f"{first_error}") from first_error
-        for shard_index, result in enumerate(results):
-            if result is None:
-                self._abort()
-                raise DistribError(
-                    f"shard {shard_index} produced neither a result nor "
-                    f"an error; aborting before the fold can misalign")
-        return list(results)  # type: ignore[arg-type]
+    def _broadcast(self, orders: Sequence[bytes]) -> List[bytes]:
+        """Run every shard's order in parallel; block until each reply."""
+        return self._fan_out(
+            lambda shard_index: self._run_order(shard_index,
+                                                orders[shard_index]),
+            [f"shard {index}" for index in range(len(orders))])
 
     def run_shards(self, indexed, popular, aggregator,
                    dirty: Sequence = ()) -> None:
@@ -576,12 +517,7 @@ class ShardCoordinator:
                 [str(entry.name) for _index, entry in shard],
                 [entry.name in popular for _index, entry in shard],
                 self._specs, dirty_names))
-        if self._recovering:
-            payloads = self._run_orders(orders)
-        else:
-            payloads = self._broadcast(FRAME_SURVEY, orders, FRAME_RESULT)
-
-        for position, payload in enumerate(payloads):
+        for position, payload in enumerate(self._broadcast(orders)):
             label = self._labels[position]
             try:
                 shard = unpack_shard_result(

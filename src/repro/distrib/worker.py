@@ -75,7 +75,6 @@ def _engine_from_build(payload: bytes) -> SurveyEngine:
         backend="serial",
         popular_count=int(engine_options["popular_count"]),
         include_bottleneck=bool(engine_options["include_bottleneck"]),
-        use_glue=bool(engine_options["use_glue"]),
         passes=list(engine_options.get("passes", ()))))
 
 

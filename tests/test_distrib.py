@@ -25,10 +25,11 @@ from repro.distrib import DistribError, WireError
 from repro.distrib.coordinator import LocalWorkerFleet, ShardCoordinator
 from repro.distrib.merge import merge_shard_snapshots
 from repro.distrib.wire import (FRAME_BUILD, FRAME_ERROR, FRAME_HEADER_SIZE,
-                                FRAME_OK, FRAME_RESULT, FRAME_SHUTDOWN,
-                                FRAME_SURVEY, WIRE_MAGIC, _FRAME_HEADER,
-                                pack_work_order, parse_address, recv_frame,
-                                send_frame, unpack_work_order)
+                                FRAME_OK, FRAME_PING, FRAME_RESULT,
+                                FRAME_SHUTDOWN, FRAME_SURVEY, WIRE_MAGIC,
+                                _FRAME_HEADER, pack_work_order,
+                                parse_address, recv_frame, send_frame,
+                                unpack_work_order)
 from repro.topology.changes import ChangeJournal
 from repro.topology.generator import GeneratorConfig, InternetGenerator
 
@@ -308,7 +309,7 @@ def test_full_scale_socket_identity(seed):
 
 
 class ScriptedWorker:
-    """A fake worker that speaks valid BUILD, then fails SURVEY on cue.
+    """A fake worker that answers BUILD and PING, then fails SURVEY on cue.
 
     ``failure(connection)`` runs instead of a RESULT reply — crash the
     connection, send garbage, stall — so the coordinator's error paths
@@ -330,6 +331,9 @@ class ScriptedWorker:
         try:
             frame_type, _payload = recv_frame(connection, timeout=10.0)
             assert frame_type == FRAME_BUILD
+            send_frame(connection, FRAME_OK)
+            frame_type, _payload = recv_frame(connection, timeout=10.0)
+            assert frame_type == FRAME_PING
             send_frame(connection, FRAME_OK)
             frame_type, _payload = recv_frame(connection, timeout=10.0)
             assert frame_type == FRAME_SURVEY

@@ -281,7 +281,7 @@ def test_worker_discards_state_on_poisoned_replay():
     build = json.dumps({
         "generator": dataclasses.asdict(CHAOS_CONFIG),
         "engine": {"popular_count": 5, "include_bottleneck": True,
-                   "use_glue": True, "passes": []},
+                   "passes": []},
     }).encode("utf-8")
     connection = socket.create_connection(parse_address(server.address),
                                           timeout=5.0)
@@ -347,10 +347,11 @@ def test_broadcast_raises_on_silent_worker(tiny_world):
     worker = _OkWorker()
     engine = SurveyEngine(tiny_world, config=EngineConfig(popular_count=10))
     coordinator = ShardCoordinator(engine, [worker.address])
-    coordinator._request = lambda *args, **kwargs: None
+    coordinator._run_order = lambda *args, **kwargs: None
     with pytest.raises(DistribError,
-                       match="neither a reply nor an error"):
-        coordinator._broadcast(FRAME_SURVEY, [b""], FRAME_OK)
+                       match=r"shard 0 produced neither a reply nor an "
+                             r"error"):
+        coordinator._broadcast([b""])
     assert coordinator._closed
     worker.join()
 
@@ -541,8 +542,13 @@ def test_min_workers_floor_aborts_precisely():
             worker_addrs=tuple(fleet.addresses),
             retries=1, retry_backoff=0.05, min_workers=2))
         try:
+            # The floor error names the dead worker beside its last
+            # failure: the retry finds the killed process gone.
             with pytest.raises(DistribError,
-                               match="below the min-workers floor 2"):
+                               match=r"below the min-workers floor 2 "
+                                     r"\(dead: 127\.0\.0\.1:\d+ \((cannot "
+                                     r"connect|worker 127\.0\.0\.1:\d+: "
+                                     r"connection closed)"):
                 engine.run()
         finally:
             engine.close()
